@@ -150,10 +150,6 @@ def pair_index(K: GroupTable, u: int, a: int) -> int:
     return u + K.order * (a - 1)
 
 
-def pair_decode(K: GroupTable, idx: int) -> tuple[int, int]:
-    return (idx - 1) % K.order + 1, (idx - 1) // K.order + 1
-
-
 def build_extension(
     K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle, name: str | None = None
 ) -> LoopTable:

@@ -2,12 +2,16 @@
 
 Pairwise backtracking with invariant pruning; no canonical forms.  Tables
 of order <= 16 and batches of a few hundred are the intended scale.
+``classify`` computes each table's invariant profile, element orders and
+local invariants once, and its generating sequence at most once, and
+reuses them across all of its pairwise comparisons.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotPeriodicThroughIdentity
 from .loop_core import LoopTable, Permutation, element_order
@@ -72,14 +76,18 @@ def profile_flag_names(profile: IsoProfile) -> tuple[str, ...]:
     )
 
 
-def _local_invariants(Q: LoopTable) -> tuple[tuple[int, ...], ...]:
-    """Per-element invariant: sorted multiset {order(a*b) : b in Q}."""
-    orders = [_safe_order(Q, a) for a in Q.elements()]
-    out = []
-    for a in Q.elements():
-        row = Q.cells[a - 1]
-        out.append(tuple(sorted(orders[v - 1] for v in row)))
-    return tuple(out)
+class _ElementData(NamedTuple):
+    """Per-table data the iso search reads, indexed by element - 1."""
+
+    orders: tuple[int, ...]  # element orders, ORDER_UNDEFINED if aperiodic
+    local: tuple[tuple[int, ...], ...]  # sorted multiset {order(a*b) : b in Q}
+
+
+def _element_data(Q: LoopTable) -> _ElementData:
+    """Element orders and per-element local invariants, computed together."""
+    orders = tuple(_safe_order(Q, a) for a in Q.elements())
+    local = tuple(tuple(sorted(orders[v - 1] for v in row)) for row in Q.cells)
+    return _ElementData(orders, local)
 
 
 def extend_partial_hom(
@@ -138,19 +146,21 @@ def extend_partial_hom(
     return img
 
 
-def _exists_iso(Q1: LoopTable, Q2: LoopTable) -> bool:
-    """Backtracking existence test over images of a generating sequence."""
-    n = Q1.order
-    if Q2.order != n:
-        return False
-    loc1, loc2 = _local_invariants(Q1), _local_invariants(Q2)
-    ord1 = [_safe_order(Q1, a) for a in Q1.elements()]
-    ord2 = [_safe_order(Q2, a) for a in Q2.elements()]
-    if sorted(loc1) != sorted(loc2) or sorted(ord1) != sorted(ord2):
-        return False
-    gens = generating_sequence(Q1)
+def _exists_iso(
+    Q1: LoopTable,
+    Q2: LoopTable,
+    d1: _ElementData,
+    d2: _ElementData,
+    gens: tuple[int, ...],
+) -> bool:
+    """Backtracking existence test over the images of gens in Q2.
+
+    gens is a generating sequence of Q1; the two tables have equal order.
+    """
     if not gens:
         return True
+    ord1, loc1 = d1
+    ord2, loc2 = d2
     candidates = [
         [
             y
@@ -176,13 +186,14 @@ def _exists_iso(Q1: LoopTable, Q2: LoopTable) -> bool:
     return rec(0, {})
 
 
-def _lex_least_iso(Q1: LoopTable, Q2: LoopTable) -> Permutation | None:
+def _lex_least_iso(
+    Q1: LoopTable, Q2: LoopTable, d1: _ElementData, d2: _ElementData
+) -> Permutation | None:
     """First isomorphism in lexicographic image order (phi(2), phi(3), ...)."""
     n = Q1.order
     c1, c2 = Q1.cells, Q2.cells
-    loc1, loc2 = _local_invariants(Q1), _local_invariants(Q2)
-    ord1 = [_safe_order(Q1, a) for a in Q1.elements()]
-    ord2 = [_safe_order(Q2, a) for a in Q2.elements()]
+    ord1, loc1 = d1
+    ord2, loc2 = d2
     # triples (x, y, x*y) grouped by the largest element they mention;
     # with a contiguous domain 1..k this checks each product exactly once
     trips_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
@@ -218,30 +229,36 @@ def _lex_least_iso(Q1: LoopTable, Q2: LoopTable) -> Permutation | None:
     return None
 
 
+def _screen(Q1: LoopTable, Q2: LoopTable) -> tuple[_ElementData, _ElementData] | None:
+    """Per-table data of both loops, or None when an invariant tells them apart."""
+    if Q1.order != Q2.order:
+        return None
+    if invariant_profile(Q1) != invariant_profile(Q2):
+        return None
+    d1, d2 = _element_data(Q1), _element_data(Q2)
+    if sorted(d1.local) != sorted(d2.local):
+        return None
+    return d1, d2
+
+
 def find_isomorphism(Q1: LoopTable, Q2: LoopTable) -> Permutation | None:
     """A loop isomorphism Q1 -> Q2, or None.
 
     When one exists, the returned permutation is the lexicographically
     least in image order, so repeated runs are reproducible.
     """
-    if Q1.order != Q2.order:
+    data = _screen(Q1, Q2)
+    if data is None or not _exists_iso(Q1, Q2, *data, generating_sequence(Q1)):
         return None
-    if invariant_profile(Q1) != invariant_profile(Q2):
-        return None
-    if not _exists_iso(Q1, Q2):
-        return None
-    phi = _lex_least_iso(Q1, Q2)
+    phi = _lex_least_iso(Q1, Q2, *data)
     assert phi is not None  # existence was just established
     return phi
 
 
 def isomorphic(Q1: LoopTable, Q2: LoopTable) -> bool:
     """Existence-only test (cheaper than find_isomorphism)."""
-    if Q1.order != Q2.order:
-        return False
-    if invariant_profile(Q1) != invariant_profile(Q2):
-        return False
-    return _exists_iso(Q1, Q2)
+    data = _screen(Q1, Q2)
+    return data is not None and _exists_iso(Q1, Q2, *data, generating_sequence(Q1))
 
 
 @dataclass(frozen=True)
@@ -251,25 +268,33 @@ class IsoClass:
 
 
 def classify(loops: list[LoopTable]) -> list[IsoClass]:
-    """Partition the list under isomorphism; classes ordered by first member."""
-    profiles = [invariant_profile(Q) for Q in loops]
-    refined = [
-        (profiles[i], tuple(sorted(_local_invariants(Q)))) for i, Q in enumerate(loops)
-    ]
-    reps: list[int] = []
+    """Partition the list under isomorphism; classes ordered by first member.
+
+    Each table's profile and element data are computed once, and kept
+    only while it is a representative; its generating sequence is computed
+    on its first comparison with a representative and reused after that.
+    """
+    reps: list[tuple[int, tuple, _ElementData]] = []  # (index, key, data)
     members: dict[int, list[int]] = {}
     for i, Q in enumerate(loops):
+        data = _element_data(Q)
+        key = (invariant_profile(Q), tuple(sorted(data.local)))
+        gens = None
         home = None
-        for r in reps:
-            if refined[r] == refined[i] and _exists_iso(Q, loops[r]):
+        for r, r_key, r_data in reps:
+            if r_key != key:
+                continue
+            if gens is None:
+                gens = generating_sequence(Q)
+            if _exists_iso(Q, loops[r], data, r_data, gens):
                 home = r
                 break
         if home is None:
-            reps.append(i)
+            reps.append((i, key, data))
             members[i] = [i]
         else:
             members[home].append(i)
-    return [IsoClass(r, tuple(members[r])) for r in reps]
+    return [IsoClass(r, tuple(members[r])) for r, _, _ in reps]
 
 
 def brute_force_isomorphic(Q1: LoopTable, Q2: LoopTable) -> bool:

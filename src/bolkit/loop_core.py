@@ -10,7 +10,7 @@ Permutations of 1..n are plain tuples: ``p[i-1]`` is the image of ``i``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     Malformed,
@@ -209,10 +209,6 @@ def perm_power(p: Permutation, m: int) -> Permutation:
     return out
 
 
-def is_permutation(p: tuple[int, ...], n: int) -> bool:
-    return len(p) == n and sorted(p) == list(range(1, n + 1))
-
-
 def power(Q: LoopTable, a: int, m: int) -> int:
     """The m-th power of a, iterating the left translation: a^m = a * a^(m-1).
 
@@ -264,7 +260,3 @@ def inverse(Q: LoopTable, a: int) -> int:
     if x != y:
         raise NoTwoSidedInverse(f"element {a}: right inverse {x} != left inverse {y}")
     return x
-
-
-def all_elements(Q: LoopTable) -> Iterator[int]:
-    return iter(range(1, Q.order + 1))

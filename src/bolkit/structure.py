@@ -169,25 +169,37 @@ def commutant_prime_part(Q: LoopTable, m: int) -> ElementSet:
 
 
 def generated_subloop(Q: LoopTable, S: ElementSet) -> ElementSet:
-    """Least subset containing S and 1, closed under * and both divisions."""
+    """Least subset containing S and 1, closed under * and both divisions.
+
+    Only products are closed over: in a finite loop a subset H that
+    contains 1 and is closed under * is closed under both divisions too,
+    because L_a and R_a (a in H) restrict to injections of the finite set
+    H into itself, hence to bijections of H.  Each element taken from the
+    frontier is multiplied once on each side by every element known so
+    far, itself included, so every product of two members is formed once.
+    """
     cells = Q.cells
-    n = Q.order
-    members = {1} | set(S)
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(members)
-        for a in current:
-            ra = cells[a - 1]
-            col = a - 1
-            for b in current:
-                prod = ra[b - 1]
-                ldiv = ra.index(b) + 1  # x with a*x = b
-                rdiv = next(y for y in range(1, n + 1) if cells[y - 1][col] == b)
-                for v in (prod, ldiv, rdiv):
-                    if v not in members:
-                        members.add(v)
-                        changed = True
+    members = {1}
+    frontier = []
+    for s in S:
+        if s not in members:
+            members.add(s)
+            frontier.append(s)
+    known: list[int] = []  # members other than 1 already multiplied out
+    while frontier:
+        a = frontier.pop()
+        known.append(a)
+        ra = cells[a - 1]
+        col = a - 1
+        for b in known:
+            v = ra[b - 1]
+            if v not in members:
+                members.add(v)
+                frontier.append(v)
+            v = cells[b - 1][col]
+            if v not in members:
+                members.add(v)
+                frontier.append(v)
     return tuple(sorted(members))
 
 

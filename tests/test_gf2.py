@@ -24,13 +24,11 @@ from bolkit.iso import find_isomorphism
 from bolkit.loop_core import mul
 from bolkit.structure import check_identity, commutant, generated_subloop, is_subloop, nuclei
 
-RNG = random.Random(97)
 
-
-def random_cmap(dim: int) -> CMap:
+def random_cmap(dim: int, rng: random.Random) -> CMap:
     rows = [tuple(0 for _ in range(dim))]
     rows += [
-        tuple(RNG.randrange(2) for _ in range(dim)) for _ in range((1 << dim) - 1)
+        tuple(rng.randrange(2) for _ in range(dim)) for _ in range((1 << dim) - 1)
     ]
     return CMap(dim, tuple(rows))
 
@@ -42,8 +40,9 @@ def test_associated_cocycle_all_zero():
 
 
 def test_associated_cocycle_restricts_and_is_right_additive():
+    rng = random.Random(97)
     for _ in range(100):
-        c = random_cmap(3)
+        c = random_cmap(3, rng)
         f = associated_cocycle(c)
         assert is_right_additive(f)
         for e in range(8):
@@ -57,15 +56,17 @@ def test_associated_cocycle_restricts_and_is_right_additive():
 def test_associated_cocycle_unique():
     # any right-additive cocycle agreeing with c on basis columns is forced:
     # rebuilding a CMap from f's basis columns reproduces f
+    rng = random.Random(98)
     for _ in range(100):
-        c = random_cmap(3)
+        c = random_cmap(3, rng)
         f = associated_cocycle(c)
         c2 = CMap(3, tuple(tuple(f.values[e][1 << i] for i in range(3)) for e in range(8)))
         assert associated_cocycle(c2).values == f.values
 
 
 def test_is_right_additive_detects_single_flip():
-    c = random_cmap(3)
+    rng = random.Random(99)
+    c = random_cmap(3, rng)
     f = associated_cocycle(c)
     rows = [list(r) for r in f.values]
     rows[3][5] ^= 1  # flip one interior entry
@@ -74,21 +75,23 @@ def test_is_right_additive_detects_single_flip():
 
 
 def test_e2k2_bol_check_right_additive_and_zero():
+    rng = random.Random(100)
     zero = GF2Cocycle(2, ((0,) * 4,) * 4)
     assert e2k2_bol_check(zero)
     for _ in range(20):
-        f = associated_cocycle(random_cmap(3))
+        f = associated_cocycle(random_cmap(3, rng))
         assert e2k2_bol_check(f)
 
 
 def test_e2k2_bol_check_cross_validation():
     # random bit matrices with zero borders: the condition equations must
     # agree with the direct Bol check of the built table
+    rng = random.Random(101)
     for _ in range(50):
         size = 8
         rows = [[0] * size]
         rows += [
-            [0] + [RNG.randrange(2) for _ in range(size - 1)] for _ in range(size - 1)
+            [0] + [rng.randrange(2) for _ in range(size - 1)] for _ in range(size - 1)
         ]
         f = GF2Cocycle(3, tuple(tuple(r) for r in rows))
         Q = cocycle_loop(f)
@@ -96,7 +99,8 @@ def test_e2k2_bol_check_cross_validation():
 
 
 def test_q9_cmap_constraints():
-    bits = tuple(RNG.randrange(2) for _ in range(9))
+    rng = random.Random(102)
+    bits = tuple(rng.randrange(2) for _ in range(9))
     c = q9_cmap(bits)
     f = associated_cocycle(c)
     # rows e1, e2 are symmetric; the (e1+e2, e3) slot breaks additivity
@@ -116,7 +120,8 @@ def test_build_q9_zero():
 
 
 def test_build_q9_commuting_pair_breaks():
-    for bits in ((0,) * 9, (1,) * 9, tuple(RNG.randrange(2) for _ in range(9))):
+    rng = random.Random(103)
+    for bits in ((0,) * 9, (1,) * 9, tuple(rng.randrange(2) for _ in range(9))):
         Q = build_q9(bits)
         com = set(commutant(Q))
         # pairs with vector part e1 resp. e2 commute with everything
@@ -241,13 +246,14 @@ def test_dim2_right_additive_exhaustive():
 def test_gf2_conditions_agree_with_general_extension_conditions():
     # a GF(2) cocycle is also a trivial-action extension cocycle over the
     # two-element group; the two condition checkers must agree on it
+    rng = random.Random(104)
     from bolkit.extensions import Cocycle, bol_conditions, cyclic_group, elem_abelian_2, trivial_tau
 
     K = cyclic_group(2)
     E = elem_abelian_2(3)
     for _ in range(25):
         rows = [[0] * 8]
-        rows += [[0] + [RNG.randrange(2) for _ in range(7)] for _ in range(7)]
+        rows += [[0] + [rng.randrange(2) for _ in range(7)] for _ in range(7)]
         f = GF2Cocycle(3, tuple(tuple(r) for r in rows))
         fk = Cocycle(E, K, tuple(tuple(v + 1 for v in row) for row in rows))
         general = bol_conditions(K, E, trivial_tau(K, E), fk)

@@ -119,6 +119,31 @@ def test_classify_matches_brute_force_order4():
     assert len(classes) == 2  # Z4 and the Klein group
 
 
+def test_classify_relabeled_catalog_batch():
+    import random
+
+    from bolkit.catalog import property_catalog
+
+    # of the 31 catalog bases exactly two pairs are isomorphic
+    same = {"order4n_n3": "order12", "order4n_n4": "q9_000000111"}
+    rng = random.Random(2006)
+    batch = []
+    for Q in property_catalog():
+        for _ in range(2):
+            rest = list(range(2, Q.order + 1))
+            rng.shuffle(rest)
+            batch.append((_relabel(Q, (1, *rest)), same.get(Q.name, Q.name)))
+    rng.shuffle(batch)
+    expected: dict[str, list[int]] = {}
+    for i, (_, key) in enumerate(batch):
+        expected.setdefault(key, []).append(i)
+    classes = classify([Q for Q, _ in batch])
+    assert len(classes) == 29
+    # classes in first-member order, each listing its members in order
+    assert [list(c.members) for c in classes] == list(expected.values())
+    assert all(c.representative == c.members[0] for c in classes)
+
+
 def test_classification_report_format():
     loops = [cyclic_group(2), cyclic_group(2)]
     classes = classify(loops)

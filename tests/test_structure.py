@@ -1,6 +1,11 @@
+import functools
+import itertools
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bolkit import errors
 from bolkit.catalog import (
@@ -11,7 +16,7 @@ from bolkit.catalog import (
     small_even_order_loops,
 )
 from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
-from bolkit.loop_core import compose, mul, translation
+from bolkit.loop_core import LoopTable, compose, mul, translation
 from bolkit.structure import (
     IDENTITY_NAMES,
     check_identity,
@@ -118,6 +123,71 @@ def test_generated_subloop(T8, X16):
     assert generated_subloop(T8, (1,)) == (1,)
     assert generated_subloop(T8, (4, 5)) == tuple(range(1, 9))
     assert generated_subloop(X16, commutant(X16)) == tuple(range(1, 9))
+
+
+@functools.cache
+def _catalog() -> tuple[LoopTable, ...]:
+    return tuple(property_catalog())
+
+
+def _relabeled(Q: LoopTable, seed: int) -> LoopTable:
+    """Q with its elements renamed by a seeded permutation fixing 1."""
+    rest = list(range(2, Q.order + 1))
+    random.Random(seed).shuffle(rest)
+    p = (1, *rest)
+    cells = [[0] * Q.order for _ in range(Q.order)]
+    for a in Q.elements():
+        for b in Q.elements():
+            cells[p[a - 1] - 1][p[b - 1] - 1] = p[mul(Q, a, b) - 1]
+    return LoopTable.from_cells(cells)
+
+
+def _brute_force_closure(Q: LoopTable, S: tuple[int, ...]) -> tuple[int, ...]:
+    r"""Fixed point of adding every a*b, a\b and b/a, divisions by search."""
+    cells = Q.cells
+    rng = range(1, Q.order + 1)
+    members = {1} | set(S)
+    while True:
+        grown = set(members)
+        for a in members:
+            for b in members:
+                grown.add(cells[a - 1][b - 1])
+                grown.update(x for x in rng if cells[a - 1][x - 1] == b)
+                grown.update(y for y in rng if cells[y - 1][a - 1] == b)
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    index=st.integers(0, len(_catalog()) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 2**16), max_size=3),
+    with_one=st.booleans(),
+    repeat=st.booleans(),
+)
+@example(index=0, seed=0, picks=[], with_one=False, repeat=False)  # empty set
+@example(index=20, seed=1, picks=[4, 4], with_one=True, repeat=True)  # exceptional16
+def test_generated_subloop_matches_brute_force(index, seed, picks, with_one, repeat):
+    Q = _relabeled(_catalog()[index], seed)
+    S = [1 + v % Q.order for v in picks]
+    if with_one:
+        S.insert(len(S) // 2, 1)
+    if repeat and S:
+        S.append(S[0])
+    S = tuple(S)
+    assert generated_subloop(Q, S) == _brute_force_closure(Q, S)
+
+
+def test_generated_subloop_every_pair_matches_brute_force():
+    # every two-element subset of each catalog loop of order <= 16
+    for index, Q in enumerate(_catalog()):
+        if Q.order > 16:
+            continue
+        R = _relabeled(Q, index)
+        for S in itertools.combinations(R.elements(), 2):
+            assert generated_subloop(R, S) == _brute_force_closure(R, S), (Q.name, S)
 
 
 def test_is_subloop_and_normal(T8):
