@@ -29,7 +29,7 @@ class NoInverse(BolkitError):
     pass
 
 
-class NoTwoSidedInverse(BolkitError):
+class NoTwoSidedInverse(NoInverse):
     pass
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParams, NotAssociative, TooLarge
-from .iso import extend_partial_hom
-from .loop_core import LoopTable, Permutation, element_order, identity_perm, inverse
-from .structure import ElementSet, check_identity, commutant, generating_sequence, nuclei
+from .iso import _element_data, _isomorphisms
+from .loop_core import LoopTable, Permutation, identity_perm, inverse, mul
+from .structure import ElementSet, check_identity, commutant, nuclei
 
 MAX_AUT_ORDER = 64
 
@@ -62,34 +62,13 @@ def is_automorphism(K: LoopTable, p: Permutation) -> bool:
 def automorphism_group(K: GroupTable) -> list[Permutation]:
     """All automorphisms of K, canonically sorted (identity first).
 
-    Backtracks over images of a greedy generating set; fine for |K| <= 64.
+    The isomorphism search from K to itself, which lists maps in sorted
+    order; capped at |K| <= MAX_AUT_ORDER.
     """
     if K.order > MAX_AUT_ORDER:
         raise TooLarge(f"automorphism enumeration capped at order {MAX_AUT_ORDER}")
-    gens = generating_sequence(K)
-    if not gens:  # trivial group
-        return [identity_perm(K.order)]
-    orders = {x: element_order(K, x) for x in K.elements()}
-    candidates = [
-        [y for y in K.elements() if orders[y] == orders[g]] for g in gens
-    ]
-    found: list[Permutation] = []
-
-    def rec(i: int, assignment: dict[int, int]) -> None:
-        if i == len(gens):
-            img = extend_partial_hom(K, K, assignment)
-            if img is not None:
-                found.append(tuple(img[1:]))
-            return
-        for y in candidates[i]:
-            if y in assignment.values():
-                continue
-            assignment[gens[i]] = y
-            rec(i + 1, assignment)
-            del assignment[gens[i]]
-
-    rec(0, {})
-    return sorted(set(found))
+    data = _element_data(K)
+    return list(_isomorphisms(K, K, data, data))
 
 
 @dataclass(frozen=True)
@@ -188,13 +167,8 @@ def bol_conditions(K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle) -> bool
     all w in K; together they are equivalent to the Bol identity on the
     built table.
     """
-    kc = K.cells
     ec = E.cells
     ne, nk = E.order, K.order
-
-    def kmul(x: int, y: int) -> int:
-        return kc[x - 1][y - 1]
-
     for a in range(1, ne + 1):
         ta = tau.at(a)
         for b in range(1, ne + 1):
@@ -202,18 +176,19 @@ def bol_conditions(K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle) -> bool
             ba = ec[b - 1][a - 1]
             aba = ec[a - 1][ba - 1]
             taba = tau.at(aba)
-            lead = kmul(ta[f.at(b, a) - 1], f.at(a, ba))
+            lead = mul(K, ta[f.at(b, a) - 1], f.at(a, ba))
             # w-quantified equation (c = 1)
             for w in range(1, nk + 1):
-                if kmul(lead, taba[w - 1]) != kmul(ta[tb[ta[w - 1] - 1] - 1], lead):
+                if mul(K, lead, taba[w - 1]) != mul(K, ta[tb[ta[w - 1] - 1] - 1], lead):
                     return False
             # c-quantified equation (w = 1)
             for c in range(1, ne + 1):
                 ac = ec[a - 1][c - 1]
                 bac = ec[b - 1][ac - 1]
-                lhs = kmul(lead, f.at(aba, c))
-                rhs = kmul(
-                    kmul(ta[tb[f.at(a, c) - 1] - 1], ta[f.at(b, ac) - 1]),
+                lhs = mul(K, lead, f.at(aba, c))
+                rhs = mul(
+                    K,
+                    mul(K, ta[tb[f.at(a, c) - 1] - 1], ta[f.at(b, ac) - 1]),
                     f.at(a, bac),
                 )
                 if lhs != rhs:
@@ -225,13 +200,8 @@ def group_conditions(K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle) -> bo
     """Condition equations for Q(K,E,tau,f) to be a group."""
     if not check_identity(E, "associative"):
         return False
-    kc = K.cells
     ec = E.cells
     ne, nk = E.order, K.order
-
-    def kmul(x: int, y: int) -> int:
-        return kc[x - 1][y - 1]
-
     for a in range(1, ne + 1):
         ta = tau.at(a)
         for b in range(1, ne + 1):
@@ -240,11 +210,11 @@ def group_conditions(K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle) -> bo
             tab = tau.at(ab)
             fab = f.at(a, b)
             for w in range(1, nk + 1):
-                if kmul(ta[tb[w - 1] - 1], fab) != kmul(fab, tab[w - 1]):
+                if mul(K, ta[tb[w - 1] - 1], fab) != mul(K, fab, tab[w - 1]):
                     return False
             for c in range(1, ne + 1):
                 bc = ec[b - 1][c - 1]
-                if kmul(ta[f.at(b, c) - 1], f.at(a, bc)) != kmul(fab, f.at(ab, c)):
+                if mul(K, ta[f.at(b, c) - 1], f.at(a, bc)) != mul(K, fab, f.at(ab, c)):
                     return False
     return True
 
@@ -253,14 +223,9 @@ def right_nucleus_members(
     K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle
 ) -> set[tuple[int, int]]:
     """Pairs (w, c) satisfying the right-nucleus condition equations."""
-    kc = K.cells
     ec = E.cells
     ne, nk = E.order, K.order
     rnuc_e = set(nuclei(E).right)
-
-    def kmul(x: int, y: int) -> int:
-        return kc[x - 1][y - 1]
-
     out: set[tuple[int, int]] = set()
     for c in range(1, ne + 1):
         if c not in rnuc_e:
@@ -272,9 +237,9 @@ def right_nucleus_members(
                 for b in range(1, ne + 1):
                     ab = ec[a - 1][b - 1]
                     bc = ec[b - 1][c - 1]
-                    lhs = kmul(kmul(f.at(a, b), tau.at(ab)[w - 1]), f.at(ab, c))
-                    rhs = kmul(
-                        kmul(ta[tau.at(b)[w - 1] - 1], ta[f.at(b, c) - 1]), f.at(a, bc)
+                    lhs = mul(K, mul(K, f.at(a, b), tau.at(ab)[w - 1]), f.at(ab, c))
+                    rhs = mul(
+                        K, mul(K, ta[tau.at(b)[w - 1] - 1], ta[f.at(b, c) - 1]), f.at(a, bc)
                     )
                     if lhs != rhs:
                         ok = False
@@ -290,13 +255,8 @@ def commutant_members(
     K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle
 ) -> set[tuple[int, int]]:
     """Pairs (u, a) satisfying the commutant condition equations."""
-    kc = K.cells
     ne, nk = E.order, K.order
     com_e = set(commutant(E))
-
-    def kmul(x: int, y: int) -> int:
-        return kc[x - 1][y - 1]
-
     out: set[tuple[int, int]] = set()
     for a in range(1, ne + 1):
         if a not in com_e:
@@ -304,11 +264,11 @@ def commutant_members(
         ta = tau.at(a)
         for u in range(1, nk + 1):
             uinv = inverse(K, u)
-            if any(ta[v - 1] != kmul(kmul(uinv, v), u) for v in range(1, nk + 1)):
+            if any(ta[v - 1] != mul(K, mul(K, uinv, v), u) for v in range(1, nk + 1)):
                 continue
             if all(
                 tau.at(b)[u - 1]
-                == kmul(kmul(u, f.at(a, b)), inverse(K, f.at(b, a)))
+                == mul(K, mul(K, u, f.at(a, b)), inverse(K, f.at(b, a)))
                 for b in range(1, ne + 1)
             ):
                 out.add((u, a))

@@ -1,27 +1,27 @@
 """Isomorphism testing and classification of loop tables.
 
-Pairwise backtracking with invariant pruning; no canonical forms.  Tables
-of order <= 16 and batches of a few hundred are the intended scale.
-``classify`` computes each table's invariant profile, element orders and
-local invariants once, and its generating sequence at most once, and
-reuses them across all of its pairwise comparisons.
+One search engine, ``_isomorphisms``, lists the isomorphisms between two
+tables in lexicographic image order.  It maps the least unmapped element
+to each candidate image (same element order and local invariant) in
+increasing order and closes the partial map under products with
+``extend_partial_hom``.  ``find_isomorphism`` takes its first map, which
+is the lexicographically least; ``isomorphic`` and ``classify`` ask
+whether a first map exists; ``extensions.automorphism_group`` takes all
+of them.  Invariant profiles screen pairs before any search.  There are
+no canonical forms: tables of order <= 16 and batches of a few hundred
+are the intended scale.  ``classify`` computes each table's profile and
+element data once and reuses them across its pairwise comparisons.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import NotPeriodicThroughIdentity
 from .loop_core import LoopTable, Permutation, element_order
-from .structure import (
-    check_identity,
-    commutant,
-    generating_sequence,
-    involution_count,
-    nuclei,
-)
+from .structure import check_identity, commutant, involution_count, nuclei
 
 # order_spectrum sentinel for elements whose powers do not form a group
 ORDER_UNDEFINED = 0
@@ -90,143 +90,102 @@ def _element_data(Q: LoopTable) -> _ElementData:
     return _ElementData(orders, local)
 
 
-def extend_partial_hom(
-    Q1: LoopTable, Q2: LoopTable, assignment: dict[int, int]
-) -> list[int] | None:
-    """Close a partial map under products; None on any conflict.
+# (img, used, known): see extend_partial_hom
+_HomState = tuple[list[int], list[bool], list[int]]
 
-    Returns the image list (index 0 unused) when the closure of the
-    assigned elements covers all of Q1 and is injective; every product of
-    known elements is checked along the way, so a successful closure over
-    a generating set is a verified isomorphism.
+
+def extend_partial_hom(
+    Q1: LoopTable, Q2: LoopTable, state: _HomState, x: int, y: int
+) -> _HomState | None:
+    """Extend a partial homomorphism by x -> y and close it under products.
+
+    ``state`` is ``(img, used, known)``: the image list (index 0 unused, 0
+    for unmapped), the used-image flags of Q2, and the mapped elements of
+    Q1 in the order they were mapped, the identity first.  The state is
+    not modified.  Returns the extended state, or None when x is already
+    mapped, y already used, or the closure stops being an injective
+    homomorphism.  Every product of two mapped elements is checked once,
+    when the later of the two is mapped, so a closure that covers Q1 is a
+    verified isomorphism.
+    """
+    img, used, known = state
+    if img[x] or used[y]:
+        return None
+    img, used, known = img[:], used[:], known + [x]
+    img[x] = y
+    used[y] = True
+    c1, c2 = Q1.cells, Q2.cells
+    i = len(known) - 1
+    while i < len(known):
+        p = known[i]
+        fp = img[p]
+        row1, row2 = c1[p - 1], c2[fp - 1]
+        for z in known[1 : i + 1]:  # known[0] is the identity
+            fz = img[z]
+            # p*z, then z*p unless z is p; the two blocks are inlined for speed
+            r, q = row1[z - 1], row2[fz - 1]
+            if img[r]:
+                if img[r] != q:
+                    return None
+            elif used[q]:
+                return None
+            else:
+                img[r] = q
+                used[q] = True
+                known.append(r)
+            if z == p:
+                break
+            r, q = c1[z - 1][p - 1], c2[fz - 1][fp - 1]
+            if img[r]:
+                if img[r] != q:
+                    return None
+            elif used[q]:
+                return None
+            else:
+                img[r] = q
+                used[q] = True
+                known.append(r)
+        i += 1
+    return img, used, known
+
+
+def _isomorphisms(
+    Q1: LoopTable, Q2: LoopTable, d1: _ElementData, d2: _ElementData
+) -> Iterator[Permutation]:
+    """Every isomorphism Q1 -> Q2, in lexicographic image order (phi(2), phi(3), ...).
+
+    Depth-first search that maps the least unmapped element to each
+    candidate image in increasing order and closes the map under products.
+    Elements below the branch element are already mapped, so sibling
+    subtrees differ first at that element and the maps come out sorted.
+    Candidates share the element order and local invariant.
     """
     n = Q1.order
     if Q2.order != n:
-        return None
-    img = [0] * (n + 1)
-    img[1] = 1
-    used = {1}
-    known = [1]
-    for x, y in assignment.items():
-        if img[x]:
-            if img[x] != y:
-                return None
-            continue
-        if y in used:
-            return None
-        img[x] = y
-        used.add(y)
-        known.append(x)
-    c1, c2 = Q1.cells, Q2.cells
-    pending = []
-    for i, x in enumerate(known):
-        for y in known[: i + 1]:
-            pending.append((x, y))
-            if x != y:
-                pending.append((y, x))
-    while pending:
-        x, y = pending.pop()
-        p = c1[x - 1][y - 1]
-        q = c2[img[x] - 1][img[y] - 1]
-        if img[p]:
-            if img[p] != q:
-                return None
-            continue
-        if q in used:
-            return None
-        img[p] = q
-        used.add(q)
-        for z in known:
-            pending.append((p, z))
-            pending.append((z, p))
-        pending.append((p, p))
-        known.append(p)
-    if len(known) < n:
-        return None
-    return img
-
-
-def _exists_iso(
-    Q1: LoopTable,
-    Q2: LoopTable,
-    d1: _ElementData,
-    d2: _ElementData,
-    gens: tuple[int, ...],
-) -> bool:
-    """Backtracking existence test over the images of gens in Q2.
-
-    gens is a generating sequence of Q1; the two tables have equal order.
-    """
-    if not gens:
-        return True
-    ord1, loc1 = d1
-    ord2, loc2 = d2
-    candidates = [
-        [
-            y
-            for y in Q2.elements()
-            if ord2[y - 1] == ord1[g - 1] and loc2[y - 1] == loc1[g - 1]
-        ]
-        for g in gens
-    ]
-
-    def rec(i: int, assignment: dict[int, int]) -> bool:
-        if i == len(gens):
-            return extend_partial_hom(Q1, Q2, assignment) is not None
-        for y in candidates[i]:
-            if y in assignment.values():
-                continue
-            assignment[gens[i]] = y
-            if rec(i + 1, assignment):
-                del assignment[gens[i]]
-                return True
-            del assignment[gens[i]]
-        return False
-
-    return rec(0, {})
-
-
-def _lex_least_iso(
-    Q1: LoopTable, Q2: LoopTable, d1: _ElementData, d2: _ElementData
-) -> Permutation | None:
-    """First isomorphism in lexicographic image order (phi(2), phi(3), ...)."""
-    n = Q1.order
-    c1, c2 = Q1.cells, Q2.cells
-    ord1, loc1 = d1
-    ord2, loc2 = d2
-    # triples (x, y, x*y) grouped by the largest element they mention;
-    # with a contiguous domain 1..k this checks each product exactly once
-    trips_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            p = c1[x - 1][y - 1]
-            trips_at[max(x, y, p)].append((x, y, p))
-
+        return
+    images: dict[tuple, list[int]] = {}
+    for y in range(2, n + 1):
+        images.setdefault((d2.orders[y - 1], d2.local[y - 1]), []).append(y)
+    candidates = [images.get((d1.orders[x - 1], d1.local[x - 1]), []) for x in range(1, n + 1)]
     img = [0] * (n + 1)
     img[1] = 1
     used = [False] * (n + 1)
     used[1] = True
 
-    def rec(k: int) -> bool:
-        if k > n:
-            return True
-        for y in range(2, n + 1):
-            if used[y] or ord2[y - 1] != ord1[k - 1] or loc2[y - 1] != loc1[k - 1]:
-                continue
-            img[k] = y
-            used[y] = True
-            ok = all(
-                c2[img[x] - 1][img[yy] - 1] == img[p] for x, yy, p in trips_at[k]
-            )
-            if ok and rec(k + 1):
-                return True
-            used[y] = False
-            img[k] = 0
-        return False
+    def search(state: _HomState, x: int) -> Iterator[Permutation]:
+        img, used, _ = state
+        while x <= n and img[x]:
+            x += 1
+        if x > n:
+            yield tuple(img[1:])
+            return
+        for y in candidates[x - 1]:
+            if not used[y]:
+                extended = extend_partial_hom(Q1, Q2, state, x, y)
+                if extended is not None:
+                    yield from search(extended, x + 1)
 
-    if rec(2):
-        return tuple(img[1:])
-    return None
+    yield from search((img, used, [1]), 2)
 
 
 def _screen(Q1: LoopTable, Q2: LoopTable) -> tuple[_ElementData, _ElementData] | None:
@@ -248,17 +207,12 @@ def find_isomorphism(Q1: LoopTable, Q2: LoopTable) -> Permutation | None:
     least in image order, so repeated runs are reproducible.
     """
     data = _screen(Q1, Q2)
-    if data is None or not _exists_iso(Q1, Q2, *data, generating_sequence(Q1)):
-        return None
-    phi = _lex_least_iso(Q1, Q2, *data)
-    assert phi is not None  # existence was just established
-    return phi
+    return None if data is None else next(_isomorphisms(Q1, Q2, *data), None)
 
 
 def isomorphic(Q1: LoopTable, Q2: LoopTable) -> bool:
-    """Existence-only test (cheaper than find_isomorphism)."""
-    data = _screen(Q1, Q2)
-    return data is not None and _exists_iso(Q1, Q2, *data, generating_sequence(Q1))
+    """Whether an isomorphism Q1 -> Q2 exists."""
+    return find_isomorphism(Q1, Q2) is not None
 
 
 @dataclass(frozen=True)
@@ -271,22 +225,18 @@ def classify(loops: list[LoopTable]) -> list[IsoClass]:
     """Partition the list under isomorphism; classes ordered by first member.
 
     Each table's profile and element data are computed once, and kept
-    only while it is a representative; its generating sequence is computed
-    on its first comparison with a representative and reused after that.
+    only while it is a representative.
     """
     reps: list[tuple[int, tuple, _ElementData]] = []  # (index, key, data)
     members: dict[int, list[int]] = {}
     for i, Q in enumerate(loops):
         data = _element_data(Q)
         key = (invariant_profile(Q), tuple(sorted(data.local)))
-        gens = None
         home = None
         for r, r_key, r_data in reps:
             if r_key != key:
                 continue
-            if gens is None:
-                gens = generating_sequence(Q)
-            if _exists_iso(Q, loops[r], data, r_data, gens):
+            if next(_isomorphisms(Q, loops[r], data, r_data), None) is not None:
                 home = r
                 break
         if home is None:

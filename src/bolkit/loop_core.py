@@ -15,7 +15,6 @@ from typing import Iterable
 from .errors import (
     Malformed,
     NoIdentity,
-    NoInverse,
     NotLatin,
     NotPeriodicThroughIdentity,
     NoTwoSidedInverse,
@@ -212,18 +211,15 @@ def perm_power(p: Permutation, m: int) -> Permutation:
 def power(Q: LoopTable, a: int, m: int) -> int:
     """The m-th power of a, iterating the left translation: a^m = a * a^(m-1).
 
-    For m < 0 the element must have a two-sided inverse.  In any left
-    power alternative loop all ways of bracketing a power agree, so this
-    convention only matters on pathological tables.
+    For m < 0 the element must have a two-sided inverse (else
+    NoTwoSidedInverse, a NoInverse).  In any left power alternative loop
+    all ways of bracketing a power agree, so this convention only matters
+    on pathological tables.
     """
     if m == 0:
         return 1
     if m < 0:
-        x = left_divide(Q, a, 1)
-        y = right_divide(Q, a, 1)
-        if x != y:
-            raise NoInverse(f"element {a} has no two-sided inverse")
-        return power(Q, x, -m)
+        return power(Q, inverse(Q, a), -m)
     row = Q.cells[a - 1]
     x = 1
     for _ in range(m):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from bolkit import errors
-from bolkit.catalog import dihedral_inputs, direct_product, extension_catalog
+from bolkit.catalog import dihedral_group, dihedral_inputs, direct_product, extension_catalog
 from bolkit.extensions import (
     Cocycle,
     GroupTable,
@@ -45,6 +45,16 @@ def test_group_table_rejects_nonassociative():
     GroupTable.from_table(cyclic_group(4))
 
 
+def _brute_force_automorphisms(G):
+    """Every automorphism of G, by trying all bijections that fix 1."""
+    n, c = G.order, G.cells
+    return sorted(
+        img
+        for img in ((1, *rest) for rest in itertools.permutations(range(2, n + 1)))
+        if all(img[c[x][y] - 1] == c[img[x] - 1][img[y] - 1] for x in range(n) for y in range(n))
+    )
+
+
 def test_automorphism_groups():
     assert len(automorphism_group(cyclic_group(3))) == 2
     assert len(automorphism_group(cyclic_group(4))) == 2
@@ -52,6 +62,19 @@ def test_automorphism_groups():
     auts = automorphism_group(cyclic_group(5))
     assert len(auts) == 4
     assert auts[0] == identity_perm(5)  # canonical sort puts the identity first
+    # the whole sorted list, against brute force; sizes are the known |Aut|
+    for G, size in (
+        (cyclic_group(6), 2),
+        (dihedral_group(3), 6),
+        (cyclic_group(8), 4),
+        (elem_abelian_2(3), 168),
+        (dihedral_group(4), 8),
+        (direct_product(cyclic_group(2), cyclic_group(4)), 8),
+    ):
+        auts = automorphism_group(GroupTable.from_table(G))
+        assert auts == _brute_force_automorphisms(G)
+        assert len(auts) == size
+    assert len(automorphism_group(elem_abelian_2(4))) == 20160  # |GL(4,2)|
 
 
 def test_automorphism_group_too_large():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from bolkit.catalog import q9_representatives
 from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
@@ -11,8 +12,8 @@ from bolkit.iso import (
     invariant_profile,
     isomorphic,
 )
-from bolkit.loop_core import identity_perm, mul, parse_table
-from bolkit.oracle import enumerate_all_loops
+from bolkit.loop_core import element_order, identity_perm, mul, parse_table
+from bolkit.oracle import enumerate_all_loops, search_left_bol
 
 
 def test_profile_z4_spectrum():
@@ -64,22 +65,80 @@ def test_isomorphism_soundness_and_symmetry():
     assert invariant_profile(z6) == invariant_profile(shuffled)
 
 
-def test_find_isomorphism_returns_lex_least():
-    # compare against explicit enumeration of every isomorphism
-    A = elem_abelian_2(2)
-    B = elem_abelian_2(2)
-    phis = []
+def _all_isomorphisms(A, B):
+    """Every isomorphism A -> B, by trying all bijections that fix 1."""
     n = A.order
-    for rest in itertools.permutations(range(2, n + 1)):
-        img = (1,) + rest
+    if B.order != n:
+        return []
+    return [
+        img
+        for img in ((1, *rest) for rest in itertools.permutations(range(2, n + 1)))
         if all(
             img[mul(A, x, y) - 1] == mul(B, img[x - 1], img[y - 1])
             for x in A.elements()
             for y in A.elements()
-        ):
-            phis.append(img)
-    assert find_isomorphism(A, B) == min(phis)
-    assert len(phis) == 6  # Aut((Z2)^2)
+        )
+    ]
+
+
+def _order8_class_representatives():
+    """One table per isomorphism class of the order-8 left Bol loops.
+
+    Tables are grouped by an isomorphism invariant written here (per
+    element: order, orders along its row, commuting partners, right
+    alternative partners).  Order 8 has exactly 11 classes, so 11 groups
+    means the invariant separates them and each group is one class.
+    """
+    groups = {}
+    for Q in search_left_bol(8):
+        c, n = Q.cells, Q.order
+        orders = [element_order(Q, a) for a in Q.elements()]
+        key = tuple(
+            sorted(
+                (
+                    orders[a],
+                    tuple(sorted(orders[v - 1] for v in c[a])),
+                    sum(c[a][b] == c[b][a] for b in range(n)),
+                    sum(c[c[b][a] - 1][a] == c[b][c[a][a] - 1] for b in range(n)),
+                )
+                for a in range(n)
+            )
+        )
+        groups.setdefault(key, Q)
+    assert len(groups) == 11
+    return list(groups.values())
+
+
+def _random_relabel(Q, rng):
+    rest = list(range(2, Q.order + 1))
+    rng.shuffle(rest)
+    return _relabel(Q, (1, *rest))
+
+
+def test_find_isomorphism_returns_lex_least():
+    # against the least map of an explicit enumeration of every isomorphism
+    rng = random.Random(2006)
+    loops = (
+        enumerate_all_loops(4)
+        + enumerate_all_loops(5)
+        + search_left_bol(6)
+        + _order8_class_representatives()
+    )
+    answers = set()
+    for Q in loops:
+        phis = _all_isomorphisms(Q, Q)
+        assert find_isomorphism(Q, Q) == min(phis) == identity_perm(Q.order)
+        R = _random_relabel(Q, rng)
+        phis = _all_isomorphisms(Q, R)
+        assert phis and find_isomorphism(Q, R) == min(phis)
+        # a random loop of the same order: None exactly when no map exists
+        S = _random_relabel(rng.choice([P for P in loops if P.order == Q.order]), rng)
+        phis = _all_isomorphisms(Q, S)
+        phi = find_isomorphism(Q, S)
+        assert phi == (min(phis) if phis else None)
+        answers.add(phi is None)
+    assert answers == {True, False}
+    assert len(_all_isomorphisms(elem_abelian_2(2), elem_abelian_2(2))) == 6  # Aut((Z2)^2)
 
 
 def test_non_isomorphic():
@@ -120,8 +179,6 @@ def test_classify_matches_brute_force_order4():
 
 
 def test_classify_relabeled_catalog_batch():
-    import random
-
     from bolkit.catalog import property_catalog
 
     # of the 31 catalog bases exactly two pairs are isomorphic
@@ -153,8 +210,6 @@ def test_classification_report_format():
 
 
 def test_profile_invariant_under_relabeling():
-    import random
-
     from bolkit.gf2 import build_q9
 
     rng = random.Random(11)
@@ -167,8 +222,6 @@ def test_profile_invariant_under_relabeling():
 
 
 def test_find_isomorphism_on_relabeled_order16_loops():
-    import random
-
     from bolkit.gf2 import build_exceptional, build_q9
 
     rng = random.Random(23)
