@@ -4,12 +4,22 @@ Identity checking, commutant, nuclei, generated subloops, normality,
 quotients, the multiplication group, and the homomorphism test for
 restricted right translations.  Element sets are returned as sorted
 tuples.  All functions are pure.
+
+The cubic predicates (the identity checks, the nuclei and the
+right-regular homomorphism test) share one kernel: per call, each row
+becomes an ``operator.itemgetter`` gather, and an identity becomes a
+comparison of whole rows per pair (x, y).  Right-hand notions come from
+the opposite table (the transpose): right Bol is left Bol of the opposite
+loop, the right nucleus is its left nucleus.  Nothing is cached on the
+table, so each call pays O(n^2) to build its gathers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable
 
 from .errors import (
     ClosureCapExceeded,
@@ -29,6 +39,8 @@ from .loop_core import (
 )
 
 ElementSet = tuple[int, ...]
+Row = tuple[int, ...]
+Rows = tuple[Row, ...]
 
 IDENTITY_NAMES = (
     "left_bol",
@@ -40,6 +52,39 @@ IDENTITY_NAMES = (
 )
 
 
+def _opposite(cells: Rows) -> Rows:
+    """The table of the opposite loop (x o y = y*x): the transpose.
+
+    Its row x is the right translation R_x, so every right-hand notion
+    is the left-hand one of the opposite loop.
+    """
+    return tuple(zip(*cells))
+
+
+def _gathers(cells: Rows) -> list[Callable[[Row], Row]]:
+    """One C-level gather per row: ``g[x](t) == compose(cells[x], t)``.
+
+    ``g[x](t)`` is the row of L_x followed by t (apply L_x first), so
+    ``g[x](g[y](t))`` is L_x, then L_y, then t.
+    """
+    if len(cells) == 1:
+        # itemgetter with one index returns a scalar, not a 1-tuple
+        return [tuple]
+    return [itemgetter(*[v - 1 for v in row]) for row in cells]
+
+
+def _bol_rows(cells: Rows, moufang: bool) -> bool:
+    """L_x L_y L_x = L_c for all x, y: c = x*(y*x) (left Bol) or (x*y)*x."""
+    g = _gathers(cells)
+    for x, rx in enumerate(cells):
+        gx = g[x]
+        for y, ry in enumerate(cells):
+            c = cells[rx[y] - 1][x] if moufang else rx[ry[x] - 1]
+            if gx(g[y](rx)) != cells[c - 1]:
+                return False
+    return True
+
+
 def check_identity(Q: LoopTable, which: str) -> bool:
     """Exhaustively test a named identity on the whole table.
 
@@ -47,67 +92,40 @@ def check_identity(Q: LoopTable, which: str) -> bool:
     right_bol: ((zx)y)x = z((xy)x)
     moufang:   x(y*xz) = (xy*x)z
     left_power_alternative: L_x^m = L_{x^m} for 0 <= m <= order(x)
+
+    The cubic identities are one row-composition kernel: for each pair
+    (x, y) a gather of whole rows (see ``_gathers``) is compared with the
+    row of the element the word names, e.g. L_x L_y L_x with the row of
+    x*(y*x).  right_bol is left_bol of the opposite loop.  Returns on the
+    first failing pair.
     """
     cells = Q.cells
-    n = Q.order
-    rng = range(n)
     if which == "left_bol":
-        # row-composition form: L_x L_y L_x = L_{x*yx}
-        for x in rng:
-            rx = cells[x]
-            for y in rng:
-                ry = cells[y]
-                c = rx[ry[x] - 1]
-                rc = cells[c - 1]
-                if any(rx[ry[rx[z] - 1] - 1] != rc[z] for z in rng):
-                    return False
-        return True
+        return _bol_rows(cells, moufang=False)
     if which == "right_bol":
-        cols = [tuple(row[j] for row in cells) for j in rng]
-        for x in rng:
-            cx = cols[x]
-            for y in rng:
-                cy = cols[y]
-                c = cells[cells[x][y] - 1][x]
-                cc = cols[c - 1]
-                if any(cx[cy[cx[z] - 1] - 1] != cc[z] for z in rng):
-                    return False
-        return True
+        return _bol_rows(_opposite(cells), moufang=False)
     if which == "moufang":
-        for x in rng:
-            rx = cells[x]
-            for y in rng:
-                ry = cells[y]
-                c = cells[rx[y] - 1][x]
-                rc = cells[c - 1]
-                if any(rx[ry[rx[z] - 1] - 1] != rc[z] for z in rng):
-                    return False
-        return True
+        return _bol_rows(cells, moufang=True)
     if which == "associative":
-        for x in rng:
-            rx = cells[x]
-            for y in rng:
-                rxy = cells[rx[y] - 1]
-                ry = cells[y]
-                if any(rxy[z] != rx[ry[z] - 1] for z in rng):
-                    return False
-        return True
+        # L_y then L_x is L_{x*y}
+        g = _gathers(cells)
+        return all(g[y](rx) == cells[rx[y] - 1] for rx in cells for y in range(Q.order))
     if which == "commutative":
-        return all(cells[x][y] == cells[y][x] for x in rng for y in rng)
+        return cells == _opposite(cells)
     if which == "left_power_alternative":
-        for x in Q.elements():
+        # L_x^k = L_{x^k} for k <= m, by induction: L_{x^k} then L_x is L_{x*x^k}
+        g = _gathers(cells)
+        for x, rx in enumerate(cells):
             try:
-                m = element_order(Q, x)
+                m = element_order(Q, x + 1)
             except NotPeriodicThroughIdentity:
                 return False
-            lx = translation(Q, x, "left")
-            acc = identity_perm(n)
             p = 1
-            for _ in range(m + 1):
-                if acc != translation(Q, p, "left"):
+            for _ in range(m):
+                xp = rx[p - 1]
+                if g[p - 1](rx) != cells[xp - 1]:
                     return False
-                acc = compose(acc, lx)
-                p = mul(Q, x, p)
+                p = xp
         return True
     raise ValueError(f"unknown identity {which!r}")
 
@@ -115,10 +133,8 @@ def check_identity(Q: LoopTable, which: str) -> bool:
 def commutant(Q: LoopTable) -> ElementSet:
     """Elements c with L_c = R_c, i.e. commuting with everything."""
     cells = Q.cells
-    n = Q.order
-    return tuple(
-        c + 1 for c in range(n) if all(cells[c][x] == cells[x][c] for x in range(n))
-    )
+    op = _opposite(cells)
+    return tuple(c + 1 for c in range(Q.order) if cells[c] == op[c])
 
 
 @dataclass(frozen=True)
@@ -130,32 +146,28 @@ class Nuclei:
     center: ElementSet
 
 
+def _left_nucleus(cells: Rows, g: list[Callable[[Row], Row]]) -> ElementSet:
+    """Elements a with (ax)y = a(xy): L_x then L_a is L_{a*x} for every x."""
+    rng = range(len(cells))
+    return tuple(
+        a + 1 for a, ra in enumerate(cells) if all(g[x](ra) == cells[ra[x] - 1] for x in rng)
+    )
+
+
 def nuclei(Q: LoopTable) -> Nuclei:
-    """Left/middle/right nuclei, their intersection, and the center."""
+    """Left/middle/right nuclei, their intersection, and the center.
+
+    The right nucleus is the left nucleus of the opposite loop.
+    """
     cells = Q.cells
-    n = Q.order
-    rng = range(n)
-
-    def left_ok(a: int) -> bool:
-        ra = cells[a]
-        return all(cells[ra[x] - 1][y] == ra[cells[x][y] - 1] for x in rng for y in rng)
-
-    def middle_ok(a: int) -> bool:
-        ra = cells[a]
-        return all(
-            cells[cells[x][a] - 1][y] == cells[x][ra[y] - 1] for x in rng for y in rng
-        )
-
-    def right_ok(a: int) -> bool:
-        return all(
-            cells[cells[x][y] - 1][a] == cells[x][cells[y][a] - 1]
-            for x in rng
-            for y in rng
-        )
-
-    left = tuple(a + 1 for a in rng if left_ok(a))
-    middle = tuple(a + 1 for a in rng if middle_ok(a))
-    right = tuple(a + 1 for a in rng if right_ok(a))
+    g = _gathers(cells)
+    left = _left_nucleus(cells, g)
+    # (xa)y = x(ay): L_a then L_x is L_{x*a} for every x
+    middle = tuple(
+        a + 1 for a, ga in enumerate(g) if all(ga(rx) == cells[rx[a] - 1] for rx in cells)
+    )
+    op = _opposite(cells)
+    right = _left_nucleus(op, _gathers(op))
     nuc = tuple(sorted(set(left) & set(middle) & set(right)))
     cen = tuple(sorted(set(nuc) & set(commutant(Q))))
     return Nuclei(left, middle, right, nuc, cen)
@@ -302,19 +314,16 @@ def multiplication_group(Q: LoopTable, cap: int = 10**6) -> PermGroup:
 
 
 def right_regular_is_homomorphism(Q: LoopTable, S: ElementSet) -> bool:
-    """Whether R_{s*t} = R_s R_t (apply R_s first) for all s, t in S."""
+    """Whether R_{s*t} = R_s R_t (apply R_s first) for all s, t in S.
+
+    The rows of the opposite table are the right translations, so this is
+    the row-composition kernel on the opposite loop.
+    """
     if not is_subloop(Q, S):
         raise NotSubloop(f"{S} is not a subloop")
-    cells = Q.cells
-    n = Q.order
-    for s in S:
-        for t in S:
-            st = cells[s - 1][t - 1]
-            if any(
-                cells[cells[b][s - 1] - 1][t - 1] != cells[b][st - 1] for b in range(n)
-            ):
-                return False
-    return True
+    op = _opposite(Q.cells)
+    g = _gathers(op)
+    return all(g[s - 1](op[t - 1]) == op[mul(Q, s, t) - 1] for s in S for t in S)
 
 
 def involution_count(Q: LoopTable) -> int:

@@ -4,6 +4,7 @@ from bolkit.catalog import FIXTURE_ORDER8, fixture_text
 from bolkit.cli import construct_from_spec, main
 from bolkit.errors import BadParams, BadSpec
 from bolkit.loop_core import parse_table
+from bolkit.structure import structure_report
 from bolkit.verify import ClaimResult, report_lines
 
 
@@ -33,6 +34,35 @@ def test_check_z2(tmp_path, capsys):
     p.write_text("2\n1 2\n2 1\n")
     assert main(["check", str(p)]) == 0
     assert "associative: true" in capsys.readouterr().out
+
+
+ORDER1_REPORT = """order: 1
+left_bol: true
+right_bol: true
+moufang: true
+associative: true
+commutative: true
+left_power_alternative: true
+commutant: {1}
+commutant_size: 1
+commutant_is_subloop: true
+commutant_in_rnuc: true
+lnuc: {1}
+mnuc: {1}
+rnuc: {1}
+nucleus: {1}
+center: {1}
+involutions: 0
+"""
+
+
+def test_check_order_one(tmp_path, capsys):
+    # the trivial loop: every identity holds, every set is {1}
+    assert structure_report(parse_table("1\n1\n")) == "name: -\n" + ORDER1_REPORT
+    p = tmp_path / "one.tbl"
+    p.write_text("1\n1\n")
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out == f"name: {p}\n" + ORDER1_REPORT
 
 
 def test_check_corrupted_file(tmp_path, capsys):

@@ -16,9 +16,11 @@ from bolkit.catalog import (
     small_even_order_loops,
 )
 from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
-from bolkit.loop_core import LoopTable, compose, mul, translation
+from bolkit.loop_core import LoopTable, compose, mul, parse_table, translation
+from bolkit.oracle import enumerate_all_loops
 from bolkit.structure import (
     IDENTITY_NAMES,
+    Nuclei,
     check_identity,
     commutant,
     commutant_in_right_nucleus,
@@ -69,10 +71,12 @@ def test_identities_on_fixtures(T8, X16):
     assert check_identity(X16, "left_bol") and not check_identity(X16, "commutative")
 
 
-def test_left_power_alternative_fails_on_npa_loop():
-    from bolkit.loop_core import parse_table
+# a loop of order 5 whose powers of 2 do not form a group
+NPA_TEXT = "5\n1 2 3 4 5\n2 1 4 5 3\n3 4 5 1 2\n4 5 2 3 1\n5 3 1 2 4"
 
-    npa = parse_table("5\n1 2 3 4 5\n2 1 4 5 3\n3 4 5 1 2\n4 5 2 3 1\n5 3 1 2 4")
+
+def test_left_power_alternative_fails_on_npa_loop():
+    npa = parse_table(NPA_TEXT)
     assert not check_identity(npa, "left_power_alternative")
 
 
@@ -188,6 +192,94 @@ def test_generated_subloop_every_pair_matches_brute_force():
         R = _relabeled(Q, index)
         for S in itertools.combinations(R.elements(), 2):
             assert generated_subloop(R, S) == _brute_force_closure(R, S), (Q.name, S)
+
+
+# the definitions, one product at a time: the oracle for the row kernel ------
+
+
+def _oracle_identity(Q: LoopTable, which: str) -> bool:
+    c = Q.cells
+    E = Q.elements()
+
+    def m(a: int, b: int) -> int:
+        return c[a - 1][b - 1]
+
+    triples = [(x, y, z) for x in E for y in E for z in E]
+    if which == "left_bol":
+        return all(m(x, m(y, m(x, z))) == m(m(x, m(y, x)), z) for x, y, z in triples)
+    if which == "right_bol":
+        return all(m(m(m(z, x), y), x) == m(z, m(m(x, y), x)) for x, y, z in triples)
+    if which == "moufang":
+        return all(m(x, m(y, m(x, z))) == m(m(m(x, y), x), z) for x, y, z in triples)
+    if which == "associative":
+        return all(m(m(x, y), z) == m(x, m(y, z)) for x, y, z in triples)
+    if which == "commutative":
+        return all(m(x, y) == m(y, x) for x in E for y in E)
+    assert which == "left_power_alternative"
+    for x in E:
+        powers = [1]  # x^0 .. x^(k-1), x^j = x * x^(j-1)
+        while m(x, powers[-1]) != 1:
+            powers.append(m(x, powers[-1]))
+        k = len(powers)
+        if any(m(powers[i], powers[j]) != powers[(i + j) % k] for i in range(k) for j in range(k)):
+            return False  # the powers of x are not a group, so x has no order
+        for z in E:
+            w = z  # x(x(...(xz))) with j factors x
+            for p in [*powers, 1]:
+                if w != m(p, z):
+                    return False
+                w = m(x, w)
+    return True
+
+
+def _oracle_nuclei(Q: LoopTable) -> Nuclei:
+    c = Q.cells
+    E = Q.elements()
+
+    def m(a: int, b: int) -> int:
+        return c[a - 1][b - 1]
+
+    def where(law) -> tuple[int, ...]:
+        return tuple(a for a in E if all(law(a, x, y) for x in E for y in E))
+
+    left = where(lambda a, x, y: m(m(a, x), y) == m(a, m(x, y)))
+    middle = where(lambda a, x, y: m(m(x, a), y) == m(x, m(a, y)))
+    right = where(lambda a, x, y: m(m(x, y), a) == m(x, m(y, a)))
+    nucleus = tuple(a for a in left if a in middle and a in right)
+    center = tuple(a for a in nucleus if all(m(a, x) == m(x, a) for x in E))
+    return Nuclei(left, middle, right, nucleus, center)
+
+
+def _assert_kernel_matches_oracle(Q: LoopTable) -> None:
+    for name in IDENTITY_NAMES:
+        assert check_identity(Q, name) == _oracle_identity(Q, name), (Q.cells, name)
+    assert nuclei(Q) == _oracle_nuclei(Q), Q.cells
+    for s in Q.elements():
+        H = generated_subloop(Q, (s,))
+        hom = all(
+            mul(Q, mul(Q, b, a), t) == mul(Q, b, mul(Q, a, t))
+            for a in H
+            for t in H
+            for b in Q.elements()
+        )
+        assert right_regular_is_homomorphism(Q, H) == hom, (Q.cells, H)
+
+
+def test_kernel_matches_oracle_on_all_small_loops():
+    answers = set()
+    tables = [*enumerate_all_loops(1), *enumerate_all_loops(4), *enumerate_all_loops(5)]
+    for Q in [*tables, parse_table(NPA_TEXT)]:
+        _assert_kernel_matches_oracle(Q)
+        answers.update((name, check_identity(Q, name)) for name in IDENTITY_NAMES)
+    # every identity both holds and fails somewhere, so no comparison is vacuous
+    assert answers == {(name, b) for name in IDENTITY_NAMES for b in (True, False)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(index=st.integers(0, len(_catalog()) - 1), seed=st.integers(0, 2**32 - 1))
+@example(index=0, seed=0)  # order12: left and right nuclei differ
+def test_kernel_matches_oracle_on_relabeled_catalog(index, seed):
+    _assert_kernel_matches_oracle(_relabeled(_catalog()[index], seed))
 
 
 def test_is_subloop_and_normal(T8):
