@@ -59,8 +59,8 @@ def is_automorphism(K: LoopTable, p: Permutation) -> bool:
     )
 
 
-def automorphism_group(K: GroupTable) -> list[Permutation]:
-    """All automorphisms of K, canonically sorted (identity first).
+def automorphism_group(K: LoopTable) -> list[Permutation]:
+    """All automorphisms of the loop K, canonically sorted (identity first).
 
     The isomorphism search from K to itself, which lists maps in sorted
     order; capped at |K| <= MAX_AUT_ORDER.

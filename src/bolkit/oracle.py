@@ -1,13 +1,38 @@
 """Exhaustive searches over small Cayley tables.
 
-The left-Bol search fills rows in index order.  Cells inside a row are
-decided left to right with forward checking against row/column candidate
-sets; whenever a row completes, the Bol constraint is propagated: for
-decided rows a and b, the row of a*(b*a) is forced to equal the
-composite translation L_a L_b L_a, which either contradicts an existing
-row (prune), or decides a new row without branching.  Every ordered pair
-of decided rows is eventually processed, so a completed table satisfies
-the full left Bol identity by construction.
+The left-Bol search decides rows in index order, by branching or by
+propagation.  Whenever a row is decided, the Bol constraint is
+propagated: for decided rows a and b, the row of a*(b*a) is forced to
+equal the composite translation L_a L_b L_a, which either contradicts an
+existing row (prune), or decides a new row without branching.  Every
+ordered pair of decided rows is eventually processed, so a completed
+table satisfies the full left Bol identity by construction.
+
+The search branches on the first undecided row r.  Its candidates are
+filled left to right, values in increasing order, against the row and
+column usage, so they come in lexicographic order.  After each cell, the
+generator tests every cell that has just become computable in two rows
+the candidate forces:
+
+- for each decided row b != 1, L_b L_r L_b, the row of c = b*(r*b).  Its
+  cell z is b*(r*(b*z)), known once the cells of row r at b and at b*z
+  are filled.  It must equal row c's cell if row c is decided, and row
+  r's own cell z if c = r; otherwise it must avoid the values column z
+  already holds and row r's cell z;
+- L_r L_r, the row of r*r (left Bol with y = 1), once the cell at r is
+  filled.
+
+Each test is one that propagation makes on the finished row, against
+rows decided before the branch, so a rejected prefix has no completion
+that propagation would accept.  Every candidate the generator yields
+still goes through propagation, which stays the one authority: the
+search finds the same tables, in the same lexicographic order, as a
+generator without the tests.  The tests reject most rows long before
+they are complete: 12,465 candidates reach propagation at order 8 and
+17,668 at order 9, where a plain column-consistent generator builds
+80,437 and 581,167.  The ``budget`` of ``search_left_bol`` counts the
+candidates that reach propagation, so a given budget covers about six
+times as much search as it would with the plain generator.
 
 Symmetry is broken only by normalizing the identity to element 1, so the
 search counts identity-normalized tables, not isomorphism classes.
@@ -15,10 +40,13 @@ search counts identity-normalized tables, not isomorphism classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .errors import SearchBudgetExceeded
+from .extensions import automorphism_group
 from .iso import IsoClass, classify
 from .loop_core import LoopTable
 from .structure import check_identity, commutant, is_subloop
@@ -26,38 +54,108 @@ from .structure import check_identity, commutant, is_subloop
 DEFAULT_ORDER8_BUDGET = 20_000_000
 
 
-def _row_candidates(
-    n: int, r: int, col_used: list[int]
-) -> Iterator[tuple[int, ...]]:
-    """All rows for element r consistent with column usage, 0-based values."""
-    row = [r] + [0] * (n - 1)
+Row = tuple[int, ...]
 
-    def rec(pos: int, used: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
+
+def _inverse(row: Row) -> Row:
+    """The inverse of a 0-based permutation."""
+    inv = [0] * len(row)
+    for z, v in enumerate(row):
+        inv[v] = z
+    return tuple(inv)
+
+
+def _row_candidates(
+    rows: list[Row | None], r: int, col_used: list[int]
+) -> Iterator[Row]:
+    """Rows for element r, 0-based and in lex order, that no forced row refutes.
+
+    Cells are decided left to right against the row and column usage.
+    After each cell, every cell of a row forced by the decided rows that
+    has just become computable is tested (see the module docstring); a
+    prefix that fails a test is not extended.
+    """
+    n = len(rows)
+    decided = [(b, rb, _inverse(rb)) for b, rb in enumerate(rows) if b and rb is not None]
+    row = [r] * n
+    at = [0] * n  # at[v]: the position that holds value v
+
+    def fits(p: int, used: int) -> bool:
+        """The forced cells that position p makes computable."""
+        for b, rb, ib in decided:
+            if b > p:
+                break
+            # L_b L_r L_b is the row of c = b*(r*b); its cell z is
+            # rb[row[rb[z]]], computable once positions b and rb[z] are set
+            c = rb[row[b]]
+            rc = rows[c]
+            zs = [z for z in range(n) if rb[z] <= p] if b == p else (ib[p],)
+            for z in zs:
+                f = rb[row[rb[z]]]
+                if rc is not None:
+                    if f != rc[z]:
+                        return False
+                elif c == r:
+                    if z <= p and f != row[z]:
+                        return False
+                elif (col_used[z] >> f) & 1 or (z <= p and f == row[z]):
+                    return False
+            # cell p, computable since an earlier position, against row r's own cell p
+            if b < p and rc is None and rb[p] < p:
+                if (rb[row[rb[p]]] == row[p]) != (c == r):
+                    return False
+        if p >= r:
+            # L_r L_r is the row of c = r*r; its cell z is row[row[z]]
+            c = row[r]
+            rc = rows[c]
+            if p == r:
+                zs = [z for z in range(p + 1) if row[z] <= p]
+            else:
+                zs = [p] if row[p] < p else []
+                if (used >> p) & 1:
+                    zs.append(at[p])
+            for z in zs:
+                # c != r, and f != row[z] since row[w] == w is barred by column w
+                f = row[row[z]]
+                if rc is not None:
+                    if f != rc[z]:
+                        return False
+                elif (col_used[z] >> f) & 1:
+                    return False
+        return True
+
+    def rec(p: int, used: int) -> Iterator[Row]:
+        if p == n:
             yield tuple(row)
             return
-        forbidden = used | col_used[pos]
+        forbidden = used | col_used[p]
         for v in range(n):
             if not (forbidden >> v) & 1:
-                row[pos] = v
-                yield from rec(pos + 1, used | (1 << v))
+                row[p] = v
+                at[v] = p
+                if fits(p, used | (1 << v)):
+                    yield from rec(p + 1, used | (1 << v))
 
     yield from rec(1, 1 << r)
 
 
 def _propagate(
-    rows: list[tuple[int, ...] | None],
+    rows: list[Row | None],
+    gathers: list[Callable[[Row], Row] | None],
     col_used: list[int],
     pending: list[tuple[int, int]],
 ) -> bool:
-    """Force rows implied by L_a L_b L_a = L_{a*(b*a)}; False on conflict."""
+    """Force rows implied by L_a L_b L_a = L_{a*(b*a)}; False on conflict.
+
+    ``gathers[x]`` is ``itemgetter(*rows[x])`` for each decided row x, so
+    ``gathers[a](gathers[b](rows[a]))`` is the row of L_a L_b L_a.
+    """
     n = len(rows)
     while pending:
         a, b = pending.pop()
         ra = rows[a]
-        rb = rows[b]
-        c = ra[rb[a]]  # a*(b*a)
-        forced = tuple(ra[rb[ra[z]]] for z in range(n))
+        c = ra[rows[b][a]]  # a*(b*a)
+        forced = gathers[a](gathers[b](ra))
         rc = rows[c]
         if rc is not None:
             if rc != forced:
@@ -67,11 +165,12 @@ def _propagate(
             if (col_used[z] >> forced[z]) & 1:
                 return False
         rows[c] = forced
+        gathers[c] = itemgetter(*forced)
         for z in range(n):
             col_used[z] |= 1 << forced[z]
         for x in range(n):
             if rows[x] is not None:
-                if x:
+                if x and x != c:
                     pending.append((x, c))
                 pending.append((c, x))
     return True
@@ -80,28 +179,34 @@ def _propagate(
 def search_left_bol(n: int, budget: int | None = None) -> list[LoopTable]:
     """Every left Bol loop of order n as an identity-normalized table.
 
-    ``budget`` bounds the number of branching candidates tried; exceeding
+    Tables come in lexicographic order of their rows.  ``budget`` bounds
+    the number of branching candidates that reach propagation; exceeding
     it raises SearchBudgetExceeded.
     """
     if budget is None:
         budget = DEFAULT_ORDER8_BUDGET
-    identity = tuple(range(n))
-    found: list[tuple[tuple[int, ...], ...]] = []
+    found: list[tuple[Row, ...]] = []
     nodes = 0
 
-    def dfs(rows: list[tuple[int, ...] | None], col_used: list[int]) -> None:
+    def dfs(
+        rows: list[Row | None],
+        gathers: list[Callable[[Row], Row] | None],
+        col_used: list[int],
+    ) -> None:
         nonlocal nodes
         r = next((i for i in range(n) if rows[i] is None), None)
         if r is None:
             found.append(tuple(rows))  # type: ignore[arg-type]
             return
-        for cand in _row_candidates(n, r, col_used):
+        for cand in _row_candidates(rows, r, col_used):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(f"budget {budget} exhausted")
             rows2 = rows.copy()
+            g2 = gathers.copy()
             cu2 = col_used.copy()
             rows2[r] = cand
+            g2[r] = itemgetter(*cand)
             for z in range(n):
                 cu2[z] |= 1 << cand[z]
             pending = [(r, r)]
@@ -110,19 +215,19 @@ def search_left_bol(n: int, budget: int | None = None) -> list[LoopTable]:
                     if x:
                         pending.append((x, r))
                     pending.append((r, x))
-            if _propagate(rows2, cu2, pending):
-                dfs(rows2, cu2)
+            if _propagate(rows2, g2, cu2, pending):
+                dfs(rows2, g2, cu2)
 
-    rows0: list[tuple[int, ...] | None] = [None] * n
-    rows0[0] = identity
+    rows0: list[Row | None] = [None] * n
+    rows0[0] = tuple(range(n))
+    gathers0: list[Callable[[Row], Row] | None] = [None] * n
+    if n > 1:  # itemgetter with one index returns a scalar; order 1 never branches
+        gathers0[0] = itemgetter(*rows0[0])
     col_used0 = [1 << z for z in range(n)]
-    dfs(rows0, col_used0)
+    dfs(rows0, gathers0, col_used0)
 
-    tables = []
-    for raw in found:
-        cells = tuple(tuple(v + 1 for v in row) for row in raw)
-        tables.append(LoopTable(n, cells))
-    return tables
+    label = tuple(range(1, n + 1)).__getitem__  # 0-based value -> element
+    return [LoopTable(n, tuple(tuple(map(label, row)) for row in raw)) for raw in found]
 
 
 @dataclass(frozen=True)
@@ -132,23 +237,29 @@ class Order8Report:
     class_count: int
     associative_classes: int
     nonassociative_classes: int
+    orbit_stabilizer_total: int
     classes: tuple[IsoClass, ...]
 
 
 def oracle_order8(budget: int | None = None) -> Order8Report:
-    """Exhaust all left Bol loops of order 8 and summarize the findings."""
+    """Exhaust all left Bol loops of order 8 and summarize the findings.
+
+    ``orbit_stabilizer_total`` is the sum of 7!/|Aut(Q)| over the class
+    representatives: the number of identity-normalized labelings the
+    classes have, which a complete, duplicate-free search finds exactly.
+    """
     tables = search_left_bol(8, budget=budget)
     all_sub = all(is_subloop(Q, commutant(Q)) for Q in tables)
     classes = classify(tables)
-    assoc = sum(
-        1 for cls in classes if check_identity(tables[cls.representative], "associative")
-    )
+    reps = [tables[cls.representative] for cls in classes]
+    assoc = sum(1 for Q in reps if check_identity(Q, "associative"))
     return Order8Report(
         tables_found=len(tables),
         all_commutants_subloops=all_sub,
         class_count=len(classes),
         associative_classes=assoc,
         nonassociative_classes=len(classes) - assoc,
+        orbit_stabilizer_total=sum(math.factorial(7) // len(automorphism_group(Q)) for Q in reps),
         classes=tuple(classes),
     )
 

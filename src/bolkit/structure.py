@@ -169,7 +169,7 @@ def nuclei(Q: LoopTable) -> Nuclei:
     op = _opposite(cells)
     right = _left_nucleus(op, _gathers(op))
     nuc = tuple(sorted(set(left) & set(middle) & set(right)))
-    cen = tuple(sorted(set(nuc) & set(commutant(Q))))
+    cen = tuple(c for c in nuc if cells[c - 1] == op[c - 1])  # L_c = R_c
     return Nuclei(left, middle, right, nuc, cen)
 
 

@@ -324,7 +324,12 @@ class VerificationSuite:
 
     def claim_sec5_order8_oracle(self) -> tuple[bool, str]:
         rep = self.order8_report
-        ok = rep.all_commutants_subloops and rep.associative_classes == 5
+        ok = (
+            rep.all_commutants_subloops
+            and rep.associative_classes == 5
+            and rep.nonassociative_classes == 6
+            and rep.tables_found == rep.orbit_stabilizer_total
+        )
         return ok, (
             f"tables={rep.tables_found}, classes={rep.class_count} "
             f"(associative={rep.associative_classes}, nonassociative={rep.nonassociative_classes}), "

@@ -12,7 +12,7 @@ from bolkit.iso import (
     invariant_profile,
     isomorphic,
 )
-from bolkit.loop_core import element_order, identity_perm, mul, parse_table
+from bolkit.loop_core import identity_perm, mul, parse_table
 from bolkit.oracle import enumerate_all_loops, search_left_bol
 
 
@@ -81,48 +81,20 @@ def _all_isomorphisms(A, B):
     ]
 
 
-def _order8_class_representatives():
-    """One table per isomorphism class of the order-8 left Bol loops.
-
-    Tables are grouped by an isomorphism invariant written here (per
-    element: order, orders along its row, commuting partners, right
-    alternative partners).  Order 8 has exactly 11 classes, so 11 groups
-    means the invariant separates them and each group is one class.
-    """
-    groups = {}
-    for Q in search_left_bol(8):
-        c, n = Q.cells, Q.order
-        orders = [element_order(Q, a) for a in Q.elements()]
-        key = tuple(
-            sorted(
-                (
-                    orders[a],
-                    tuple(sorted(orders[v - 1] for v in c[a])),
-                    sum(c[a][b] == c[b][a] for b in range(n)),
-                    sum(c[c[b][a] - 1][a] == c[b][c[a][a] - 1] for b in range(n)),
-                )
-                for a in range(n)
-            )
-        )
-        groups.setdefault(key, Q)
-    assert len(groups) == 11
-    return list(groups.values())
-
-
 def _random_relabel(Q, rng):
     rest = list(range(2, Q.order + 1))
     rng.shuffle(rest)
     return _relabel(Q, (1, *rest))
 
 
-def test_find_isomorphism_returns_lex_least():
+def test_find_isomorphism_returns_lex_least(order8_classes):
     # against the least map of an explicit enumeration of every isomorphism
     rng = random.Random(2006)
     loops = (
         enumerate_all_loops(4)
         + enumerate_all_loops(5)
         + search_left_bol(6)
-        + _order8_class_representatives()
+        + [cls[0] for cls in order8_classes]
     )
     answers = set()
     for Q in loops:

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from bolkit import errors
+from bolkit.extensions import automorphism_group
 from bolkit.iso import classify
 from bolkit.oracle import enumerate_all_loops, search_left_bol
 from bolkit.structure import check_identity
@@ -49,3 +52,24 @@ def test_search_order7_cyclic_only():
 def test_search_agrees_with_filtered_enumeration_order6():
     brute = {Q for Q in enumerate_all_loops(6) if check_identity(Q, "left_bol")}
     assert set(search_left_bol(6)) == brute
+
+
+def test_search_is_strictly_lex_increasing(order8_tables):
+    # sorted, hence also free of duplicates
+    for tables in [search_left_bol(n) for n in range(1, 8)] + [order8_tables]:
+        cells = [Q.cells for Q in tables]
+        assert all(a < b for a, b in zip(cells, cells[1:]))
+
+
+def test_search_order9_groups_only():
+    # left Bol loops of order p^2 are groups: Z9 and Z3 x Z3, with
+    # |Aut| = 6 and |GL(2,3)| = 48
+    assert len(search_left_bol(9)) == math.factorial(8) // 6 + math.factorial(8) // 48 == 7560
+
+
+def test_search_order8_orbit_stabilizer(order8_tables, order8_classes):
+    # each class holds 7!/|Aut(Q)| identity-normalized labelings
+    counts = [math.factorial(7) // len(automorphism_group(cls[0])) for cls in order8_classes]
+    assert [len(cls) for cls in order8_classes] == counts
+    assert len(order8_tables) == sum(counts) == 7800
+    assert sum(check_identity(cls[0], "associative") for cls in order8_classes) == 5
