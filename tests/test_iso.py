@@ -1,10 +1,16 @@
+import functools
 import itertools
 import random
 
-from bolkit.catalog import q9_representatives
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bolkit.catalog import property_catalog, q9_representatives, twenty_one
 from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
 from bolkit.gf2 import build_exceptional
 from bolkit.iso import (
+    _class_key,
+    _element_data,
     brute_force_isomorphic,
     classification_report,
     classify,
@@ -12,7 +18,7 @@ from bolkit.iso import (
     invariant_profile,
     isomorphic,
 )
-from bolkit.loop_core import identity_perm, mul, parse_table
+from bolkit.loop_core import element_order, identity_perm, mul, parse_table
 from bolkit.oracle import enumerate_all_loops, search_left_bol
 
 
@@ -216,3 +222,48 @@ def test_isomorphism_existence_is_symmetric():
         assert isomorphic(reps[i], reps[j]) == isomorphic(reps[j], reps[i]) == False
     Q12 = build_named_example("order12")
     assert not isomorphic(Q12, reps[0]) and not isomorphic(reps[0], Q12)
+
+
+@functools.cache
+def _catalog():
+    return tuple(property_catalog())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(index=st.integers(0, len(_catalog()) - 1), seed=st.integers(0, 2**32 - 1))
+def test_element_data_follows_relabeling(index, seed):
+    Q = _catalog()[index]
+    rest = list(range(2, Q.order + 1))
+    random.Random(seed).shuffle(rest)
+    sigma = (1, *rest)
+    R = _relabel(Q, sigma)
+    d, e = _element_data(Q), _element_data(R)
+    for a in Q.elements():
+        assert e.orders[sigma[a - 1] - 1] == d.orders[a - 1]
+        assert e.local[sigma[a - 1] - 1] == d.local[a - 1]
+    # and the entries are what they claim: commuting partners, then the row's orders
+    for a in R.elements():
+        commuting = sum(mul(R, a, b) == mul(R, b, a) for b in R.elements())
+        row_orders = sorted(element_order(R, mul(R, a, b)) for b in R.elements())
+        assert e.local[a - 1] == (commuting, *row_orders)
+
+
+def test_classify_key_separates_every_profile_difference(order8_classes):
+    # a shared key with a different profile means a search classify could
+    # have skipped; between Z2^2xZ2^2 and q9_000000000 it takes up to 80 ms
+    loops = [*_catalog(), *twenty_one()]
+    loops = [loops[c.representative] for c in classify(loops)]
+    for n in range(1, 6):
+        small = enumerate_all_loops(n)
+        loops += [small[c.representative] for c in classify(small)]
+    loops += [cls[0] for cls in order8_classes]
+    keyed = [(Q, invariant_profile(Q), _class_key(Q, _element_data(Q))) for Q in loops]
+    for (P, p_prof, p_key), (Q, q_prof, q_key) in itertools.combinations(keyed, 2):
+        if p_prof != q_prof:
+            assert p_key != q_key, (P.name, Q.name)
+
+
+def test_classify_order8_matches_invariant_grouping(order8_tables, order8_classes):
+    index = {id(Q): i for i, Q in enumerate(order8_tables)}
+    expected = [[index[id(Q)] for Q in cls] for cls in order8_classes]
+    assert [list(c.members) for c in classify(list(order8_tables))] == expected
