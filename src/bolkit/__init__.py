@@ -11,7 +11,6 @@ from .loop_core import (
     power,
     render,
     right_divide,
-    translation,
 )
 from .structure import (
     check_identity,
@@ -22,7 +21,6 @@ from .structure import (
     involution_count,
     is_normal,
     is_subloop,
-    multiplication_group,
     nuclei,
     quotient,
     right_regular_is_homomorphism,

@@ -18,6 +18,7 @@ from .extensions import (
     build_named_example,
     cyclic_group,
     elem_abelian_2,
+    example_name,
     named_extension,
     trivial_cocycle,
     trivial_tau,
@@ -48,6 +49,9 @@ Q9_REPRESENTATIVE_TUPLES: tuple[tuple[int, ...], ...] = (
     (1, 0, 1, 0, 0, 1, 0, 0, 1),
 )
 
+# the order4n members of the property catalog and of the extension catalog
+ORDER4N_NS = range(3, 9)
+
 FIXTURE_ORDER8 = "order8_example.tbl"
 FIXTURE_ORDER16 = "order16_exceptional.tbl"
 
@@ -64,19 +68,20 @@ def q9_representatives() -> list[LoopTable]:
     return [build_q9(t) for t in Q9_REPRESENTATIVE_TUPLES]
 
 
+def order16_twenty() -> list[LoopTable]:
+    """The twenty of order 16: the 19 Q9 representatives, then the exceptional loop."""
+    return q9_representatives() + [build_exceptional()]
+
+
 def twenty_one() -> list[LoopTable]:
     """The 21 known small Bol loops with non-subloop commutant."""
-    return [build_named_example("order12")] + q9_representatives() + [build_exceptional()]
-
-
-def order16_twenty() -> list[LoopTable]:
-    return q9_representatives() + [build_exceptional()]
+    return [build_named_example("order12")] + order16_twenty()
 
 
 def dihedral_inputs(n: int) -> tuple[GroupTable, LoopTable, TauMap, Cocycle]:
     """D_n as the semidirect product of Z_n by Z_2 acting by inversion."""
     K = cyclic_group(n)
-    E = cyclic_group(2, name="Z2")
+    E = cyclic_group(2)
     inv = tuple(inverse(K, u) for u in K.elements())
     tau = TauMap(E, K, (identity_perm(n), inv))
     return K, E, tau, trivial_cocycle(K, E)
@@ -87,15 +92,10 @@ def dihedral_group(n: int) -> LoopTable:
     return build_extension(K, E, tau, f, name=f"D{n}")
 
 
-def direct_product_inputs(
-    K: GroupTable, E: LoopTable
-) -> tuple[GroupTable, LoopTable, TauMap, Cocycle]:
-    return K, E, trivial_tau(K, E), trivial_cocycle(K, E)
-
-
 def direct_product(K: GroupTable, E: LoopTable, name: str | None = None) -> LoopTable:
-    Kk, Ee, tau, f = direct_product_inputs(K, E)
-    return build_extension(Kk, Ee, tau, f, name=name or f"{K.name}x{E.name}")
+    return build_extension(
+        K, E, trivial_tau(K, E), trivial_cocycle(K, E), name=name or f"{K.name}x{E.name}"
+    )
 
 
 def small_even_order_loops() -> list[LoopTable]:
@@ -120,8 +120,8 @@ def direct_products() -> list[LoopTable]:
     ]
 
 
-def order4n_family(ns: range = range(3, 9)) -> list[LoopTable]:
-    return [build_named_example("order4n", n=n) for n in ns]
+def order4n_family() -> list[LoopTable]:
+    return [build_named_example("order4n", n=n) for n in ORDER4N_NS]
 
 
 def property_catalog() -> list[LoopTable]:
@@ -148,19 +148,14 @@ def extension_catalog() -> list[CatalogExtension]:
         ("order12", {}),
         ("order16cyclic", {}),
         ("order16elem", {}),
-        ("order4n", {"n": 3}),
-        ("order4n", {"n": 4}),
-        ("order4n", {"n": 5}),
-        ("order4n", {"n": 6}),
-        ("order4n", {"n": 7}),
-        ("order4n", {"n": 8}),
+        *(("order4n", {"n": n}) for n in ORDER4N_NS),
         ("commutant_order", {"k": 3}),
         ("commutant_order", {"k": 4}),
         ("commutant_order", {"k": 5}),
     ):
-        K, E, tau, f = named_extension(name, **params)
-        tag = name + "".join(f"_{k}{v}" for k, v in sorted(params.items()))
-        entries.append(CatalogExtension(tag, K, E, tau, f))
+        entries.append(
+            CatalogExtension(example_name(name, **params), *named_extension(name, **params))
+        )
     for n in (3, 5, 7):
         K, E, tau, f = dihedral_inputs(n)
         entries.append(CatalogExtension(f"D{n}", K, E, tau, f))
@@ -170,6 +165,7 @@ def extension_catalog() -> list[CatalogExtension]:
         (cyclic_group(4), elem_abelian_2(2)),
         (elem_abelian_2(2), elem_abelian_2(2)),
     ):
-        Kk, Ee, tau, f = direct_product_inputs(K, E)
-        entries.append(CatalogExtension(f"{K.name}x{E.name}", Kk, Ee, tau, f))
+        entries.append(
+            CatalogExtension(f"{K.name}x{E.name}", K, E, trivial_tau(K, E), trivial_cocycle(K, E))
+        )
     return entries

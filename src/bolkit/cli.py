@@ -47,7 +47,7 @@ from .extensions import (
 from .gf2 import build_exceptional, build_q9, enumerate_q9
 from .iso import classification_report, classify, find_isomorphism
 from .loop_core import LoopTable, parse_table, render
-from .oracle import oracle_order8
+from .oracle import search_left_bol, summarize_order8
 from .structure import structure_report
 from .verify import VerificationSuite, report_lines
 
@@ -184,7 +184,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"error: unknown oracle target {args.target!r}", file=sys.stderr)
         return 2
     try:
-        rep = oracle_order8(budget=args.budget)
+        rep = summarize_order8(search_left_bol(8, budget=args.budget))
     except BolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -55,10 +55,6 @@ class NotAssociative(BolkitError):
     pass
 
 
-class ClosureCapExceeded(BolkitError):
-    pass
-
-
 # constructions and search
 
 class BadParams(BolkitError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import BadParams, NotAssociative, TooLarge
 from .iso import _element_data, _isomorphisms
-from .loop_core import LoopTable, Permutation, identity_perm, inverse, mul
+from .loop_core import LoopTable, Permutation, check_order, identity_perm, inverse, mul
 from .structure import ElementSet, check_identity, commutant, nuclei
 
 MAX_AUT_ORDER = 64
@@ -36,8 +36,10 @@ def cyclic_group(n: int, name: str | None = None) -> GroupTable:
     """The cyclic group of order n; element i represents i-1 mod n."""
     if n < 1:
         raise BadParams("cyclic group order must be positive")
-    cells = [[(a + b) % n + 1 for b in range(n)] for a in range(n)]
-    return GroupTable(n, tuple(tuple(r) for r in cells), name or f"Z{n}")
+    check_order(n)
+    row = tuple(range(1, n + 1))
+    cells = tuple(row[a:] + row[:a] for a in range(n))  # row a is a+1, ..., n, 1, ..., a
+    return GroupTable(n, cells, name or f"Z{n}")
 
 
 def elem_abelian_2(m: int, name: str | None = None) -> GroupTable:
@@ -45,6 +47,7 @@ def elem_abelian_2(m: int, name: str | None = None) -> GroupTable:
     if m < 0:
         raise BadParams("dimension must be nonnegative")
     n = 1 << m
+    check_order(n)
     cells = [[((a ^ b) + 1) for b in range(n)] for a in range(n)]
     return GroupTable(n, tuple(tuple(r) for r in cells), name or f"Z2^{m}")
 
@@ -135,6 +138,7 @@ def build_extension(
     """The table of Q(K, E, tau, f) under the fixed pair encoding."""
     nk, ne = K.order, E.order
     n = nk * ne
+    check_order(n)
     kc = K.cells
     cells = [[0] * n for _ in range(n)]
     for a in range(1, ne + 1):
@@ -157,6 +161,7 @@ def build_extension(
 
 def build_semidirect(K: GroupTable, E: LoopTable, tau: TauMap, name: str | None = None) -> LoopTable:
     """Q(K, E, tau): the extension with the all-identity cocycle."""
+    check_order(K.order * E.order)  # before the |E| x |E| cocycle is built
     return build_extension(K, E, tau, trivial_cocycle(K, E), name=name)
 
 
@@ -353,6 +358,7 @@ def named_extension(name: str, **params: int) -> tuple[GroupTable, LoopTable, Ta
         n = params.get("n", 0)
         if n <= 2:
             raise BadParams("order4n requires n > 2")
+        check_order(4 * n)
         K = cyclic_group(n)
         tau = TauMap(e4, K, (identity_perm(n),) * 3 + (_inversion_aut(K),))
         return K, e4, tau, trivial_cocycle(K, e4)
@@ -363,6 +369,7 @@ def named_extension(name: str, **params: int) -> tuple[GroupTable, LoopTable, Ta
         m = 1
         while (1 << m) <= k:
             m += 1
+        check_order(3 << m)
         E = elem_abelian_2(m)
         K = cyclic_group(3)
         phi = _inversion_aut(K)
@@ -389,7 +396,11 @@ def _kernel_masks(k: int, m: int) -> frozenset[int]:
     return frozenset(masks)
 
 
+def example_name(name: str, **params: int) -> str:
+    """The table name of a named example: name, then one _keyvalue per parameter."""
+    return name + "".join(f"_{key}{val}" for key, val in sorted(params.items()))
+
+
 def build_named_example(name: str, **params: int) -> LoopTable:
     K, E, tau, f = named_extension(name, **params)
-    suffix = "".join(f"_{key}{val}" for key, val in sorted(params.items()))
-    return build_extension(K, E, tau, f, name=f"{name}{suffix}")
+    return build_extension(K, E, tau, f, name=example_name(name, **params))

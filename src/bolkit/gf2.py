@@ -263,14 +263,12 @@ def build_exceptional() -> LoopTable:
     return LoopTable.from_cells(cells, name="exceptional16")
 
 
-def count_constrained_cmaps(n: int = 3) -> int:
-    """Exhaustively count dim-n CMaps satisfying the family constraints.
+def count_constrained_cmaps() -> int:
+    """Exhaustively count dim-3 CMaps satisfying the family constraints.
 
-    Row-by-row DFS with early pruning; feasible for n = 3 where the count
-    must come out to 2^9.
+    Row-by-row DFS with early pruning; the count must come out to 2^9.
     """
-    if n != 3:
-        raise BadParams("exhaustive count implemented for n = 3 only")
+    n = 3
     size = 1 << n
     count = 0
     rows: list[tuple[int, ...]] = [(0,) * n] * size

@@ -26,6 +26,12 @@ MAX_ORDER = 4096
 Permutation = tuple[int, ...]
 
 
+def check_order(n: int) -> None:
+    """Raise TooLarge when a table of order n would exceed MAX_ORDER."""
+    if n > MAX_ORDER:
+        raise TooLarge(f"order {n} exceeds supported maximum {MAX_ORDER}")
+
+
 class LoopTable:
     """An n x n Cayley table with the identity at index 1.
 
@@ -47,8 +53,7 @@ class LoopTable:
         n = len(rows)
         if n == 0:
             raise Malformed("empty table")
-        if n > MAX_ORDER:
-            raise TooLarge(f"order {n} exceeds supported maximum {MAX_ORDER}")
+        check_order(n)
         for row in rows:
             if len(row) != n:
                 raise Malformed("table is not square")
@@ -108,8 +113,7 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
         raise Malformed(f"order token {tokens[0]!r} is not an integer") from None
     if n < 1:
         raise Malformed(f"order {n} must be positive")
-    if n > MAX_ORDER:
-        raise TooLarge(f"order {n} exceeds supported maximum {MAX_ORDER}")
+    check_order(n)
     body = tokens[1:]
     if len(body) != n * n:
         raise Malformed(f"expected {n * n} entries, got {len(body)}")
@@ -171,16 +175,6 @@ def right_divide(Q: LoopTable, a: int, b: int) -> int:
         if row[col] == b:
             return y + 1
     raise NotLatin("column misses a value")  # unreachable on valid tables
-
-
-def translation(Q: LoopTable, a: int, side: str) -> Permutation:
-    """The left translation b -> a*b or the right translation b -> b*a."""
-    if side == "left":
-        return Q.cells[a - 1]
-    if side == "right":
-        col = a - 1
-        return tuple(row[col] for row in Q.cells)
-    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
 def identity_perm(n: int) -> Permutation:

@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 
 from .errors import SearchBudgetExceeded
 from .extensions import automorphism_group
-from .iso import IsoClass, classify
+from .iso import classify
 from .loop_core import LoopTable
 from .structure import check_identity, commutant, is_subloop
 
@@ -238,17 +238,15 @@ class Order8Report:
     associative_classes: int
     nonassociative_classes: int
     orbit_stabilizer_total: int
-    classes: tuple[IsoClass, ...]
 
 
-def oracle_order8(budget: int | None = None) -> Order8Report:
-    """Exhaust all left Bol loops of order 8 and summarize the findings.
+def summarize_order8(tables: list[LoopTable]) -> Order8Report:
+    """Summarize ``search_left_bol(8)``: every left Bol loop of order 8.
 
     ``orbit_stabilizer_total`` is the sum of 7!/|Aut(Q)| over the class
     representatives: the number of identity-normalized labelings the
     classes have, which a complete, duplicate-free search finds exactly.
     """
-    tables = search_left_bol(8, budget=budget)
     all_sub = all(is_subloop(Q, commutant(Q)) for Q in tables)
     classes = classify(tables)
     reps = [tables[cls.representative] for cls in classes]
@@ -260,7 +258,6 @@ def oracle_order8(budget: int | None = None) -> Order8Report:
         associative_classes=assoc,
         nonassociative_classes=len(classes) - assoc,
         orbit_stabilizer_total=sum(math.factorial(7) // len(automorphism_group(Q)) for Q in reps),
-        classes=tuple(classes),
     )
 
 

@@ -1,9 +1,8 @@
 """Structural analysis of loop tables.
 
 Identity checking, commutant, nuclei, generated subloops, normality,
-quotients, the multiplication group, and the homomorphism test for
-restricted right translations.  Element sets are returned as sorted
-tuples.  All functions are pure.
+quotients, and the homomorphism test for restricted right translations.
+Element sets are returned as sorted tuples.  All functions are pure.
 
 The cubic predicates (the identity checks, the nuclei and the
 right-regular homomorphism test) share one kernel: per call, each row
@@ -22,21 +21,12 @@ from operator import itemgetter
 from typing import Callable
 
 from .errors import (
-    ClosureCapExceeded,
     NotNormal,
     NotPartition,
     NotPeriodicThroughIdentity,
     NotSubloop,
 )
-from .loop_core import (
-    LoopTable,
-    Permutation,
-    compose,
-    element_order,
-    identity_perm,
-    mul,
-    translation,
-)
+from .loop_core import LoopTable, element_order, mul
 
 ElementSet = tuple[int, ...]
 Row = tuple[int, ...]
@@ -284,35 +274,6 @@ def quotient(Q: LoopTable, S: ElementSet) -> LoopTable:
     return LoopTable.from_cells(cells, name=tag)
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]
-    order: int
-
-
-def multiplication_group(Q: LoopTable, cap: int = 10**6) -> PermGroup:
-    """Closure of all left and right translations under composition."""
-    gens: list[Permutation] = []
-    for a in Q.elements():
-        for side in ("left", "right"):
-            p = translation(Q, a, side)
-            if p not in gens:
-                gens.append(p)
-    seen = {identity_perm(Q.order)}
-    queue = [identity_perm(Q.order)]
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            q = compose(p, g)
-            if q not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapExceeded(f"multiplication group exceeds cap {cap}")
-                seen.add(q)
-                queue.append(q)
-    return PermGroup(tuple(gens), tuple(sorted(seen)), len(seen))
-
-
 def right_regular_is_homomorphism(Q: LoopTable, S: ElementSet) -> bool:
     """Whether R_{s*t} = R_s R_t (apply R_s first) for all s, t in S.
 
@@ -328,11 +289,6 @@ def right_regular_is_homomorphism(Q: LoopTable, S: ElementSet) -> bool:
 
 def involution_count(Q: LoopTable) -> int:
     return sum(1 for a in range(2, Q.order + 1) if mul(Q, a, a) == 1)
-
-
-def commutant_in_right_nucleus(Q: LoopTable) -> bool:
-    """The predicate C(Q) <= RNuc(Q) (open in general for Bol loops)."""
-    return set(commutant(Q)) <= set(nuclei(Q).right)
 
 
 def generating_sequence(Q: LoopTable) -> tuple[int, ...]:

@@ -26,7 +26,10 @@ from .extensions import (
     cyclic_group,
     elem_abelian_2,
     group_conditions,
+    is_semihomomorphism,
+    is_tau_homomorphism,
     ker_fix,
+    named_extension,
     pair_index,
     right_nucleus_members,
 )
@@ -38,7 +41,7 @@ from .gf2 import (
 )
 from .iso import brute_force_isomorphic, classify, isomorphic
 from .loop_core import LoopTable, identity_perm, mul, power
-from .oracle import Order8Report, enumerate_all_loops, oracle_order8
+from .oracle import Order8Report, enumerate_all_loops, search_left_bol, summarize_order8
 from .structure import (
     check_identity,
     commutant,
@@ -92,12 +95,12 @@ class VerificationSuite:
         return build_exceptional()
 
     @cached_property
-    def order16_twenty(self) -> list[LoopTable]:
-        return self.q9_reps + [self.exceptional]
+    def order8_tables(self) -> list[LoopTable]:
+        return search_left_bol(8, budget=self.order8_budget)
 
     @cached_property
     def order8_report(self) -> Order8Report:
-        return oracle_order8(budget=self.order8_budget)
+        return summarize_order8(self.order8_tables)
 
     # claims ----------------------------------------------------------------
 
@@ -119,7 +122,7 @@ class VerificationSuite:
         return ok, "Z=LNuc={1,2}, C=RNuc={1,2,3,4}, <4,5> generates"
 
     def claim_sec5_order12(self) -> tuple[bool, str]:
-        K, E, tau, f = catalog.named_extension("order12")
+        K, E, tau, f = named_extension("order12")
         Q = build_extension(K, E, tau, f)
         kf = ker_fix(tau)
         com = commutant(Q)
@@ -130,6 +133,9 @@ class VerificationSuite:
             and len(com) == 3
             and not is_subloop(Q, com)
             and len(com) == len(kf.fix) * len(kf.ker) == 3
+            # Ker(tau) is not closed: tau is a semihomomorphism but not a homomorphism
+            and is_semihomomorphism(E, tau)
+            and not is_tau_homomorphism(E, tau)
         )
         return ok, f"order 12, |C|=3 non-subloop, |Fix|*|Ker|={len(kf.fix)}*{len(kf.ker)}"
 
@@ -210,14 +216,14 @@ class VerificationSuite:
         return ok, "involutory, LNuc=Z={1}, RNuc elem-abelian of order 8 = <C>, C={1,2,5,7}, matches fixture, new class"
 
     def claim_sec5_21_total(self) -> tuple[bool, str]:
-        twenty = classify(self.order16_twenty)
+        twenty = classify(catalog.order16_twenty())
         all21 = classify(catalog.twenty_one())
         ok = len(twenty) == 20 and len(all21) == 21
         return ok, f"order-16 classes={len(twenty)}, with order-12 loop total={len(all21)}"
 
     def claim_sec3_coprime3_order16(self) -> tuple[bool, str]:
         bad = []
-        for Q in self.order16_twenty:
+        for Q in catalog.order16_twenty():
             H = generated_subloop(Q, commutant(Q))
             sub = subloop_table(Q, H)
             if not (
@@ -337,7 +343,7 @@ class VerificationSuite:
         )
 
     def claim_sec6_free_params(self) -> tuple[bool, str]:
-        count = count_constrained_cmaps(3)
+        count = count_constrained_cmaps()
         ok = count == 512 and free_parameter_count(3) == 9 and free_parameter_count(4) == 32
         return ok, f"dim-3 solutions={count}=2^9, formula(3)={free_parameter_count(3)}, formula(4)={free_parameter_count(4)}"
 

@@ -1,19 +1,25 @@
 """Fixtures shared by the test modules.
 
-The order-8 left Bol search runs once per test session, however many
-tests need its tables.
+One verification suite serves the whole session, so the order-8 left Bol
+search runs once, however many tests and claims need its tables.
 """
 
 import pytest
 
 from bolkit.loop_core import element_order
-from bolkit.oracle import search_left_bol
+from bolkit.verify import VerificationSuite
 
 
 @pytest.fixture(scope="session")
-def order8_tables():
+def suite():
+    """The verification suite behind ``bolkit verify-paper``, at its default budget."""
+    return VerificationSuite()
+
+
+@pytest.fixture(scope="session")
+def order8_tables(suite):
     """Every identity-normalized left Bol loop of order 8, in search order."""
-    return tuple(search_left_bol(8))
+    return tuple(suite.order8_tables)
 
 
 @pytest.fixture(scope="session")

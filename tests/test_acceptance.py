@@ -1,27 +1,43 @@
 """Acceptance gate: every criterion runs at its stated budget and prints
-one pass/fail line.  The same claims back ``bolkit verify-paper``."""
+one pass/fail line.  The same claims back ``bolkit verify-paper``, and
+each claim's two report lines must equal its block in the recorded
+``verify-paper`` output.  The ``suite`` fixture is session-wide (see
+conftest.py)."""
 
 import time
+from functools import cache
+from pathlib import Path
 
-import pytest
+from bolkit.verify import ClaimResult, report_lines
 
-from bolkit.verify import VerificationSuite
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_report.txt"
 
 
-@pytest.fixture(scope="module")
-def suite():
-    return VerificationSuite()
+@cache
+def reference_blocks():
+    """The recorded report as {claim id: [claim line, detail line]}, in report order."""
+    lines = REFERENCE.read_text(encoding="utf-8").splitlines()
+    assert lines[-1].startswith("claims passed: ")
+    heads, details = lines[:-1:2], lines[1::2]
+    assert len(heads) == len(details) and all(h.startswith("claim ") for h in heads)
+    return {h.split()[1].rstrip(":"): [h, d] for h, d in zip(heads, details)}
 
 
 def run_claim(suite, number, claim_id, budget_s):
-    fn = {cid: f for cid, _, f in suite.claim_definitions()}[claim_id]
+    citation, fn = {cid: (c, f) for cid, c, f in suite.claim_definitions()}[claim_id]
     t0 = time.monotonic()
     passed, details = fn()
     elapsed = time.monotonic() - t0
     status = "PASS" if passed and elapsed < budget_s else "FAIL"
     print(f"ACCEPTANCE {number} {claim_id}: {status} ({elapsed:.1f}s) {details}")
     assert passed, details
+    lines = report_lines([ClaimResult(claim_id, citation, passed, details)])
+    assert lines[:2] == reference_blocks()[claim_id], f"{claim_id} report text changed"
     assert elapsed < budget_s, f"{claim_id} took {elapsed:.1f}s, budget {budget_s}s"
+
+
+def test_claim_order_matches_reference(suite):
+    assert [cid for cid, _, _ in suite.claim_definitions()] == list(reference_blocks())
 
 
 def test_criterion_01_example_fixture(suite):

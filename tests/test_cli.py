@@ -132,6 +132,22 @@ def test_construct_bad_specs(capsys):
     assert main(["construct", "named order4n:2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "semidirect K=cyclic:4100 E=cyclic:2 tau=trivial",
+        "semidirect K=cyclic:3 E=cyclic:1400 tau=trivial",
+        "semidirect K=cyclic:3 E=elem2:64 tau=trivial",
+        "named order4n:1100",
+        "named commutant:5000",
+    ],
+)
+def test_construct_rejects_oversized_specs(spec, capsys):
+    # the size is checked before the oversized table is allocated
+    assert main(["construct", spec]) == 2
+    assert "exceeds supported maximum" in capsys.readouterr().err
+
+
 def test_classify_same_file_twice(fixture_path, capsys):
     assert main(["classify", fixture_path, fixture_path]) == 0
     out = capsys.readouterr().out

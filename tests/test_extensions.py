@@ -27,7 +27,7 @@ from bolkit.extensions import (
     trivial_tau,
 )
 from bolkit.iso import find_isomorphism, isomorphic
-from bolkit.loop_core import LoopTable, identity_perm, inverse, mul, parse_table
+from bolkit.loop_core import MAX_ORDER, identity_perm, inverse, mul, parse_table
 from bolkit.structure import (
     check_identity,
     commutant,
@@ -80,6 +80,23 @@ def test_automorphism_groups():
 def test_automorphism_group_too_large():
     with pytest.raises(errors.TooLarge):
         automorphism_group(cyclic_group(65))
+
+
+def test_builders_reject_orders_above_max_order():
+    # each check comes before the table is allocated; Z2^64 would not fit in memory
+    with pytest.raises(errors.TooLarge):
+        cyclic_group(MAX_ORDER + 1)
+    with pytest.raises(errors.TooLarge):
+        elem_abelian_2(64)
+    K, E = cyclic_group(65), cyclic_group(64)  # |K||E| = 4160
+    with pytest.raises(errors.TooLarge):
+        build_extension(K, E, trivial_tau(K, E), trivial_cocycle(K, E))
+    with pytest.raises(errors.TooLarge):
+        build_semidirect(K, E, trivial_tau(K, E))
+    with pytest.raises(errors.TooLarge):
+        named_extension("order4n", n=MAX_ORDER // 4 + 1)
+    with pytest.raises(errors.TooLarge):
+        named_extension("commutant_order", k=5000)  # E = Z2^13, order 3 * 8192
 
 
 def test_tau_and_cocycle_validation():

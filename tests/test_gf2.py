@@ -226,9 +226,7 @@ def test_exceptional_not_in_q9_family():
 def test_free_parameter_count():
     assert free_parameter_count(3) == 9
     assert free_parameter_count(4) == 32
-    assert count_constrained_cmaps(3) == 512
-    with pytest.raises(errors.BadParams):
-        count_constrained_cmaps(4)
+    assert count_constrained_cmaps() == 512
 
 
 def test_dim2_right_additive_exhaustive():

@@ -16,9 +16,8 @@ from bolkit.loop_core import (
     power,
     render,
     right_divide,
-    translation,
 )
-from bolkit.structure import check_identity, commutant
+from bolkit.structure import _opposite, check_identity, commutant
 
 
 @pytest.fixture(scope="module")
@@ -104,18 +103,15 @@ def test_latin_round_trips(T8):
 
 
 def test_translation(T8):
-    assert translation(T8, 1, "left") == identity_perm(8)
-    assert translation(T8, 5, "left") == (5, 6, 7, 8, 1, 2, 3, 4)
+    # L_a is row a of the table; R_a is row a of the opposite table
+    op = _opposite(T8.cells)
+    assert T8.cells[0] == op[0] == identity_perm(8)
+    assert T8.cells[4] == (5, 6, 7, 8, 1, 2, 3, 4)
     for a in T8.elements():
-        row = translation(T8, a, "left")
-        assert all(row[b - 1] == mul(T8, a, b) for b in T8.elements())
+        assert all(T8.cells[a - 1][b - 1] == mul(T8, a, b) for b in T8.elements())
+        assert all(op[a - 1][b - 1] == mul(T8, b, a) for b in T8.elements())
     for c in commutant(T8):
-        assert translation(T8, c, "left") == translation(T8, c, "right")
-
-
-def test_translation_bad_side(T8):
-    with pytest.raises(ValueError):
-        translation(T8, 1, "up")
+        assert T8.cells[c - 1] == op[c - 1]
 
 
 def test_power(T8):
@@ -131,9 +127,7 @@ def test_power_translations_match_in_bol(T8):
     assert check_identity(T8, "left_bol")
     for a in T8.elements():
         for m in range(element_order(T8, a) + 2):
-            assert translation(T8, power(T8, a, m), "left") == perm_power(
-                translation(T8, a, "left"), m
-            )
+            assert T8.cells[power(T8, a, m) - 1] == perm_power(T8.cells[a - 1], m)
 
 
 def test_power_addition_law_in_bol(T8):
