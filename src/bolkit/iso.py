@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import NotPeriodicThroughIdentity
 from .loop_core import LoopTable, Permutation, element_order
-from .structure import _opposite, check_identity, commutant, involution_count, nuclei
+from .structure import _opposite, commutant, identity_flags, involution_count, nuclei
 
 # order_spectrum sentinel for elements whose powers do not form a group
 ORDER_UNDEFINED = 0
@@ -63,10 +63,8 @@ def _safe_order(Q: LoopTable, a: int) -> int:
 
 def invariant_profile(Q: LoopTable) -> IsoProfile:
     nuc = nuclei(Q)
-    flags = 0
-    for i, name in enumerate(PROFILE_FLAGS):
-        if check_identity(Q, name):
-            flags |= 1 << i
+    holds = identity_flags(Q, nuc, PROFILE_FLAGS)
+    flags = sum(1 << i for i, h in enumerate(holds) if h)
     return IsoProfile(
         order=Q.order,
         order_spectrum=tuple(sorted(_safe_order(Q, a) for a in Q.elements())),

@@ -88,8 +88,8 @@ def _check_latin(rows: tuple[tuple[int, ...], ...]) -> None:
     for row in rows:
         if frozenset(row) != full:
             raise NotLatin("a row repeats a value")
-    for j in range(n):
-        if frozenset(row[j] for row in rows) != full:
+    for col in zip(*rows):
+        if frozenset(col) != full:
             raise NotLatin("a column repeats a value")
 
 
@@ -118,14 +118,19 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
     if len(body) != n * n:
         raise Malformed(f"expected {n * n} entries, got {len(body)}")
     try:
-        entries = [int(t) for t in body]
+        entries = list(map(int, body))
     except ValueError:
         raise Malformed("non-integer table entry") from None
-    for v in entries:
-        if not 1 <= v <= n:
-            raise Malformed(f"entry {v} out of range 1..{n}")
-    rows = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
-    _check_latin(rows)
+    rows = tuple(zip(*[iter(entries)] * n))  # n consecutive entries per row
+    try:
+        _check_latin(rows)
+    except NotLatin:
+        # rows are checked first, and a row holding an entry outside 1..n
+        # is not a permutation of 1..n, so the range is only checked here
+        bad = next((v for v in entries if not 1 <= v <= n), None)
+        if bad is not None:
+            raise Malformed(f"entry {bad} out of range 1..{n}") from None
+        raise
 
     e = _find_identity(rows)
     if e is None:

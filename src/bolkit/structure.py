@@ -4,13 +4,23 @@ Identity checking, commutant, nuclei, generated subloops, normality,
 quotients, and the homomorphism test for restricted right translations.
 Element sets are returned as sorted tuples.  All functions are pure.
 
-The cubic predicates (the identity checks, the nuclei and the
+The row predicates (the identity checks, the nuclei and the
 right-regular homomorphism test) share one kernel: per call, each row
 becomes an ``operator.itemgetter`` gather, and an identity becomes a
 comparison of whole rows per pair (x, y).  Right-hand notions come from
 the opposite table (the transpose): right Bol is left Bol of the opposite
 loop, the right nucleus is its left nucleus.  Nothing is cached on the
 table, so each call pays O(n^2) to build its gathers.
+
+What stays cubic: the left Bol, right Bol, Moufang and associativity
+scans of ``check_identity``, which compare n^2 pairs of rows when the
+identity holds.  ``structure_report`` avoids them on groups: each nucleus
+is a subloop and is found by closure, testing only elements outside the
+span of the members found so far, and a loop whose middle nucleus is all
+of Q is a group, whose identity flags need no scan (``identity_flags``).
+On a nonassociative loop the left and right Bol and Moufang scans still
+run, and run to the end on a Bol loop.  The left-power-alternative check
+walks one cycle per cyclic subloop, not one per element.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ from typing import Callable
 from .errors import (
     NotNormal,
     NotPartition,
-    NotPeriodicThroughIdentity,
     NotSubloop,
 )
 from .loop_core import LoopTable, element_order, mul
@@ -103,18 +112,24 @@ def check_identity(Q: LoopTable, which: str) -> bool:
     if which == "commutative":
         return cells == _opposite(cells)
     if which == "left_power_alternative":
-        # L_x^k = L_{x^k} for k <= m, by induction: L_{x^k} then L_x is L_{x*x^k}
+        # L_x^k = L_{x^k} for k < m, by induction: L_{x^k} then L_x is
+        # L_{x*x^k}, walking the cycle x^0 = 1, x, ..., x^(m-1) of L_x.
+        # When x passes, x^i*x^j = x^(i+j mod m): its powers form a cyclic
+        # group, so x has order m, and every power y = x^j passes too
+        # (L_y^k = L_x^(jk) = L_{y^k}), so it is not walked again.
         g = _gathers(cells)
+        walked = [False] * Q.order
         for x, rx in enumerate(cells):
-            try:
-                m = element_order(Q, x + 1)
-            except NotPeriodicThroughIdentity:
-                return False
+            if walked[x]:
+                continue
             p = 1
-            for _ in range(m):
+            while True:
                 xp = rx[p - 1]
                 if g[p - 1](rx) != cells[xp - 1]:
                     return False
+                walked[p - 1] = True
+                if xp == 1:
+                    break
                 p = xp
         return True
     raise ValueError(f"unknown identity {which!r}")
@@ -136,28 +151,62 @@ class Nuclei:
     center: ElementSet
 
 
-def _left_nucleus(cells: Rows, g: list[Callable[[Row], Row]]) -> ElementSet:
-    """Elements a with (ax)y = a(xy): L_x then L_a is L_{a*x} for every x."""
+def _subloop_where(Q: LoopTable, test: Callable[[int], bool]) -> ElementSet:
+    """The elements a with ``test(a - 1)``, given that they form a subloop N.
+
+    The span of the members found so far lies in N, so an element of the
+    span is a member without a test; a member found outside it grows the
+    span to the subloop both generate.  On a group this tests at most
+    log2(n) members.  When a fails, no a*h with h in the span is tested
+    either: it is not in N, because a = (a*h)/h would be.
+    """
+    span: ElementSet = (1,)
+    decided = {1}
+    for a in range(2, Q.order + 1):
+        if a in decided:
+            continue
+        if test(a - 1):
+            span = generated_subloop(Q, (*span, a))
+            decided.update(span)
+        else:
+            row = Q.cells[a - 1]
+            decided.update(row[h - 1] for h in span)
+    return span
+
+
+def _left_nucleus(Q: LoopTable, cells: Rows, g: list[Callable[[Row], Row]]) -> ElementSet:
+    """Elements a with (ax)y = a(xy): L_x then L_a is L_{a*x} for every x.
+
+    ``cells`` is Q's table or its opposite, whose left nucleus is Q's right
+    nucleus; either way the members form a subloop of Q.
+    """
     rng = range(len(cells))
-    return tuple(
-        a + 1 for a, ra in enumerate(cells) if all(g[x](ra) == cells[ra[x] - 1] for x in rng)
-    )
+
+    def test(a: int) -> bool:
+        ra = cells[a]
+        return all(g[x](ra) == cells[ra[x] - 1] for x in rng)
+
+    return _subloop_where(Q, test)
 
 
 def nuclei(Q: LoopTable) -> Nuclei:
     """Left/middle/right nuclei, their intersection, and the center.
 
-    The right nucleus is the left nucleus of the opposite loop.
+    Each nucleus is a subloop and is found by closure (``_subloop_where``).
+    The right nucleus is the left nucleus of the opposite loop.  A loop
+    whose middle nucleus is all of Q is associative, a group, so its left
+    and right nuclei are all of Q too and are not scanned.
     """
     cells = Q.cells
     g = _gathers(cells)
-    left = _left_nucleus(cells, g)
     # (xa)y = x(ay): L_a then L_x is L_{x*a} for every x
-    middle = tuple(
-        a + 1 for a, ga in enumerate(g) if all(ga(rx) == cells[rx[a] - 1] for rx in cells)
-    )
+    middle = _subloop_where(Q, lambda a: all(g[a](rx) == cells[rx[a] - 1] for rx in cells))
     op = _opposite(cells)
-    right = _left_nucleus(op, _gathers(op))
+    if len(middle) == Q.order:
+        left = right = middle
+    else:
+        left = _left_nucleus(Q, cells, g)
+        right = _left_nucleus(Q, op, _gathers(op))
     nuc = tuple(sorted(set(left) & set(middle) & set(right)))
     cen = tuple(c for c in nuc if cells[c - 1] == op[c - 1])  # L_c = R_c
     return Nuclei(left, middle, right, nuc, cen)
@@ -330,6 +379,28 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+# the identities every group satisfies, associativity aside
+_GROUP_IDENTITIES = frozenset({"left_bol", "right_bol", "moufang", "left_power_alternative"})
+
+
+def identity_flags(
+    Q: LoopTable, nuc: Nuclei, names: tuple[str, ...] = IDENTITY_NAMES
+) -> tuple[bool, ...]:
+    """``check_identity(Q, name)`` for each name, given ``nuc = nuclei(Q)``.
+
+    Q is associative iff its middle nucleus is all of Q, so associativity is
+    read off ``nuc``.  A group is left and right Bol, Moufang and left power
+    alternative, so on a group only commutativity is scanned.
+    """
+    group = len(nuc.middle) == Q.order
+    return tuple(
+        group
+        if name == "associative"
+        else (group and name in _GROUP_IDENTITIES) or check_identity(Q, name)
+        for name in names
+    )
+
+
 def structure_report(Q: LoopTable) -> str:
     """Line-oriented report with fixed key order, stable under diffing."""
     nuc = nuclei(Q)
@@ -338,8 +409,8 @@ def structure_report(Q: LoopTable) -> str:
         f"name: {Q.name or '-'}",
         f"order: {Q.order}",
     ]
-    for ident in IDENTITY_NAMES:
-        lines.append(f"{ident}: {_fmt_bool(check_identity(Q, ident))}")
+    for ident, holds in zip(IDENTITY_NAMES, identity_flags(Q, nuc)):
+        lines.append(f"{ident}: {_fmt_bool(holds)}")
     lines.extend(
         [
             f"commutant: {_fmt_set(com)}",

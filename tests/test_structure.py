@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,22 +12,27 @@ from bolkit import errors
 from bolkit.catalog import (
     FIXTURE_ORDER8,
     FIXTURE_ORDER16,
+    direct_product,
     load_fixture,
     property_catalog,
+    q9_representatives,
     small_even_order_loops,
 )
 from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
+from bolkit.gf2 import build_exceptional
 from bolkit.loop_core import LoopTable, compose, mul, parse_table
 from bolkit.oracle import enumerate_all_loops
 from bolkit.structure import (
     IDENTITY_NAMES,
     Nuclei,
     _opposite,
+    _subloop_where,
     check_identity,
     commutant,
     commutant_prime_part,
     cosets,
     generated_subloop,
+    identity_flags,
     involution_count,
     is_normal,
     is_subloop,
@@ -197,62 +203,56 @@ def test_generated_subloop_every_pair_matches_brute_force():
 
 
 def _oracle_identity(Q: LoopTable, which: str) -> bool:
-    c = Q.cells
-    E = Q.elements()
-
-    def m(a: int, b: int) -> int:
-        return c[a - 1][b - 1]
-
-    triples = [(x, y, z) for x in E for y in E for z in E]
+    c = [[v - 1 for v in row] for row in Q.cells]  # c[a][b] = a*b on 0..n-1, 0 the identity
+    E = range(Q.order)
+    triples = itertools.product(E, E, E)
     if which == "left_bol":
-        return all(m(x, m(y, m(x, z))) == m(m(x, m(y, x)), z) for x, y, z in triples)
+        return all(c[x][c[y][c[x][z]]] == c[c[x][c[y][x]]][z] for x, y, z in triples)
     if which == "right_bol":
-        return all(m(m(m(z, x), y), x) == m(z, m(m(x, y), x)) for x, y, z in triples)
+        return all(c[c[c[z][x]][y]][x] == c[z][c[c[x][y]][x]] for x, y, z in triples)
     if which == "moufang":
-        return all(m(x, m(y, m(x, z))) == m(m(m(x, y), x), z) for x, y, z in triples)
+        return all(c[x][c[y][c[x][z]]] == c[c[c[x][y]][x]][z] for x, y, z in triples)
     if which == "associative":
-        return all(m(m(x, y), z) == m(x, m(y, z)) for x, y, z in triples)
+        return all(c[c[x][y]][z] == c[x][c[y][z]] for x, y, z in triples)
     if which == "commutative":
-        return all(m(x, y) == m(y, x) for x in E for y in E)
+        return all(c[x][y] == c[y][x] for x in E for y in E)
     assert which == "left_power_alternative"
     for x in E:
-        powers = [1]  # x^0 .. x^(k-1), x^j = x * x^(j-1)
-        while m(x, powers[-1]) != 1:
-            powers.append(m(x, powers[-1]))
+        powers = [0]  # x^0 .. x^(k-1), x^j = x * x^(j-1)
+        while c[x][powers[-1]] != 0:
+            powers.append(c[x][powers[-1]])
         k = len(powers)
-        if any(m(powers[i], powers[j]) != powers[(i + j) % k] for i in range(k) for j in range(k)):
+        if any(c[powers[i]][powers[j]] != powers[(i + j) % k] for i in range(k) for j in range(k)):
             return False  # the powers of x are not a group, so x has no order
         for z in E:
             w = z  # x(x(...(xz))) with j factors x
-            for p in [*powers, 1]:
-                if w != m(p, z):
+            for p in [*powers, 0]:
+                if w != c[p][z]:
                     return False
-                w = m(x, w)
+                w = c[x][w]
     return True
 
 
 def _oracle_nuclei(Q: LoopTable) -> Nuclei:
-    c = Q.cells
-    E = Q.elements()
-
-    def m(a: int, b: int) -> int:
-        return c[a - 1][b - 1]
-
-    def where(law) -> tuple[int, ...]:
-        return tuple(a for a in E if all(law(a, x, y) for x in E for y in E))
-
-    left = where(lambda a, x, y: m(m(a, x), y) == m(a, m(x, y)))
-    middle = where(lambda a, x, y: m(m(x, a), y) == m(x, m(a, y)))
-    right = where(lambda a, x, y: m(m(x, y), a) == m(x, m(y, a)))
+    c = [[v - 1 for v in row] for row in Q.cells]  # c[a][b] = a*b on 0..n-1
+    E = range(Q.order)
+    pairs = list(itertools.product(E, E))
+    left = tuple(a + 1 for a in E if all(c[c[a][x]][y] == c[a][c[x][y]] for x, y in pairs))
+    middle = tuple(a + 1 for a in E if all(c[c[x][a]][y] == c[x][c[a][y]] for x, y in pairs))
+    right = tuple(a + 1 for a in E if all(c[c[x][y]][a] == c[x][c[y][a]] for x, y in pairs))
     nucleus = tuple(a for a in left if a in middle and a in right)
-    center = tuple(a for a in nucleus if all(m(a, x) == m(x, a) for x in E))
+    center = tuple(a for a in nucleus if all(c[a - 1][x] == c[x][a - 1] for x in E))
     return Nuclei(left, middle, right, nucleus, center)
 
 
-def _assert_kernel_matches_oracle(Q: LoopTable) -> None:
-    for name in IDENTITY_NAMES:
-        assert check_identity(Q, name) == _oracle_identity(Q, name), (Q.cells, name)
-    assert nuclei(Q) == _oracle_nuclei(Q), Q.cells
+def _assert_kernel_matches_oracle(Q: LoopTable, right_regular: bool = True) -> None:
+    expected = tuple(_oracle_identity(Q, name) for name in IDENTITY_NAMES)
+    assert tuple(check_identity(Q, name) for name in IDENTITY_NAMES) == expected, Q.cells
+    nuc = nuclei(Q)
+    assert nuc == _oracle_nuclei(Q), Q.cells
+    assert identity_flags(Q, nuc) == expected, Q.cells
+    if not right_regular:
+        return
     for s in Q.elements():
         H = generated_subloop(Q, (s,))
         hom = all(
@@ -264,14 +264,20 @@ def _assert_kernel_matches_oracle(Q: LoopTable) -> None:
         assert right_regular_is_homomorphism(Q, H) == hom, (Q.cells, H)
 
 
+# a nonassociative loop of order 6 whose middle nucleus {1,3,5} has index 2
+# and whose left and right nuclei are trivial
+MIDDLE3_TEXT = "6\n1 2 3 4 5 6\n2 1 4 5 6 3\n3 4 5 6 1 2\n4 5 6 3 2 1\n5 6 1 2 3 4\n6 3 2 1 4 5"
+
+
 def test_kernel_matches_oracle_on_all_small_loops():
     answers = set()
     tables = [*enumerate_all_loops(1), *enumerate_all_loops(4), *enumerate_all_loops(5)]
-    for Q in [*tables, parse_table(NPA_TEXT)]:
+    for Q in [*tables, parse_table(NPA_TEXT), parse_table(MIDDLE3_TEXT)]:
         _assert_kernel_matches_oracle(Q)
         answers.update((name, check_identity(Q, name)) for name in IDENTITY_NAMES)
     # every identity both holds and fails somewhere, so no comparison is vacuous
     assert answers == {(name, b) for name in IDENTITY_NAMES for b in (True, False)}
+    assert nuclei(parse_table(MIDDLE3_TEXT)).middle == (1, 3, 5)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -279,6 +285,78 @@ def test_kernel_matches_oracle_on_all_small_loops():
 @example(index=0, seed=0)  # order12: left and right nuclei differ
 def test_kernel_matches_oracle_on_relabeled_catalog(index, seed):
     _assert_kernel_matches_oracle(_relabeled(_catalog()[index], seed))
+
+
+WIDE_TABLES: dict[str, Callable[[], LoopTable]] = {
+    "Z32": lambda: cyclic_group(32),
+    "Z2^5": lambda: elem_abelian_2(5),
+    "Z8xZ4": lambda: direct_product(cyclic_group(8), cyclic_group(4)),
+    "Z64": lambda: cyclic_group(64),
+    **{
+        f"order4n:{n}": functools.partial(build_named_example, "order4n", n=n)
+        for n in range(8, 17)
+    },
+    # nuclei proper and nontrivial: Z_k times a nucleus of the factor
+    "Z2xq9_1": lambda: direct_product(cyclic_group(2), q9_representatives()[1]),
+    "Z3xq9_0": lambda: direct_product(cyclic_group(3), q9_representatives()[0]),
+    "Z4xq9_9": lambda: direct_product(cyclic_group(4), q9_representatives()[9]),
+    "Z2xexceptional": lambda: direct_product(cyclic_group(2), build_exceptional()),
+    "Z3xexceptional": lambda: direct_product(cyclic_group(3), build_exceptional()),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_TABLES)
+def test_kernel_matches_oracle_on_wide_tables(name):
+    Q = _relabeled(WIDE_TABLES[name](), 1)
+    _assert_kernel_matches_oracle(Q, right_regular=False)
+
+
+def test_nucleus_closure_tests_only_outside_the_span():
+    # a member found outside the span at least doubles it (N is a group here),
+    # and a failure rules out its coset of the span, so on a group of order
+    # 64 at most 6 members and about one element per coset of N are tested
+    for Q in (_relabeled(cyclic_group(64), 3), _relabeled(elem_abelian_2(6), 3)):
+        for S in ((2,), (2, 3), tuple(Q.elements())):
+            N = generated_subloop(Q, S)
+            tested = []
+
+            def test(a: int) -> bool:
+                tested.append(a + 1)
+                return a + 1 in N
+
+            assert _subloop_where(Q, test) == N
+            assert len(tested) == len(set(tested)) <= 6 + Q.order // len(N)
+
+
+def _abelian_report(Q: LoopTable, involutions: int) -> str:
+    whole = "{" + ",".join(map(str, Q.elements())) + "}"
+    return "".join(
+        f"{key}: {value}\n"
+        for key, value in [
+            ("name", Q.name),
+            ("order", Q.order),
+            *((name, "true") for name in IDENTITY_NAMES),
+            ("commutant", whole),
+            ("commutant_size", Q.order),
+            ("commutant_is_subloop", "true"),
+            ("commutant_in_rnuc", "true"),
+            *((key, whole) for key in ("lnuc", "mnuc", "rnuc", "nucleus", "center")),
+            ("involutions", involutions),
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 31, 64, 97, 128, 243, 256, 500, 512, 1024])
+def test_structure_report_on_cyclic_groups(n):
+    # Z_n has one involution when n is even, none when n is odd
+    Q = cyclic_group(n)
+    assert structure_report(Q) == _abelian_report(Q, 1 - n % 2)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_structure_report_on_elementary_abelian_2_groups(k):
+    Q = elem_abelian_2(k)
+    assert structure_report(Q) == _abelian_report(Q, Q.order - 1)
 
 
 def test_is_subloop_and_normal(T8):
