@@ -7,7 +7,7 @@ bolkit construct SPEC -o FILE    build a table and write it out
 bolkit classify FILE...          isomorphism classes of the given tables
 bolkit enumerate-q9 [--classify] the 512-member nine-parameter family
 bolkit oracle order8 [--budget N]  exhaustive order-8 left Bol search
-bolkit verify-paper              run the whole claim suite
+bolkit verify-paper [--timings | --json]  run the whole claim suite
 bolkit iso FILE1 FILE2           isomorphism between two tables
 
 Construction spec grammar (the SPEC argument of ``construct``):
@@ -49,7 +49,7 @@ from .iso import classification_report, classify, find_isomorphism
 from .loop_core import LoopTable, parse_table, render
 from .oracle import search_left_bol, summarize_order8
 from .structure import structure_report
-from .verify import VerificationSuite, report_lines
+from .verify import VerificationSuite, report_json_lines, report_lines
 
 
 def _load(path: str) -> LoopTable:
@@ -199,7 +199,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     suite = VerificationSuite(order8_budget=args.budget)
     results = suite.run()
-    for line in report_lines(results, timings=args.timings):
+    if args.json:
+        lines = report_json_lines(results)
+    else:
+        lines = report_lines(results, timings=args.timings)
+    for line in lines:
         print(line)
     return 0 if all(r.passed for r in results) else 1
 
@@ -246,7 +250,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")
     p.add_argument("--budget", type=int, default=None, help="order-8 search budget")
-    p.add_argument("--timings", action="store_true", help="append per-claim timings")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--timings", action="store_true", help="append per-claim timings")
+    out.add_argument("--json", action="store_true", help="one JSON object per claim")
     p.set_defaults(fn=cmd_verify_paper)
 
     p = sub.add_parser("iso", help="find an isomorphism between two tables")

@@ -8,7 +8,10 @@ increasing order and closes the partial map under products with
 is the lexicographically least; ``isomorphic`` and ``classify`` ask
 whether a first map exists; ``extensions.automorphism_group`` takes all
 of them.  An element's local invariant is its number of commuting
-partners followed by the sorted orders along its row.
+partners followed by the table's order spectrum, the sorted element
+orders.  The spectrum is the same for every element: each row of a
+Latin square is a permutation of Q, so the sorted orders along any row
+are the spectrum, and it is sorted once per table.
 
 ``classify`` keys each table by its order and sorted local invariants,
 computed once per table, and searches only between equal keys.  Invariant
@@ -88,15 +91,16 @@ class _ElementData(NamedTuple):
     """Per-table data the iso search reads, indexed by element - 1."""
 
     orders: tuple[int, ...]  # element orders, ORDER_UNDEFINED if aperiodic
-    # #{b : a*b = b*a}, then the sorted multiset {order(a*b) : b in Q}
+    # #{b : a*b = b*a}, then the order spectrum (the same for every a)
     local: tuple[tuple[int, ...], ...]
 
 
 def _element_data(Q: LoopTable) -> _ElementData:
     """Element orders and per-element local invariants, computed together."""
     orders = tuple(_safe_order(Q, a) for a in Q.elements())
+    spectrum = sorted(orders)
     local = tuple(
-        (sum(map(int.__eq__, row, col)), *sorted(orders[v - 1] for v in row))
+        (sum(map(int.__eq__, row, col)), *spectrum)
         for row, col in zip(Q.cells, _opposite(Q.cells))
     )
     return _ElementData(orders, local)

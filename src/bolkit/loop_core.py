@@ -10,6 +10,7 @@ Permutations of 1..n are plain tuples: ``p[i-1]`` is the image of ``i``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import (
@@ -240,10 +241,13 @@ def element_order(Q: LoopTable, a: int) -> int:
         powers.append(x)
         x = row[x - 1]
     m = len(powers)
-    for i in range(m):
-        pi = Q.cells[powers[i] - 1]
-        for j in range(m):
-            if pi[powers[j] - 1] != powers[(i + j) % m]:
+    # a^i * a^j = a^(i+j mod m) for all i, j: the row of a^i, read at the
+    # powers, is the powers rotated by i.  Rows 1 and a hold by the walk.
+    if m > 2:
+        at_powers = itemgetter(*[p - 1 for p in powers])
+        cycle = tuple(powers) * 2
+        for i in range(2, m):
+            if at_powers(Q.cells[powers[i] - 1]) != cycle[i : i + m]:
                 raise NotPeriodicThroughIdentity(f"powers of {a} do not form a group")
     return m
 

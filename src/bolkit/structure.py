@@ -390,15 +390,22 @@ def identity_flags(
 
     Q is associative iff its middle nucleus is all of Q, so associativity is
     read off ``nuc``.  A group is left and right Bol, Moufang and left power
-    alternative, so on a group only commutativity is scanned.
+    alternative, and it is commutative iff its center is all of it, so on
+    a group no flag is scanned.
     """
-    group = len(nuc.middle) == Q.order
-    return tuple(
-        group
-        if name == "associative"
-        else (group and name in _GROUP_IDENTITIES) or check_identity(Q, name)
-        for name in names
-    )
+    n = Q.order
+    group = len(nuc.middle) == n
+
+    def holds(name: str) -> bool:
+        if name == "associative":
+            return group
+        if group and name in _GROUP_IDENTITIES:
+            return True
+        if group and name == "commutative":
+            return len(nuc.center) == n
+        return check_identity(Q, name)
+
+    return tuple(map(holds, names))
 
 
 def structure_report(Q: LoopTable) -> str:

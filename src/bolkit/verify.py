@@ -7,10 +7,12 @@ one-line summary.  Claim ids are stable identifiers.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable
 
 from . import catalog
@@ -43,6 +45,8 @@ from .iso import brute_force_isomorphic, classify, isomorphic
 from .loop_core import LoopTable, identity_perm, mul, power
 from .oracle import Order8Report, enumerate_all_loops, search_left_bol, summarize_order8
 from .structure import (
+    _gathers,
+    _opposite,
     check_identity,
     commutant,
     commutant_prime_part,
@@ -55,6 +59,16 @@ from .structure import (
 )
 
 RANDOM_SEED = 20160813  # fixed seed for the randomized battery
+
+# the power-law grid a^i b^j (i, j < 9), flattened row by row: the 25
+# columns a^m b^n (m, n < 5), and for each corner (k, l) with k, l < 5 the
+# window a^(k+m) b^(l+n) that the row of a^k b^l must show at them
+_GRID_COLUMNS = [9 * m + n for m in range(5) for n in range(5)]
+_GRID_WINDOWS = [
+    (9 * k + l, itemgetter(*[9 * k + l + c for c in _GRID_COLUMNS]))
+    for k in range(5)
+    for l in range(5)
+]
 
 
 @dataclass(frozen=True)
@@ -248,45 +262,53 @@ class VerificationSuite:
 
     @staticmethod
     def _commutant_property_battery(Q: LoopTable) -> bool:
+        """The Section 2 commutant facts, checked on whole rows and columns.
+
+        Power law: (a^k b^l)(a^m b^n) = a^(k+m) b^(l+n) for a, b in C and
+        0 <= k, l, m, n < 5.  With the grid G[i][j] = a^i b^j (i, j < 9),
+        the row of G[k][l] read at the 25 columns G[m][n] must equal the
+        window of the grid at offset (k, l).  The cube identities
+        (xb)a^3 = (xa^3)b = x(a^3 b) and (x^3 a)b = (x^3 b)a = x^3(ab) are
+        compared as whole columns: row y - 1 of the opposite table ``op``
+        is the column x -> x*y, and ``g[y - 1]`` reads a column at x*y for
+        every x.
+        """
+        cells = Q.cells
         com = commutant(Q)
         nuc = nuclei(Q)
         lnuc, rnuc = set(nuc.left), set(nuc.right)
         pw = {a: [power(Q, a, m) for m in range(9)] for a in com}
         for a in com:
+            rows = [cells[p - 1] for p in pw[a]]
             for b in com:
-                for k in range(5):
-                    for l in range(5):
-                        left = mul(Q, pw[a][k], pw[b][l])
-                        for m in range(5):
-                            for nn in range(5):
-                                rhs = mul(Q, pw[a][k + m], pw[b][l + nn])
-                                if mul(Q, left, mul(Q, pw[a][m], pw[b][nn])) != rhs:
-                                    return False
+                at_b = itemgetter(*[p - 1 for p in pw[b]])
+                grid = tuple(v for row in rows for v in at_b(row))
+                at_cols = itemgetter(*[grid[c] - 1 for c in _GRID_COLUMNS])
+                for corner, window in _GRID_WINDOWS:
+                    if at_cols(cells[grid[corner] - 1]) != window(grid):
+                        return False
         for c in com:
             if (mul(Q, c, c) in lnuc) != (c in rnuc):
                 return False
         for m in (1, 2, 3):
             if not is_subloop(Q, commutant_prime_part(Q, 2 * m)):
                 return False
+        op = _opposite(cells)
+        g = _gathers(op)
+        at_cubes = itemgetter(*[power(Q, x, 3) - 1 for x in Q.elements()])
         for a in com:
             a3 = pw[a][3]
             for b in com:
-                a3b = mul(Q, a3, b)
-                ab = mul(Q, a, b)
-                for x in Q.elements():
-                    xb = mul(Q, x, b)
-                    xa3 = mul(Q, x, a3)
-                    if not (
-                        mul(Q, xb, a3) == mul(Q, xa3, b) == mul(Q, x, a3b)
-                    ):
-                        return False
-                    x3 = power(Q, x, 3)
-                    if not (
-                        mul(Q, mul(Q, x3, a), b)
-                        == mul(Q, mul(Q, x3, b), a)
-                        == mul(Q, x3, ab)
-                    ):
-                        return False
+                if not (
+                    g[b - 1](op[a3 - 1]) == g[a3 - 1](op[b - 1]) == op[mul(Q, a3, b) - 1]
+                ):
+                    return False
+                if not (
+                    at_cubes(g[a - 1](op[b - 1]))
+                    == at_cubes(g[b - 1](op[a - 1]))
+                    == at_cubes(op[mul(Q, a, b) - 1])
+                ):
+                    return False
         return True
 
     def claim_sec4_condition_oracle(self) -> tuple[bool, str]:
@@ -460,3 +482,13 @@ def report_lines(results: list[ClaimResult], timings: bool = False) -> list[str]
     total = sum(r.passed for r in results)
     lines.append(f"claims passed: {total}/{len(results)}")
     return lines
+
+
+def report_json_lines(results: list[ClaimResult]) -> list[str]:
+    """One JSON object per claim, in suite order: id, passed, details, elapsed_s."""
+    return [
+        json.dumps(
+            {"id": r.claim_id, "passed": r.passed, "details": r.details, "elapsed_s": r.elapsed}
+        )
+        for r in results
+    ]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from bolkit.catalog import FIXTURE_ORDER8, fixture_text
@@ -6,6 +8,8 @@ from bolkit.errors import BadParams, BadSpec
 from bolkit.loop_core import parse_table
 from bolkit.structure import structure_report
 from bolkit.verify import ClaimResult, report_lines
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_report.txt"
 
 
 @pytest.fixture()
@@ -244,3 +248,26 @@ def test_order8_claim_propagates_budget_error():
     fns = {cid: fn for cid, _, fn in suite.claim_definitions()}
     with pytest.raises(SearchBudgetExceeded):
         fns["sec5-order8-oracle"]()
+
+
+def test_verify_paper_json(suite, monkeypatch, capsys):
+    import json
+
+    from bolkit import cli
+
+    # the session suite has the order-8 tables cached already
+    monkeypatch.setattr(cli, "VerificationSuite", lambda order8_budget=None: suite)
+    assert main(["verify-paper", "--json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["id"] for r in records] == [cid for cid, _, _ in suite.claim_definitions()]
+    assert len(records) == 13
+    assert all(set(r) == {"id", "passed", "details", "elapsed_s"} for r in records)
+    assert all(r["passed"] is True and r["elapsed_s"] >= 0 for r in records)
+    reference = (REFERENCE.read_text(encoding="utf-8").splitlines())[1:-1:2]
+    assert ["  " + r["details"] for r in records] == reference
+
+
+def test_verify_paper_json_excludes_timings(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify-paper", "--json", "--timings"])
+    capsys.readouterr()

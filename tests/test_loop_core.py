@@ -155,6 +155,39 @@ def test_element_order_not_power_associative():
         element_order(NPA5, 3)
 
 
+def reference_order(Q, a):
+    """The definition: the cycle of 1 under L_a has length m, and
+    a^i * a^j = a^(i+j mod m) for every i, j < m, checked product by product."""
+    powers = [1]
+    while mul(Q, a, powers[-1]) != 1:
+        powers.append(mul(Q, a, powers[-1]))
+    m = len(powers)
+    for i in range(m):
+        for j in range(m):
+            if mul(Q, powers[i], powers[j]) != powers[(i + j) % m]:
+                return errors.NotPeriodicThroughIdentity
+    return m
+
+
+def test_element_order_matches_the_definition():
+    from bolkit.catalog import property_catalog
+    from bolkit.oracle import enumerate_all_loops, search_left_bol
+
+    tables = [Q for n in range(1, 6) for Q in enumerate_all_loops(n)]
+    tables += property_catalog() + search_left_bol(6)
+    aperiodic = 0
+    for Q in tables:
+        for a in Q.elements():
+            expected = reference_order(Q, a)
+            try:
+                got = element_order(Q, a)
+            except errors.NotPeriodicThroughIdentity as exc:
+                got = type(exc)
+            assert got == expected, (Q.cells, a)
+            aperiodic += expected is errors.NotPeriodicThroughIdentity
+    assert aperiodic > 0  # the non-power-associative loops are covered
+
+
 def test_power_negative_requires_inverse():
     # element 3 of NPA5: 3*5 = 2 gives right inverse 5? actually check both sides
     bad = [

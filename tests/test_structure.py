@@ -12,6 +12,7 @@ from bolkit import errors
 from bolkit.catalog import (
     FIXTURE_ORDER8,
     FIXTURE_ORDER16,
+    dihedral_group,
     direct_product,
     load_fixture,
     property_catalog,
@@ -292,6 +293,10 @@ WIDE_TABLES: dict[str, Callable[[], LoopTable]] = {
     "Z2^5": lambda: elem_abelian_2(5),
     "Z8xZ4": lambda: direct_product(cyclic_group(8), cyclic_group(4)),
     "Z64": lambda: cyclic_group(64),
+    # nonabelian groups: associative but not commutative
+    "D3": lambda: dihedral_group(3),
+    "D8": lambda: dihedral_group(8),
+    "Z3xD4": lambda: direct_product(cyclic_group(3), dihedral_group(4)),
     **{
         f"order4n:{n}": functools.partial(build_named_example, "order4n", n=n)
         for n in range(8, 17)
