@@ -51,6 +51,8 @@ from .oracle import search_left_bol, summarize_order8
 from .structure import structure_report
 from .verify import VerificationSuite, report_json_lines, report_lines
 
+BUDGET_HELP = "order-8 search budget: candidate rows that reach propagation"
+
 
 def _load(path: str) -> LoopTable:
     with open(path, "r", encoding="utf-8") as fh:
@@ -245,11 +247,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("oracle", help="exhaustive searches")
     p.add_argument("target")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")
-    p.add_argument("--budget", type=int, default=None, help="order-8 search budget")
+    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     out = p.add_mutually_exclusive_group()
     out.add_argument("--timings", action="store_true", help="append per-claim timings")
     out.add_argument("--json", action="store_true", help="one JSON object per claim")

@@ -1,38 +1,53 @@
 """Exhaustive searches over small Cayley tables.
 
 The left-Bol search decides rows in index order, by branching or by
-propagation.  Whenever a row is decided, the Bol constraint is
-propagated: for decided rows a and b, the row of a*(b*a) is forced to
-equal the composite translation L_a L_b L_a, which either contradicts an
-existing row (prune), or decides a new row without branching.  Every
-ordered pair of decided rows is eventually processed, so a completed
-table satisfies the full left Bol identity by construction.
+propagation.  It branches on the first undecided row; propagation then
+forces, for a branched row g and a decided row x, the row of g*(x*g) to
+equal the composite translation L_g L_x L_g, which either contradicts an
+existing row (prune), or decides a new row without branching.
 
-The search branches on the first undecided row r.  Its candidates are
-filled left to right, values in increasing order, against the row and
-column usage, so they come in lexicographic order.  After each cell, the
-generator tests every cell that has just become computable in two rows
-the candidate forces:
+Only pairs whose outer row was branched on are checked.  Let S be the
+set of x with L_x L_y L_x = L_{x*(y*x)} for all y.  For x, w in S, put
+v = x*(w*x) and u = x*(y*x): then L_v L_y L_v = L_x L_w L_u L_w L_x, a
+left translation because w and x are in S, and evaluating it at 1 shows
+that it is L_{v*(y*v)}, so v is in S.  Every row the search does not
+branch on is forced as L_g L_x L_g, with g branched and x decided
+earlier, so once the pairs (g, x) hold for every branched g and every
+row x, the whole table is left Bol.  Propagation pops one newly decided
+row c at a time: a branched c is checked as (c, x) against every decided
+x, c included, and every c as (g, c) against each branched g decided
+before it; a row forced on the way joins the queue.  The same argument,
+applied to the decided rows, shows that after a successful propagation
+they are closed under (a, b) -> a*(b*a): propagation forces the same
+rows as checking every ordered pair would.
 
-- for each decided row b != 1, L_b L_r L_b, the row of c = b*(r*b).  Its
-  cell z is b*(r*(b*z)), known once the cells of row r at b and at b*z
-  are filled.  It must equal row c's cell if row c is decided, and row
-  r's own cell z if c = r; otherwise it must avoid the values column z
-  already holds and row r's cell z;
-- L_r L_r, the row of r*r (left Bol with y = 1), once the cell at r is
-  filled.
+The candidates for the branched row r are filled left to right, values
+in increasing order, against the row and column usage, so they come in
+lexicographic order.  Two kinds of test reject a prefix:
 
-Each test is one that propagation makes on the finished row, against
-rows decided before the branch, so a rejected prefix has no completion
-that propagation would accept.  Every candidate the generator yields
-still goes through propagation, which stays the one authority: the
-search finds the same tables, in the same lexicographic order, as a
-generator without the tests.  The tests reject most rows long before
-they are complete: 12,465 candidates reach propagation at order 8 and
-17,668 at order 9, where a plain column-consistent generator builds
-80,437 and 581,167.  The ``budget`` of ``search_left_bol`` counts the
-candidates that reach propagation, so a given budget covers about six
-times as much search as it would with the plain generator.
+- cycles: L_{x^k} = L_x^k in a left Bol loop (Robinson, 1966), so
+  x^k*z = z forces x^k = 1 and every cycle of L_r has length |r|.  A
+  value that closes a cycle of another length than the first cycle
+  closed is rejected, and so is one that leaves an open chain with at
+  least that many edges;
+- forced cells: after each cell, the generator tests every cell that has
+  just become computable in two rows the candidate forces.  For each
+  decided row b != 1, L_b L_r L_b is the row of c = b*(r*b); its cell z
+  is b*(r*(b*z)), known once the cells of row r at b and at b*z are
+  filled.  It must equal row c's cell if row c is decided, and row r's
+  own cell z if c = r; otherwise it must avoid the values column z
+  already holds and row r's cell z.  L_r L_r, the row of r*r (left Bol
+  with y = 1), is tested once the cell at r is filled.
+
+Both tests hold in every left Bol table, so a rejected prefix has no
+completion that is one.  Every candidate the generator yields still goes
+through propagation, which stays the one authority: the search finds the
+same tables, in the same lexicographic order, as a generator without the
+tests.  The tests reject most rows long before they are complete:
+12,081 candidates reach propagation at order 8 and 10,360 at order 9
+(12,465 and 17,668 without the cycle test, 80,437 and 581,167 for a
+plain column-consistent generator).  The ``budget`` of
+``search_left_bol`` counts the candidates that reach propagation.
 
 Symmetry is broken only by normalizing the identity to element 1, so the
 search counts identity-normalized tables, not isomorphism classes.
@@ -71,9 +86,10 @@ def _row_candidates(
     """Rows for element r, 0-based and in lex order, that no forced row refutes.
 
     Cells are decided left to right against the row and column usage.
-    After each cell, every cell of a row forced by the decided rows that
-    has just become computable is tested (see the module docstring); a
-    prefix that fails a test is not extended.
+    Each cell is tested against the cycle length of L_r, and then every
+    cell of a row forced by the decided rows that has just become
+    computable is tested (see the module docstring); a prefix that fails
+    a test is not extended.
     """
     n = len(rows)
     decided = [(b, rb, _inverse(rb)) for b, rb in enumerate(rows) if b and rb is not None]
@@ -124,55 +140,86 @@ def _row_candidates(
                     return False
         return True
 
-    def rec(p: int, used: int) -> Iterator[Row]:
+    def rec(p: int, used: int, cycle: int) -> Iterator[Row]:
+        # cycle: the length of the first cycle of L_r closed so far, 0 if none
         if p == n:
             yield tuple(row)
             return
+        # the chain of filled cells that ends at p: its start s and its edges
+        s = p
+        back = 0
+        while (used >> s) & 1:
+            s = at[s]
+            back += 1
         forbidden = used | col_used[p]
         for v in range(n):
-            if not (forbidden >> v) & 1:
-                row[p] = v
-                at[v] = p
-                if fits(p, used | (1 << v)):
-                    yield from rec(p + 1, used | (1 << v))
+            if (forbidden >> v) & 1:
+                continue
+            if v == s:  # p -> s closes a cycle of back + 1 edges
+                if cycle and back + 1 != cycle:
+                    continue
+                length = back + 1
+            else:
+                length = cycle
+                if cycle:  # p -> v joins two chains; walk to the end of v's
+                    k = back + 1
+                    z = v
+                    while z < p:
+                        z = row[z]
+                        k += 1
+                    if k >= cycle:
+                        continue
+            row[p] = v
+            at[v] = p
+            if fits(p, used | (1 << v)):
+                yield from rec(p + 1, used | (1 << v), length)
 
-    yield from rec(1, 1 << r)
+    yield from rec(1, 1 << r, 0)
 
 
 def _propagate(
     rows: list[Row | None],
     gathers: list[Callable[[Row], Row] | None],
     col_used: list[int],
-    pending: list[tuple[int, int]],
+    branched: tuple[int, ...],
 ) -> bool:
-    """Force rows implied by L_a L_b L_a = L_{a*(b*a)}; False on conflict.
+    """Force rows implied by L_g L_x L_g = L_{g*(x*g)} for branched g; False on conflict.
 
-    ``gathers[x]`` is ``itemgetter(*rows[x])`` for each decided row x, so
-    ``gathers[a](gathers[b](rows[a]))`` is the row of L_a L_b L_a.
+    ``branched`` lists the rows decided by branching, the one just decided
+    last.  Newly decided rows are queued and popped one at a time: the
+    branched row c is checked as (c, x) against every decided row x, c
+    included, and every row c, forced or branched, as (g, c) against each
+    branched g decided before it.  ``gathers[x]`` is
+    ``itemgetter(*rows[x])`` for each decided row x, so
+    ``gathers[g](gathers[x](rows[g]))`` is the row of L_g L_x L_g.
     """
     n = len(rows)
-    while pending:
-        a, b = pending.pop()
-        ra = rows[a]
-        c = ra[rows[b][a]]  # a*(b*a)
-        forced = gathers[a](gathers[b](ra))
-        rc = rows[c]
-        if rc is not None:
-            if rc != forced:
-                return False
-            continue
-        for z in range(n):
-            if (col_used[z] >> forced[z]) & 1:
-                return False
-        rows[c] = forced
-        gathers[c] = itemgetter(*forced)
-        for z in range(n):
-            col_used[z] |= 1 << forced[z]
-        for x in range(n):
-            if rows[x] is not None:
-                if x and x != c:
-                    pending.append((x, c))
-                pending.append((c, x))
+    r = branched[-1]
+    queue = [r]
+    while queue:
+        c = queue.pop()
+        if c == r:
+            pairs = [(r, x) for x in range(n) if rows[x] is not None]
+            pairs += [(g, r) for g in branched[:-1]]
+        else:
+            pairs = [(g, c) for g in branched]
+        for a, b in pairs:
+            ra = rows[a]
+            d = ra[rows[b][a]]  # a*(b*a)
+            forced = gathers[a](gathers[b](ra))
+            rd = rows[d]
+            if rd is not None:
+                if rd != forced:
+                    return False
+                continue
+            for z in range(n):
+                if (col_used[z] >> forced[z]) & 1:
+                    return False
+            rows[d] = forced
+            gathers[d] = itemgetter(*forced)
+            for z in range(n):
+                col_used[z] |= 1 << forced[z]
+            queue.append(d)
     return True
 
 
@@ -192,12 +239,14 @@ def search_left_bol(n: int, budget: int | None = None) -> list[LoopTable]:
         rows: list[Row | None],
         gathers: list[Callable[[Row], Row] | None],
         col_used: list[int],
+        branched: tuple[int, ...],
     ) -> None:
         nonlocal nodes
         r = next((i for i in range(n) if rows[i] is None), None)
         if r is None:
             found.append(tuple(rows))  # type: ignore[arg-type]
             return
+        branched2 = (*branched, r)
         for cand in _row_candidates(rows, r, col_used):
             nodes += 1
             if nodes > budget:
@@ -209,14 +258,8 @@ def search_left_bol(n: int, budget: int | None = None) -> list[LoopTable]:
             g2[r] = itemgetter(*cand)
             for z in range(n):
                 cu2[z] |= 1 << cand[z]
-            pending = [(r, r)]
-            for x in range(n):
-                if x != r and rows2[x] is not None:
-                    if x:
-                        pending.append((x, r))
-                    pending.append((r, x))
-            if _propagate(rows2, g2, cu2, pending):
-                dfs(rows2, g2, cu2)
+            if _propagate(rows2, g2, cu2, branched2):
+                dfs(rows2, g2, cu2, branched2)
 
     rows0: list[Row | None] = [None] * n
     rows0[0] = tuple(range(n))
@@ -224,10 +267,12 @@ def search_left_bol(n: int, budget: int | None = None) -> list[LoopTable]:
     if n > 1:  # itemgetter with one index returns a scalar; order 1 never branches
         gathers0[0] = itemgetter(*rows0[0])
     col_used0 = [1 << z for z in range(n)]
-    dfs(rows0, gathers0, col_used0)
+    dfs(rows0, gathers0, col_used0, ())
 
+    # tables share their rows, so each distinct row is labelled once
     label = tuple(range(1, n + 1)).__getitem__  # 0-based value -> element
-    return [LoopTable(n, tuple(tuple(map(label, row)) for row in raw)) for raw in found]
+    labelled = {row: tuple(map(label, row)) for row in {row for raw in found for row in raw}}
+    return [LoopTable(n, tuple(map(labelled.__getitem__, raw))) for raw in found]
 
 
 @dataclass(frozen=True)

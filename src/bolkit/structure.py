@@ -156,22 +156,27 @@ def _subloop_where(Q: LoopTable, test: Callable[[int], bool]) -> ElementSet:
 
     The span of the members found so far lies in N, so an element of the
     span is a member without a test; a member found outside it grows the
-    span to the subloop both generate.  On a group this tests at most
-    log2(n) members.  When a fails, no a*h with h in the span is tested
-    either: it is not in N, because a = (a*h)/h would be.
+    span to the subloop both generate.  The closure goes on from the
+    closed span, whose products are all known, so only products that
+    involve an element new to the span are formed.  On a group this tests
+    at most log2(n) members.  When a fails, no a*h with h in the span is tested either:
+    it is not in N, because a = (a*h)/h would be.
     """
-    span: ElementSet = (1,)
+    cells = Q.cells
+    span = {1}
+    known: list[int] = []
     decided = {1}
     for a in range(2, Q.order + 1):
         if a in decided:
             continue
         if test(a - 1):
-            span = generated_subloop(Q, (*span, a))
-            decided.update(span)
+            span.add(a)
+            _close(cells, span, known, [a])
+            decided |= span
         else:
-            row = Q.cells[a - 1]
+            row = cells[a - 1]
             decided.update(row[h - 1] for h in span)
-    return span
+    return tuple(sorted(span))
 
 
 def _left_nucleus(Q: LoopTable, cells: Rows, g: list[Callable[[Row], Row]]) -> ElementSet:
@@ -229,14 +234,23 @@ def generated_subloop(Q: LoopTable, S: ElementSet) -> ElementSet:
     frontier is multiplied once on each side by every element known so
     far, itself included, so every product of two members is formed once.
     """
-    cells = Q.cells
     members = {1}
     frontier = []
     for s in S:
         if s not in members:
             members.add(s)
             frontier.append(s)
-    known: list[int] = []  # members other than 1 already multiplied out
+    _close(Q.cells, members, [], frontier)
+    return tuple(sorted(members))
+
+
+def _close(cells: Rows, members: set[int], known: list[int], frontier: list[int]) -> None:
+    """Add to ``members`` every product of members, in place.
+
+    ``known`` lists the members other than 1 already multiplied out with
+    each other and ``frontier`` the members not yet multiplied out; every
+    member is in one of them or is 1.
+    """
     while frontier:
         a = frontier.pop()
         known.append(a)
@@ -251,7 +265,6 @@ def generated_subloop(Q: LoopTable, S: ElementSet) -> ElementSet:
             if v not in members:
                 members.add(v)
                 frontier.append(v)
-    return tuple(sorted(members))
 
 
 def is_subloop(Q: LoopTable, S: ElementSet) -> bool:

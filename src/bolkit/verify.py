@@ -268,10 +268,11 @@ class VerificationSuite:
         0 <= k, l, m, n < 5.  With the grid G[i][j] = a^i b^j (i, j < 9),
         the row of G[k][l] read at the 25 columns G[m][n] must equal the
         window of the grid at offset (k, l).  The cube identities
-        (xb)a^3 = (xa^3)b = x(a^3 b) and (x^3 a)b = (x^3 b)a = x^3(ab) are
-        compared as whole columns: row y - 1 of the opposite table ``op``
-        is the column x -> x*y, and ``g[y - 1]`` reads a column at x*y for
-        every x.
+        (xb)a^3 = (xa^3)b = x(a^3 b) and (x^3 a)b = x^3(ab) are compared as
+        whole columns: row y - 1 of the opposite table ``op`` is the column
+        x -> x*y, and ``g[y - 1]`` reads a column at x*y for every x.  Every
+        ordered pair is checked and ab = ba, so (x^3 b)a = x^3(ab) is the
+        check made for the pair (b, a).
         """
         cells = Q.cells
         com = commutant(Q)
@@ -303,11 +304,7 @@ class VerificationSuite:
                     g[b - 1](op[a3 - 1]) == g[a3 - 1](op[b - 1]) == op[mul(Q, a3, b) - 1]
                 ):
                     return False
-                if not (
-                    at_cubes(g[a - 1](op[b - 1]))
-                    == at_cubes(g[b - 1](op[a - 1]))
-                    == at_cubes(op[mul(Q, a, b) - 1])
-                ):
+                if at_cubes(g[a - 1](op[b - 1])) != at_cubes(op[mul(Q, a, b) - 1]):
                     return False
         return True
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bolkit import errors
+from bolkit import errors, oracle
 from bolkit.extensions import automorphism_group
 from bolkit.iso import classify
 from bolkit.oracle import enumerate_all_loops, search_left_bol
@@ -40,6 +40,38 @@ def test_search_order6_all_groups():
 def test_search_budget():
     with pytest.raises(errors.SearchBudgetExceeded):
         search_left_bol(6, budget=5)
+
+
+def test_search_budget_is_exact():
+    # the budget counts candidate rows that reach propagation; at order 7
+    # the cycle test passes only the 120 rows of L_2 that complete to Z7
+    for n, k in ((6, 117), (7, 120)):
+        assert search_left_bol(n, budget=k) == search_left_bol(n)
+        with pytest.raises(errors.SearchBudgetExceeded):
+            search_left_bol(n, budget=k - 1)
+
+
+def test_propagation_alone_completes_exactly_the_left_bol_loops(monkeypatch):
+    # offered only a loop's own rows, with no forward check, the search
+    # must complete the loop iff it is left Bol, and nothing that is not
+    own: list[tuple[int, ...]] = []
+
+    def own_row(rows, r, col_used):
+        row = own[r]
+        if not any((col_used[z] >> v) & 1 for z, v in enumerate(row)):
+            yield row
+
+    monkeypatch.setattr(oracle, "_row_candidates", own_row)
+    bol = 0
+    for n in range(1, 7):
+        for Q in enumerate_all_loops(n):
+            own[:] = [tuple(v - 1 for v in row) for row in Q.cells]
+            found = search_left_bol(n)
+            assert all(check_identity(T, "left_bol") for T in found)
+            is_bol = check_identity(Q, "left_bol")
+            assert (found == [Q]) == is_bol
+            bol += is_bol
+    assert bol == 93
 
 
 def test_search_order7_cyclic_only():
