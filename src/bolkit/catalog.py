@@ -19,12 +19,13 @@ from .extensions import (
     cyclic_group,
     elem_abelian_2,
     example_name,
+    inversion_aut,
     named_extension,
     trivial_cocycle,
     trivial_tau,
 )
 from .gf2 import build_exceptional, build_q9
-from .loop_core import LoopTable, identity_perm, inverse, parse_table
+from .loop_core import LoopTable, identity_perm, parse_table
 
 # the nine-bit tuples singled out as pairwise non-isomorphic representatives
 Q9_REPRESENTATIVE_TUPLES: tuple[tuple[int, ...], ...] = (
@@ -82,8 +83,7 @@ def dihedral_inputs(n: int) -> tuple[GroupTable, LoopTable, TauMap, Cocycle]:
     """D_n as the semidirect product of Z_n by Z_2 acting by inversion."""
     K = cyclic_group(n)
     E = cyclic_group(2)
-    inv = tuple(inverse(K, u) for u in K.elements())
-    tau = TauMap(E, K, (identity_perm(n), inv))
+    tau = TauMap(E, K, (identity_perm(n), inversion_aut(K)))
     return K, E, tau, trivial_cocycle(K, E)
 
 

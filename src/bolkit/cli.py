@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BadSpec, BolkitError
+from .errors import BadSpec, BolkitError, Malformed
 from .extensions import (
     GroupTable,
     TauMap,
@@ -56,17 +56,33 @@ BUDGET_HELP = "order-8 search budget: candidate rows that reach propagation"
 
 def _load(path: str) -> LoopTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_table(fh.read(), name=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise Malformed(f"not UTF-8 text: {exc}") from None
+    return parse_table(text, name=path)
+
+
+def _spec_int(field: str, error: str) -> int:
+    """An ASCII-digit spec field as an int, else BadSpec(error).
+
+    ``str.isdigit`` also passes "²", and ``int`` rejects over 4300 digits.
+    """
+    if field.isascii() and field.isdigit():
+        try:
+            return int(field)
+        except ValueError:
+            pass
+    raise BadSpec(error)
 
 
 def _parse_group(token: str) -> GroupTable:
     kind, _, num = token.partition(":")
-    if not num.isdigit():
-        raise BadSpec(f"bad group spec {token!r}")
+    size = _spec_int(num, f"bad group spec {token!r}")
     if kind == "cyclic":
-        return cyclic_group(int(num))
+        return cyclic_group(size)
     if kind == "elem2":
-        return elem_abelian_2(int(num))
+        return elem_abelian_2(size)
     raise BadSpec(f"unknown group kind {kind!r}")
 
 
@@ -92,13 +108,11 @@ def construct_from_spec(spec: str) -> LoopTable:
                 raise BadSpec(f"{name} takes no parameter")
             return build_named_example(name)
         if name == "order4n":
-            if not arg.isdigit():
-                raise BadSpec("order4n:N needs an integer N")
-            return build_named_example("order4n", n=int(arg))
+            n = _spec_int(arg, "order4n:N needs an integer N")
+            return build_named_example("order4n", n=n)
         if name == "commutant":
-            if not arg.isdigit():
-                raise BadSpec("commutant:K needs an integer K")
-            return build_named_example("commutant_order", k=int(arg))
+            k = _spec_int(arg, "commutant:K needs an integer K")
+            return build_named_example("commutant_order", k=k)
         raise BadSpec(f"unknown named example {rest[0]!r}")
     if head == "semidirect":
         fields = dict(w.partition("=")[::2] for w in rest)
@@ -110,13 +124,11 @@ def construct_from_spec(spec: str) -> LoopTable:
         if fields["tau"] == "trivial":
             indices = [0] * E.order
         else:
-            try:
-                indices = [int(t) for t in fields["tau"].split(",")]
-            except ValueError:
-                raise BadSpec("tau must be 'trivial' or comma-separated indices") from None
+            error = "tau must be 'trivial' or comma-separated indices"
+            indices = [_spec_int(t, error) for t in fields["tau"].split(",")]
         if len(indices) != E.order:
             raise BadSpec(f"tau needs {E.order} indices, got {len(indices)}")
-        if any(i < 0 or i >= len(auts) for i in indices):
+        if any(i >= len(auts) for i in indices):
             raise BadSpec(f"tau indices must be in 0..{len(auts) - 1}")
         tau = TauMap(E, K, tuple(auts[i] for i in indices))
         return build_semidirect(K, E, tau, name=f"semidirect({fields['K']},{fields['E']})")

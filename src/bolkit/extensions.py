@@ -325,43 +325,44 @@ def ker_fix(tau: TauMap) -> KerFix:
     return KerFix(ker, fix)
 
 
-def _inversion_aut(K: GroupTable) -> Permutation:
+def inversion_aut(K: GroupTable) -> Permutation:
+    """u -> u^-1, an automorphism of the abelian group K."""
     return tuple(inverse(K, u) for u in K.elements())
+
+
+def _order4n_inputs(n: int) -> tuple[GroupTable, LoopTable, TauMap, Cocycle]:
+    """K = Zn, E = (Z2)^2, tau the inversion at e1e2 and the identity elsewhere."""
+    e4 = elem_abelian_2(2)
+    K = cyclic_group(n)
+    tau = TauMap(e4, K, (identity_perm(n),) * 3 + (inversion_aut(K),))
+    return K, e4, tau, trivial_cocycle(K, e4)
 
 
 def named_extension(name: str, **params: int) -> tuple[GroupTable, LoopTable, TauMap, Cocycle]:
     """Ingredients (K, E, tau, f) for the named example families.
 
-    order12:        K = Z3, E = (Z2)^2, tau nontrivial only at e1e2.
-    order16cyclic:  K = Z4, same tau shape (inversion at e1e2).
-    order16elem:    K = (Z2)^2, tau_{e1e2}: k1 -> k1, k2 -> k1k2.
+    order12:        order4n at n = 3.
+    order16cyclic:  order4n at n = 4.
+    order16elem:    K = (Z2)^2, E = (Z2)^2, tau_{e1e2}: k1 -> k1, k2 -> k1k2.
     order4n:        K = Zn (n > 2), E = (Z2)^2, inversion at e1e2.
     commutant_order: K = Z3, E = (Z2)^m with 2^m > k, |Ker(tau)| = k.
     """
-    e4 = elem_abelian_2(2)
-    ident4 = identity_perm(4)
     if name == "order12":
-        K = cyclic_group(3)
-        tau = TauMap(e4, K, (identity_perm(3),) * 3 + (_inversion_aut(K),))
-        return K, e4, tau, trivial_cocycle(K, e4)
+        return _order4n_inputs(3)
     if name == "order16cyclic":
-        K = cyclic_group(4)
-        tau = TauMap(e4, K, (ident4,) * 3 + (_inversion_aut(K),))
-        return K, e4, tau, trivial_cocycle(K, e4)
+        return _order4n_inputs(4)
     if name == "order16elem":
-        K = elem_abelian_2(2)
+        K = e4 = elem_abelian_2(2)
         # masks: k1 = 1, k2 = 2; k1 -> k1, k2 -> k1k2 extends linearly
         phi = (1, 2, 4, 3)
-        tau = TauMap(e4, K, (ident4,) * 3 + (phi,))
+        tau = TauMap(e4, K, (identity_perm(4),) * 3 + (phi,))
         return K, e4, tau, trivial_cocycle(K, e4)
     if name == "order4n":
         n = params.get("n", 0)
         if n <= 2:
             raise BadParams("order4n requires n > 2")
         check_order(4 * n)
-        K = cyclic_group(n)
-        tau = TauMap(e4, K, (identity_perm(n),) * 3 + (_inversion_aut(K),))
-        return K, e4, tau, trivial_cocycle(K, e4)
+        return _order4n_inputs(n)
     if name == "commutant_order":
         k = params.get("k", 0)
         if k <= 2:
@@ -372,7 +373,7 @@ def named_extension(name: str, **params: int) -> tuple[GroupTable, LoopTable, Ta
         check_order(3 << m)
         E = elem_abelian_2(m)
         K = cyclic_group(3)
-        phi = _inversion_aut(K)
+        phi = inversion_aut(K)
         kernel = _kernel_masks(k, m)
         assignment = tuple(
             identity_perm(3) if (a - 1) in kernel else phi for a in E.elements()

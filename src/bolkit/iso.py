@@ -34,12 +34,12 @@ from typing import Iterator, NamedTuple
 
 from .errors import NotPeriodicThroughIdentity
 from .loop_core import LoopTable, Permutation, element_order
-from .structure import _opposite, commutant, identity_flags, involution_count, nuclei
+from .structure import IDENTITY_NAMES, _opposite, commutant, identity_flags, involution_count, nuclei
 
 # order_spectrum sentinel for elements whose powers do not form a group
 ORDER_UNDEFINED = 0
 
-PROFILE_FLAGS = ("left_bol", "right_bol", "moufang", "associative", "commutative")
+PROFILE_FLAGS = IDENTITY_NAMES[:5]  # all but left_power_alternative
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class IsoProfile:
     rnuc_size: int
     center_size: int
     involutions: int
-    flags: int  # bit i set iff PROFILE_FLAGS[i] holds
+    flags: tuple[str, ...]  # the PROFILE_FLAGS that hold, in that order
 
 
 def _safe_order(Q: LoopTable, a: int) -> int:
@@ -66,24 +66,17 @@ def _safe_order(Q: LoopTable, a: int) -> int:
 
 def invariant_profile(Q: LoopTable) -> IsoProfile:
     nuc = nuclei(Q)
-    holds = identity_flags(Q, nuc, PROFILE_FLAGS)
-    flags = sum(1 << i for i, h in enumerate(holds) if h)
+    com = commutant(Q)
     return IsoProfile(
         order=Q.order,
         order_spectrum=tuple(sorted(_safe_order(Q, a) for a in Q.elements())),
-        commutant_size=len(commutant(Q)),
+        commutant_size=len(com),
         lnuc_size=len(nuc.left),
         mnuc_size=len(nuc.middle),
         rnuc_size=len(nuc.right),
         center_size=len(nuc.center),
         involutions=involution_count(Q),
-        flags=flags,
-    )
-
-
-def profile_flag_names(profile: IsoProfile) -> tuple[str, ...]:
-    return tuple(
-        name for i, name in enumerate(PROFILE_FLAGS) if profile.flags >> i & 1
+        flags=tuple(name for name, h in zip(PROFILE_FLAGS, identity_flags(Q, nuc, com)) if h),
     )
 
 
@@ -304,7 +297,7 @@ def classification_report(loops: list[LoopTable], classes: list[IsoClass]) -> st
             f" lnuc={prof.lnuc_size} mnuc={prof.mnuc_size} rnuc={prof.rnuc_size}"
             f" center={prof.center_size}"
             f" involutions={prof.involutions}"
-            f" flags={'+'.join(profile_flag_names(prof)) or '-'}"
+            f" flags={'+'.join(prof.flags) or '-'}"
         )
         name = rep.name or f"#{cls.representative}"
         lines.append(

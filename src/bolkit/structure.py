@@ -12,15 +12,13 @@ the opposite table (the transpose): right Bol is left Bol of the opposite
 loop, the right nucleus is its left nucleus.  Nothing is cached on the
 table, so each call pays O(n^2) to build its gathers.
 
-What stays cubic: the left Bol, right Bol, Moufang and associativity
-scans of ``check_identity``, which compare n^2 pairs of rows when the
-identity holds.  ``structure_report`` avoids them on groups: each nucleus
-is a subloop and is found by closure, testing only elements outside the
-span of the members found so far, and a loop whose middle nucleus is all
-of Q is a group, whose identity flags need no scan (``identity_flags``).
-On a nonassociative loop the left and right Bol and Moufang scans still
-run, and run to the end on a Bol loop.  The left-power-alternative check
-walks one cycle per cyclic subloop, not one per element.
+What stays cubic: the left and right Bol scans, which compare n^2 pairs
+of rows and run to the end on a Bol loop.  They are the only identity
+scans of ``structure_report``, and a group skips them (``identity_flags``).
+Each nucleus is a subloop and is found by closure, testing only elements
+outside the span of the members found so far; a loop whose middle nucleus
+is all of Q is a group.  The left-power-alternative check walks one cycle
+per cyclic subloop, not one per element.
 """
 
 from __future__ import annotations
@@ -72,14 +70,13 @@ def _gathers(cells: Rows) -> list[Callable[[Row], Row]]:
     return [itemgetter(*[v - 1 for v in row]) for row in cells]
 
 
-def _bol_rows(cells: Rows, moufang: bool) -> bool:
-    """L_x L_y L_x = L_c for all x, y: c = x*(y*x) (left Bol) or (x*y)*x."""
+def _left_bol(cells: Rows) -> bool:
+    """L_x L_y L_x = L_{x*(y*x)} for all x, y."""
     g = _gathers(cells)
     for x, rx in enumerate(cells):
         gx = g[x]
         for y, ry in enumerate(cells):
-            c = cells[rx[y] - 1][x] if moufang else rx[ry[x] - 1]
-            if gx(g[y](rx)) != cells[c - 1]:
+            if gx(g[y](rx)) != cells[rx[ry[x] - 1] - 1]:
                 return False
     return True
 
@@ -95,16 +92,17 @@ def check_identity(Q: LoopTable, which: str) -> bool:
     The cubic identities are one row-composition kernel: for each pair
     (x, y) a gather of whole rows (see ``_gathers``) is compared with the
     row of the element the word names, e.g. L_x L_y L_x with the row of
-    x*(y*x).  right_bol is left_bol of the opposite loop.  Returns on the
-    first failing pair.
+    x*(y*x).  right_bol is left_bol of the opposite loop, and a loop is
+    Moufang iff it is both left and right Bol (Robinson, *Bol loops*,
+    Trans. AMS 123, 1966).  Returns on the first failing pair.
     """
     cells = Q.cells
     if which == "left_bol":
-        return _bol_rows(cells, moufang=False)
+        return _left_bol(cells)
     if which == "right_bol":
-        return _bol_rows(_opposite(cells), moufang=False)
+        return _left_bol(_opposite(cells))
     if which == "moufang":
-        return _bol_rows(cells, moufang=True)
+        return _left_bol(cells) and _left_bol(_opposite(cells))
     if which == "associative":
         # L_y then L_x is L_{x*y}
         g = _gathers(cells)
@@ -392,33 +390,23 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-# the identities every group satisfies, associativity aside
-_GROUP_IDENTITIES = frozenset({"left_bol", "right_bol", "moufang", "left_power_alternative"})
+def identity_flags(Q: LoopTable, nuc: Nuclei, com: ElementSet) -> tuple[bool, ...]:
+    """``check_identity(Q, name)`` for each of ``IDENTITY_NAMES``, given
+    ``nuc = nuclei(Q)`` and ``com = commutant(Q)``.
 
-
-def identity_flags(
-    Q: LoopTable, nuc: Nuclei, names: tuple[str, ...] = IDENTITY_NAMES
-) -> tuple[bool, ...]:
-    """``check_identity(Q, name)`` for each name, given ``nuc = nuclei(Q)``.
-
-    Q is associative iff its middle nucleus is all of Q, so associativity is
-    read off ``nuc``.  A group is left and right Bol, Moufang and left power
-    alternative, and it is commutative iff its center is all of it, so on
-    a group no flag is scanned.
+    Q is associative iff its middle nucleus is all of Q, and commutative
+    iff its commutant is.  A group is left and right Bol, a loop is Moufang
+    iff it is both (``check_identity``), and a left Bol loop is left power
+    alternative (``oracle`` module docstring), so only left and right Bol
+    are scanned, on a loop that is not a group, and the cycle walk runs
+    only on a loop that is not left Bol.
     """
     n = Q.order
     group = len(nuc.middle) == n
-
-    def holds(name: str) -> bool:
-        if name == "associative":
-            return group
-        if group and name in _GROUP_IDENTITIES:
-            return True
-        if group and name == "commutative":
-            return len(nuc.center) == n
-        return check_identity(Q, name)
-
-    return tuple(map(holds, names))
+    left = group or check_identity(Q, "left_bol")
+    right = group or check_identity(Q, "right_bol")
+    lpa = left or check_identity(Q, "left_power_alternative")
+    return left, right, left and right, group, len(com) == n, lpa
 
 
 def structure_report(Q: LoopTable) -> str:
@@ -429,7 +417,7 @@ def structure_report(Q: LoopTable) -> str:
         f"name: {Q.name or '-'}",
         f"order: {Q.order}",
     ]
-    for ident, holds in zip(IDENTITY_NAMES, identity_flags(Q, nuc)):
+    for ident, holds in zip(IDENTITY_NAMES, identity_flags(Q, nuc, com)):
         lines.append(f"{ident}: {_fmt_bool(holds)}")
     lines.extend(
         [

@@ -76,6 +76,14 @@ def test_check_corrupted_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "latin1.tbl"
+    p.write_bytes(b"# caf\xe9\n2\n1 2\n2 1\n")
+    for argv in (["check", str(p)], ["classify", str(p)], ["iso", str(p), str(p)]):
+        assert main(argv) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/nowhere.tbl"]) == 2
 
@@ -127,6 +135,13 @@ def test_construct_bad_specs(capsys):
         "semidirect K=cyclic:3 E=elem2:2 tau=0,0,0",
         "semidirect K=cyclic:3 E=elem2:2 tau=0,0,0,9",
         "semidirect K=weird:3 E=elem2:2 tau=trivial",
+        # not ASCII digits int() reads: isdigit() passes ² ① ³, int() reads -1 and ١
+        "named order4n:²",
+        "named commutant:①",
+        "semidirect K=cyclic:³ E=cyclic:2 tau=trivial",
+        "semidirect K=cyclic:3 E=elem2:2 tau=0,0,0,-1",
+        "semidirect K=cyclic:3 E=elem2:2 tau=0,0,0,١",
+        "named order4n:" + "9" * 5000,
     ):
         with pytest.raises(BadSpec):
             construct_from_spec(spec)
@@ -134,6 +149,7 @@ def test_construct_bad_specs(capsys):
         construct_from_spec("named order4n:2")
     assert main(["construct", "q9 01"]) == 2
     assert main(["construct", "named order4n:2"]) == 2
+    assert main(["construct", "named commutant:①"]) == 2
 
 
 @pytest.mark.parametrize(

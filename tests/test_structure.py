@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bolkit import errors
+from bolkit import errors, structure
 from bolkit.catalog import (
     FIXTURE_ORDER8,
     FIXTURE_ORDER16,
@@ -21,7 +21,7 @@ from bolkit.catalog import (
 )
 from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
 from bolkit.gf2 import build_exceptional
-from bolkit.loop_core import LoopTable, compose, mul, parse_table
+from bolkit.loop_core import LoopTable, compose, inverse, mul, parse_table
 from bolkit.oracle import enumerate_all_loops
 from bolkit.structure import (
     IDENTITY_NAMES,
@@ -251,7 +251,7 @@ def _assert_kernel_matches_oracle(Q: LoopTable, right_regular: bool = True) -> N
     assert tuple(check_identity(Q, name) for name in IDENTITY_NAMES) == expected, Q.cells
     nuc = nuclei(Q)
     assert nuc == _oracle_nuclei(Q), Q.cells
-    assert identity_flags(Q, nuc) == expected, Q.cells
+    assert identity_flags(Q, nuc, commutant(Q)) == expected, Q.cells
     if not right_regular:
         return
     for s in Q.elements():
@@ -270,15 +270,53 @@ def _assert_kernel_matches_oracle(Q: LoopTable, right_regular: bool = True) -> N
 MIDDLE3_TEXT = "6\n1 2 3 4 5 6\n2 1 4 5 6 3\n3 4 5 6 1 2\n4 5 6 3 2 1\n5 6 1 2 3 4\n6 3 2 1 4 5"
 
 
+def _chein_loop(G: LoopTable) -> LoopTable:
+    """M(G, 2) on G and Gu, u = element n + 1: gh, g(hu) = (hg)u,
+    (gu)h = (gh^-1)u, (gu)(hu) = h^-1 g.  Moufang; a group iff G is abelian."""
+    n = G.order
+    cells = [[0] * 2 * n for _ in range(2 * n)]
+    for g in G.elements():
+        for h in G.elements():
+            hi = inverse(G, h)
+            cells[g - 1][h - 1] = mul(G, g, h)
+            cells[g - 1][n + h - 1] = n + mul(G, h, g)
+            cells[n + g - 1][h - 1] = n + mul(G, g, hi)
+            cells[n + g - 1][n + h - 1] = mul(G, hi, g)
+    return LoopTable.from_cells(cells)
+
+
+def _steiner_loop_ag23() -> LoopTable:
+    """The Steiner loop of the affine plane AG(2,3): element 2 + 3a + b is
+    the point (a, b) of Z3^2, x*x = 1 and x*y = -(x+y), the third point of
+    the line through x and y."""
+    points = [(a, b) for a in range(3) for b in range(3)]
+    cells = [list(range(1, 11))]
+    for x in points:
+        row = [2 + points.index(x)]
+        for y in points:
+            z = ((-x[0] - y[0]) % 3, (-x[1] - y[1]) % 3)
+            row.append(1 if x == y else 2 + points.index(z))
+        cells.append(row)
+    return LoopTable.from_cells(cells)
+
+
 def test_kernel_matches_oracle_on_all_small_loops():
     answers = set()
     tables = [*enumerate_all_loops(1), *enumerate_all_loops(4), *enumerate_all_loops(5)]
-    for Q in [*tables, parse_table(NPA_TEXT), parse_table(MIDDLE3_TEXT)]:
+    chein, steiner = _chein_loop(dihedral_group(3)), _steiner_loop_ag23()
+    for Q in [*tables, parse_table(NPA_TEXT), parse_table(MIDDLE3_TEXT), chein, steiner]:
         _assert_kernel_matches_oracle(Q)
         answers.update((name, check_identity(Q, name)) for name in IDENTITY_NAMES)
     # every identity both holds and fails somewhere, so no comparison is vacuous
     assert answers == {(name, b) for name in IDENTITY_NAMES for b in (True, False)}
     assert nuclei(parse_table(MIDDLE3_TEXT)).middle == (1, 3, 5)
+    # Moufang but not a group, so Moufang is not read off the middle nucleus
+    flags = [check_identity(chein, name) for name in IDENTITY_NAMES]
+    assert flags == [True, True, True, False, False, True] and commutant(chein) == (1,)
+    # commutative with center {1}, left power alternative but not Bol
+    flags = [check_identity(steiner, name) for name in IDENTITY_NAMES]
+    assert flags == [False, False, False, False, True, True]
+    assert nuclei(steiner).center == (1,)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -331,6 +369,26 @@ def test_nucleus_closure_tests_only_outside_the_span():
 
             assert _subloop_where(Q, test) == N
             assert len(tested) == len(set(tested)) <= 6 + Q.order // len(N)
+
+
+def test_structure_report_scans_only_left_and_right_bol(monkeypatch):
+    # every other identity flag is derived: none on a group, and on a
+    # nonassociative Bol loop one left Bol scan of Q and one of its opposite
+    scanned = []
+    left_bol = structure._left_bol
+
+    def counted(cells):
+        scanned.append(cells)
+        return left_bol(cells)
+
+    monkeypatch.setattr(structure, "_left_bol", counted)
+    for Q in (cyclic_group(12), dihedral_group(4), elem_abelian_2(3)):
+        structure_report(Q)
+    assert scanned == []
+    for Q in (load_fixture(FIXTURE_ORDER8), _chein_loop(dihedral_group(3))):
+        scanned.clear()
+        structure_report(Q)
+        assert scanned == [Q.cells, _opposite(Q.cells)]
 
 
 def _abelian_report(Q: LoopTable, involutions: int) -> str:
