@@ -46,7 +46,7 @@ from .extensions import (
 )
 from .gf2 import build_exceptional, build_q9, enumerate_q9
 from .iso import classification_report, classify, find_isomorphism
-from .loop_core import LoopTable, parse_table, render
+from .loop_core import LoopTable, decimal_ints, parse_table, render
 from .oracle import search_left_bol, summarize_order8
 from .structure import structure_report
 from .verify import VerificationSuite, report_json_lines, report_lines
@@ -64,16 +64,12 @@ def _load(path: str) -> LoopTable:
 
 
 def _spec_int(field: str, error: str) -> int:
-    """An ASCII-digit spec field as an int, else BadSpec(error).
-
-    ``str.isdigit`` also passes "²", and ``int`` rejects over 4300 digits.
-    """
-    if field.isascii() and field.isdigit():
-        try:
-            return int(field)
-        except ValueError:
-            pass
-    raise BadSpec(error)
+    """A spec field of ASCII decimal digits as an int, else BadSpec(error)."""
+    try:
+        [value] = decimal_ints([field])
+    except ValueError:
+        raise BadSpec(error) from None
+    return value
 
 
 def _parse_group(token: str) -> GroupTable:
@@ -155,8 +151,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {Q.name or 'table'} ({Q.order}x{Q.order}) to {args.output}")
     return 0
 

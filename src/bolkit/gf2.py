@@ -4,8 +4,10 @@ Vectors of (Z_2)^n are int bitmasks 0..2^n-1; bit i is the coefficient of
 the basis vector e_{i+1}.  A CMap holds c(e, e_i) for every vector e and
 basis column i; its associated cocycle extends it right-additively.
 
-Loops built from a cocycle f live on pairs (u, a) with u in Z_2 and
-a in (Z_2)^n, multiplied by (u,a)(v,b) = (u+v+f(a,b), a+b) and encoded as
+The loop of a cocycle f is the extension Q(Z_2, (Z_2)^n, 1, f) built by
+``extensions.build_extension`` (with f's bits moved to the elements 1, 2
+of Z_2): pairs (u, a) with u in Z_2 and a in (Z_2)^n, multiplied by
+(u,a)(v,b) = (u+v+f(a,b), a+b) and encoded as
 
     idx(u, a) = 1 + u + 2*a        (a as bitmask)
 
@@ -20,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BadParams, TooLarge
+from .extensions import Cocycle, build_extension, cyclic_group, elem_abelian_2, trivial_tau
 from .loop_core import LoopTable
 
 MAX_GL_DIM = 4
@@ -121,19 +124,9 @@ def e2k2_bol_check(f: GF2Cocycle) -> bool:
 
 def cocycle_loop(f: GF2Cocycle, name: str | None = None) -> LoopTable:
     """Order 2^(n+1) table on pairs (u, a): (u,a)(v,b) = (u+v+f(a,b), a+b)."""
-    size = 1 << f.dim
-    n = 2 * size
-    cells = [[0] * n for _ in range(n)]
-    for a in range(size):
-        fa = f.values[a]
-        for u in range(2):
-            row = cells[u + 2 * a]
-            for b in range(size):
-                w = fa[b]
-                ab = a ^ b
-                for v in range(2):
-                    row[v + 2 * b] = 1 + (u ^ v ^ w) + 2 * ab
-    return LoopTable.from_cells(cells, name=name)
+    K, E = cyclic_group(2), elem_abelian_2(f.dim)
+    values = tuple(tuple(v + 1 for v in row) for row in f.values)
+    return build_extension(K, E, trivial_tau(K, E), Cocycle(E, K, values), name=name)
 
 
 def q9_cmap(bits: tuple[int, ...]) -> CMap:

@@ -2,26 +2,25 @@
 
 One search engine, ``_isomorphisms``, lists the isomorphisms between two
 tables in lexicographic image order.  It maps the least unmapped element
-to each candidate image (same element order and local invariant) in
-increasing order and closes the partial map under products with
+to each candidate image (same element order and commuting-partner count)
+in increasing order and closes the partial map under products with
 ``extend_partial_hom``.  ``find_isomorphism`` takes its first map, which
 is the lexicographically least; ``isomorphic`` and ``classify`` ask
 whether a first map exists; ``extensions.automorphism_group`` takes all
-of them.  An element's local invariant is its number of commuting
-partners followed by the table's order spectrum, the sorted element
-orders.  The spectrum is the same for every element: each row of a
-Latin square is a permutation of Q, so the sorted orders along any row
-are the spectrum, and it is sorted once per table.
+of them.
 
-``classify`` keys each table by its order and sorted local invariants,
-computed once per table, and searches only between equal keys.  Invariant
-profiles (identity flags, nuclei, commutant: cubic scans) screen only the
-pairs given to ``isomorphic`` and ``find_isomorphism``; in a batch they
-would cost more than the searches they save.  The commuting-partner count
-keeps the key as sharp as the profile on the catalog: without it,
-Z2^2xZ2^2 (20160 automorphisms) shares a key with q9_000000000 and
-exceptional16, and a failed search between them takes 10 to 80 ms, where
-a profile of order 16 takes under 1 ms.
+Each table gets one record, ``_element_data``: per element its order and
+its number of commuting partners, and the table's key, its order and the
+sorted pairs.  The key is O(n^2) to compute and an isomorphism
+invariant.  ``classify`` searches only between tables with equal keys.
+``isomorphic`` and ``find_isomorphism`` screen a pair by its orders,
+then its keys, and only then by invariant profiles (identity flags,
+nuclei, commutant: cubic scans); in a batch the profiles would cost more
+than the searches they save.  The commuting-partner count keeps the key
+as sharp as the profile on the catalog: without it, Z2^2xZ2^2 (20160
+automorphisms) shares a key with q9_000000000 and exceptional16, and a
+failed search between them takes 10 to 80 ms, where a profile of order
+16 takes under 1 ms.
 There are no canonical forms: tables of order <= 16 and batches of a few
 thousand are the intended scale.
 """
@@ -81,22 +80,20 @@ def invariant_profile(Q: LoopTable) -> IsoProfile:
 
 
 class _ElementData(NamedTuple):
-    """Per-table data the iso search reads, indexed by element - 1."""
+    """The per-table record the iso search reads."""
 
-    orders: tuple[int, ...]  # element orders, ORDER_UNDEFINED if aperiodic
-    # #{b : a*b = b*a}, then the order spectrum (the same for every a)
-    local: tuple[tuple[int, ...], ...]
+    # (element order, #{b : a*b = b*a}) for each a, indexed by a - 1; the
+    # order is ORDER_UNDEFINED when the powers of a do not form a group
+    local: tuple[tuple[int, int], ...]
+    key: tuple[int, tuple[tuple[int, int], ...]]  # (order, sorted local)
 
 
 def _element_data(Q: LoopTable) -> _ElementData:
-    """Element orders and per-element local invariants, computed together."""
-    orders = tuple(_safe_order(Q, a) for a in Q.elements())
-    spectrum = sorted(orders)
     local = tuple(
-        (sum(map(int.__eq__, row, col)), *spectrum)
-        for row, col in zip(Q.cells, _opposite(Q.cells))
+        (_safe_order(Q, a), sum(map(int.__eq__, row, col)))
+        for a, row, col in zip(Q.elements(), Q.cells, _opposite(Q.cells))
     )
-    return _ElementData(orders, local)
+    return _ElementData(local, (Q.order, tuple(sorted(local))))
 
 
 # (img, used, known): see extend_partial_hom
@@ -167,15 +164,14 @@ def _isomorphisms(
     candidate image in increasing order and closes the map under products.
     Elements below the branch element are already mapped, so sibling
     subtrees differ first at that element and the maps come out sorted.
-    Candidates share the element order and local invariant.
+    Candidates share the element's entry in ``local``; the two records
+    have equal keys.
     """
     n = Q1.order
-    if Q2.order != n:
-        return
-    images: dict[tuple, list[int]] = {}
+    images: dict[tuple[int, int], list[int]] = {}
     for y in range(2, n + 1):
-        images.setdefault((d2.orders[y - 1], d2.local[y - 1]), []).append(y)
-    candidates = [images.get((d1.orders[x - 1], d1.local[x - 1]), []) for x in range(1, n + 1)]
+        images.setdefault(d2.local[y - 1], []).append(y)
+    candidates = [images.get(v, []) for v in d1.local]
     img = [0] * (n + 1)
     img[1] = 1
     used = [False] * (n + 1)
@@ -197,19 +193,15 @@ def _isomorphisms(
     yield from search((img, used, [1]), 2)
 
 
-def _class_key(Q: LoopTable, data: _ElementData) -> tuple:
-    """What ``classify`` compares before it searches: order and sorted local invariants."""
-    return Q.order, tuple(sorted(data.local))
-
-
 def _screen(Q1: LoopTable, Q2: LoopTable) -> tuple[_ElementData, _ElementData] | None:
-    """Per-table data of both loops, or None when an invariant tells them apart."""
+    """Records of both loops, or None when an invariant tells them apart.
+
+    Cheapest first: the orders, then the keys, then the cubic profiles.
+    """
     if Q1.order != Q2.order:
         return None
-    if invariant_profile(Q1) != invariant_profile(Q2):
-        return None
     d1, d2 = _element_data(Q1), _element_data(Q2)
-    if _class_key(Q1, d1) != _class_key(Q2, d2):
+    if d1.key != d2.key or invariant_profile(Q1) != invariant_profile(Q2):
         return None
     return d1, d2
 
@@ -238,33 +230,27 @@ class IsoClass:
 def classify(loops: list[LoopTable]) -> list[IsoClass]:
     """Partition the list under isomorphism; classes ordered by first member.
 
-    A table is searched only against the representatives with the same
-    key, its order and sorted local invariants (``_class_key``).  Cubic
-    invariant profiles are not part of it; they screen only
+    Each table's record (``_element_data``) is computed once, and a table
+    is searched only against the representatives with the same key, its
+    order and sorted (element order, commuting-partner count) pairs.
+    Cubic invariant profiles are not part of it; they screen only
     ``isomorphic`` and ``find_isomorphism``.  The commuting-partner
-    count in each local invariant keeps abelian groups such as Z2^2xZ2^2
-    apart from the nonassociative loops whose order statistics they
-    share.  Each table's element data are computed once, and kept only
-    while it is a representative.
+    counts keep abelian groups such as Z2^2xZ2^2 apart from the
+    nonassociative loops whose order statistics they share.
     """
-    reps: list[tuple[int, tuple, _ElementData]] = []  # (index, key, data)
-    members: dict[int, list[int]] = {}
+    reps: dict[tuple, list[tuple[int, _ElementData]]] = {}  # key -> (index, record)
+    members: dict[int, list[int]] = {}  # representative -> members, by first member
     for i, Q in enumerate(loops):
         data = _element_data(Q)
-        key = _class_key(Q, data)
-        home = None
-        for r, r_key, r_data in reps:
-            if r_key != key:
-                continue
+        same_key = reps.setdefault(data.key, [])
+        for r, r_data in same_key:
             if next(_isomorphisms(Q, loops[r], data, r_data), None) is not None:
-                home = r
+                members[r].append(i)
                 break
-        if home is None:
-            reps.append((i, key, data))
-            members[i] = [i]
         else:
-            members[home].append(i)
-    return [IsoClass(r, tuple(members[r])) for r, _, _ in reps]
+            same_key.append((i, data))
+            members[i] = [i]
+    return [IsoClass(r, tuple(m)) for r, m in members.items()]
 
 
 def brute_force_isomorphic(Q1: LoopTable, Q2: LoopTable) -> bool:

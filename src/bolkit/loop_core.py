@@ -94,6 +94,20 @@ def _check_latin(rows: tuple[tuple[int, ...], ...]) -> None:
             raise NotLatin("a column repeats a value")
 
 
+def decimal_ints(tokens: list[str]) -> list[int]:
+    """The tokens as ints; ValueError unless each is ASCII decimal digits.
+
+    ``int`` alone also reads "+1", "0_2" and non-ASCII digits such as "١",
+    and ``str.isdigit`` alone also passes "²".  The tokens are checked
+    joined, in one pass; ``int`` still rejects an empty token and one of
+    over 4300 digits.
+    """
+    joined = "".join(tokens)
+    if not (joined.isascii() and joined.isdigit()):
+        raise ValueError("not ASCII decimal digits")
+    return list(map(int, tokens))
+
+
 def parse_table(text: str, name: str | None = None) -> LoopTable:
     """Parse the ``.tbl`` format: '#'-comment lines, then n and n*n entries.
 
@@ -109,9 +123,9 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
     if not tokens:
         raise Malformed("no tokens")
     try:
-        n = int(tokens[0])
+        [n] = decimal_ints(tokens[:1])
     except ValueError:
-        raise Malformed(f"order token {tokens[0]!r} is not an integer") from None
+        raise Malformed(f"order token {tokens[0]!r} is not a decimal integer") from None
     if n < 1:
         raise Malformed(f"order {n} must be positive")
     check_order(n)
@@ -119,9 +133,9 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
     if len(body) != n * n:
         raise Malformed(f"expected {n * n} entries, got {len(body)}")
     try:
-        entries = list(map(int, body))
+        entries = decimal_ints(body)
     except ValueError:
-        raise Malformed("non-integer table entry") from None
+        raise Malformed("table entries must be decimal integers") from None
     rows = tuple(zip(*[iter(entries)] * n))  # n consecutive entries per row
     try:
         _check_latin(rows)

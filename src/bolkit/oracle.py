@@ -92,20 +92,25 @@ def _row_candidates(
     a test is not extended.
     """
     n = len(rows)
-    decided = [(b, rb, _inverse(rb)) for b, rb in enumerate(rows) if b and rb is not None]
+    # (b, row b, its inverse, the cells z with rb[z] <= b: those computable at p == b)
+    decided = [
+        (b, rb, _inverse(rb), [z for z in range(n) if rb[z] <= b])
+        for b, rb in enumerate(rows)
+        if b and rb is not None
+    ]
     row = [r] * n
     at = [0] * n  # at[v]: the position that holds value v
 
     def fits(p: int, used: int) -> bool:
         """The forced cells that position p makes computable."""
-        for b, rb, ib in decided:
+        for b, rb, ib, zs_b in decided:
             if b > p:
                 break
             # L_b L_r L_b is the row of c = b*(r*b); its cell z is
             # rb[row[rb[z]]], computable once positions b and rb[z] are set
             c = rb[row[b]]
             rc = rows[c]
-            zs = [z for z in range(n) if rb[z] <= p] if b == p else (ib[p],)
+            zs = zs_b if b == p else (ib[p],)
             for z in zs:
                 f = rb[row[rb[z]]]
                 if rc is not None:

@@ -88,6 +88,22 @@ def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/nowhere.tbl"]) == 2
 
 
+@pytest.mark.parametrize("entry", ["١", "+1", "0_2", "²"])
+def test_check_rejects_entries_that_are_not_ascii_digits(tmp_path, capsys, entry):
+    p = tmp_path / "z2.tbl"
+    p.write_text(f"2\n{entry} 2\n2 1\n")
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_construct_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.tbl"
+    assert main(["construct", "exceptional", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not out.parent.exists()
+
+
 def test_construct_q9_and_check_round_trip(tmp_path, capsys):
     out = tmp_path / "q9.tbl"
     assert main(["construct", "q9 000000000", "-o", str(out)]) == 0

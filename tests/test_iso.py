@@ -5,11 +5,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bolkit import iso
 from bolkit.catalog import property_catalog, q9_representatives, twenty_one
 from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
-from bolkit.gf2 import build_exceptional
+from bolkit.gf2 import build_exceptional, build_q9
 from bolkit.iso import (
-    _class_key,
     _element_data,
     brute_force_isomorphic,
     classification_report,
@@ -239,13 +239,13 @@ def test_element_data_follows_relabeling(index, seed):
     R = _relabel(Q, sigma)
     d, e = _element_data(Q), _element_data(R)
     for a in Q.elements():
-        assert e.orders[sigma[a - 1] - 1] == d.orders[a - 1]
         assert e.local[sigma[a - 1] - 1] == d.local[a - 1]
-    # and the entries are what they claim: commuting partners, then the row's orders
+    assert e.key == d.key
+    # and the entries are what they claim: the element order, then the commuting partners
     for a in R.elements():
         commuting = sum(mul(R, a, b) == mul(R, b, a) for b in R.elements())
-        row_orders = sorted(element_order(R, mul(R, a, b)) for b in R.elements())
-        assert e.local[a - 1] == (commuting, *row_orders)
+        assert e.local[a - 1] == (element_order(R, a), commuting)
+    assert e.key == (R.order, tuple(sorted(e.local)))
 
 
 def test_classify_key_separates_every_profile_difference(order8_classes):
@@ -257,10 +257,32 @@ def test_classify_key_separates_every_profile_difference(order8_classes):
         small = enumerate_all_loops(n)
         loops += [small[c.representative] for c in classify(small)]
     loops += [cls[0] for cls in order8_classes]
-    keyed = [(Q, invariant_profile(Q), _class_key(Q, _element_data(Q))) for Q in loops]
+    keyed = [(Q, invariant_profile(Q), _element_data(Q).key) for Q in loops]
     for (P, p_prof, p_key), (Q, q_prof, q_key) in itertools.combinations(keyed, 2):
         if p_prof != q_prof:
             assert p_key != q_key, (P.name, Q.name)
+
+
+def test_isomorphic_computes_profiles_only_for_equal_keys(monkeypatch):
+    # the O(n^2) key is compared before the cubic profiles: Z2^4 and
+    # q9_000000000 share their order statistics but not their commuting
+    # counts, so no profile is computed; equal keys compute both profiles
+    profiled = []
+    profile = iso.invariant_profile
+
+    def counted(Q):
+        profiled.append(Q)
+        return profile(Q)
+
+    monkeypatch.setattr(iso, "invariant_profile", counted)
+    Z, P = elem_abelian_2(4), build_q9((0,) * 9)
+    assert profile(Z).order_spectrum == profile(P).order_spectrum
+    assert _element_data(Z).key != _element_data(P).key
+    assert not isomorphic(Z, P) and not isomorphic(P, Z)
+    assert profiled == []
+    R = _relabel(P, (1, *range(16, 1, -1)))
+    assert isomorphic(P, R)
+    assert profiled == [P, R]
 
 
 def test_classify_order8_matches_invariant_grouping(order8_tables, order8_classes):

@@ -5,6 +5,7 @@ from bolkit.catalog import FIXTURE_ORDER8, load_fixture
 from bolkit.loop_core import (
     LoopTable,
     compose,
+    decimal_ints,
     element_order,
     identity_perm,
     inverse,
@@ -53,6 +54,24 @@ def test_parse_malformed():
         parse_table("x\n1")
     with pytest.raises(errors.Malformed):
         parse_table("")
+
+
+def test_parse_accepts_only_ascii_digit_tokens():
+    # int() alone reads "١" and "+1" as 1, "0_2" as 2 and "1١" as 11
+    for bad in ("١", "+1", "0_2", "1١", "²"):
+        with pytest.raises(errors.Malformed):
+            parse_table(f"2\n{bad} 2\n2 1")
+    for bad in ("٢", "+2", "0_2"):
+        with pytest.raises(errors.Malformed):
+            parse_table(f"{bad}\n1 2\n2 1")
+    assert parse_table("02\n01 2\n2 001") == parse_table("2\n1 2\n2 1")
+
+
+def test_decimal_ints():
+    assert decimal_ints(["0", "17", "4096"]) == [0, 17, 4096]
+    for tokens in (["1", "-2"], ["²"], ["١"], ["1_0"], [""], ["9" * 5000]):
+        with pytest.raises(ValueError):
+            decimal_ints(tokens)
 
 
 def test_parse_no_identity():
