@@ -28,6 +28,7 @@ thousand are the intended scale.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -88,10 +89,32 @@ class _ElementData(NamedTuple):
     key: tuple[int, tuple[tuple[int, int], ...]]  # (order, sorted local)
 
 
+def _element_orders(Q: LoopTable) -> list[int]:
+    """``_safe_order(Q, a)`` for each a, indexed by a - 1.
+
+    Once ``element_order(Q, a) = m`` has verified that the powers of a form
+    a cyclic group of order m, the j-th element on a's walk from 1 under
+    L_a is a^j, of order m/gcd(j, m), so it needs no walk of its own.
+    """
+    orders = [ORDER_UNDEFINED] * Q.order  # until a walk through the element
+    for a, row in enumerate(Q.cells, start=1):
+        if orders[a - 1] != ORDER_UNDEFINED:
+            continue
+        try:
+            m = element_order(Q, a)
+        except NotPeriodicThroughIdentity:
+            continue
+        x = 1
+        for j in range(m):
+            orders[x - 1] = m // math.gcd(j, m)
+            x = row[x - 1]
+    return orders
+
+
 def _element_data(Q: LoopTable) -> _ElementData:
     local = tuple(
-        (_safe_order(Q, a), sum(map(int.__eq__, row, col)))
-        for a, row, col in zip(Q.elements(), Q.cells, _opposite(Q.cells))
+        (order, sum(map(int.__eq__, row, col)))
+        for order, row, col in zip(_element_orders(Q), Q.cells, _opposite(Q.cells))
     )
     return _ElementData(local, (Q.order, tuple(sorted(local))))
 

@@ -10,7 +10,9 @@ from bolkit.catalog import property_catalog, q9_representatives, twenty_one
 from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
 from bolkit.gf2 import build_exceptional, build_q9
 from bolkit.iso import (
+    ORDER_UNDEFINED,
     _element_data,
+    _safe_order,
     brute_force_isomorphic,
     classification_report,
     classify,
@@ -246,6 +248,24 @@ def test_element_data_follows_relabeling(index, seed):
         commuting = sum(mul(R, a, b) == mul(R, b, a) for b in R.elements())
         assert e.local[a - 1] == (element_order(R, a), commuting)
     assert e.key == (R.order, tuple(sorted(e.local)))
+
+
+# test_structure's loop of order 5 in which 3, 4 and 5 have no order: the
+# walk 1, 3, 5, 2, 4 of 3 under L_3 is not a group
+NPA_TEXT = "5\n1 2 3 4 5\n2 1 4 5 3\n3 4 5 1 2\n4 5 2 3 1\n5 3 1 2 4"
+
+
+def test_element_data_derives_orders_as_one_walk_per_element_would():
+    # the orders read off a's walk must agree with an element_order call
+    # per element, also where some elements have no order
+    loops = [*(Q for n in range(1, 6) for Q in enumerate_all_loops(n)), *_catalog()]
+    loops.append(parse_table(NPA_TEXT))
+    undefined = 0
+    for Q in loops:
+        orders = [order for order, _ in _element_data(Q).local]
+        assert orders == [_safe_order(Q, a) for a in Q.elements()], Q.cells
+        undefined += orders.count(ORDER_UNDEFINED)
+    assert undefined > 0
 
 
 def test_classify_key_separates_every_profile_difference(order8_classes):

@@ -300,11 +300,25 @@ def _steiner_loop_ag23() -> LoopTable:
     return LoopTable.from_cells(cells)
 
 
+# nonassociative loops of order 6 that are not left Bol, in which
+# L_x L_y L_x = L_{x(yx)} holds for every y exactly when x is in {1,2,3,6}
+# (resp. {1,2,3,5}): the Bol closure passes elements before one fails, and
+# since those elements generate the loop under *, a closure under x*w in
+# place of x*(w*x) would call the loop left Bol
+PARTIAL_BOL_TEXTS = (
+    "6\n1 2 3 4 5 6\n2 1 4 3 6 5\n3 5 1 6 2 4\n4 3 6 5 1 2\n5 6 2 1 4 3\n6 4 5 2 3 1",
+    "6\n1 2 3 4 5 6\n2 1 4 3 6 5\n3 6 1 5 4 2\n4 3 5 6 2 1\n5 4 6 2 1 3\n6 5 2 1 3 4",
+)
+
+
 def test_kernel_matches_oracle_on_all_small_loops():
     answers = set()
     tables = [*enumerate_all_loops(1), *enumerate_all_loops(4), *enumerate_all_loops(5)]
     chein, steiner = _chein_loop(dihedral_group(3)), _steiner_loop_ag23()
-    for Q in [*tables, parse_table(NPA_TEXT), parse_table(MIDDLE3_TEXT), chein, steiner]:
+    partial = [parse_table(text) for text in PARTIAL_BOL_TEXTS]
+    # Z2 x a partial one: the center {1, 2} seeds the closure of the flags
+    partial.append(direct_product(cyclic_group(2), partial[0]))
+    for Q in [*tables, parse_table(NPA_TEXT), parse_table(MIDDLE3_TEXT), chein, steiner, *partial]:
         _assert_kernel_matches_oracle(Q)
         answers.update((name, check_identity(Q, name)) for name in IDENTITY_NAMES)
     # every identity both holds and fails somewhere, so no comparison is vacuous
@@ -373,13 +387,14 @@ def test_nucleus_closure_tests_only_outside_the_span():
 
 def test_structure_report_scans_only_left_and_right_bol(monkeypatch):
     # every other identity flag is derived: none on a group, and on a
-    # nonassociative Bol loop one left Bol scan of Q and one of its opposite
+    # nonassociative Bol loop one left Bol closure of Q and one of its
+    # opposite, both seeded with the center
     scanned = []
     left_bol = structure._left_bol
 
-    def counted(cells):
-        scanned.append(cells)
-        return left_bol(cells)
+    def counted(cells, seed):
+        scanned.append((cells, seed))
+        return left_bol(cells, seed)
 
     monkeypatch.setattr(structure, "_left_bol", counted)
     for Q in (cyclic_group(12), dihedral_group(4), elem_abelian_2(3)):
@@ -388,7 +403,37 @@ def test_structure_report_scans_only_left_and_right_bol(monkeypatch):
     for Q in (load_fixture(FIXTURE_ORDER8), _chein_loop(dihedral_group(3))):
         scanned.clear()
         structure_report(Q)
-        assert scanned == [Q.cells, _opposite(Q.cells)]
+        center = nuclei(Q).center
+        assert scanned == [(Q.cells, center), (_opposite(Q.cells), center)]
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("Z2xq9_0", lambda: direct_product(cyclic_group(2), q9_representatives()[0])),
+        ("Z4xexceptional", lambda: direct_product(cyclic_group(4), build_exceptional())),
+        ("order4n:16", lambda: build_named_example("order4n", n=16)),
+    ],
+)
+def test_bol_closure_seeded_with_the_center_tests_few_elements(monkeypatch, name, make):
+    # these left Bol loops are not right Bol; seeded with the center, the
+    # closure reaches all of Q after at most 9 membership tests, and the
+    # first test on the opposite fails.  Seeded with {1} alone, Z2xq9_0
+    # needs about 21 tests: x*(w*x) = w for 7/8 of its pairs
+    tested = []
+    at = structure._left_bol_at
+
+    def counted(cells, g, x):
+        tested.append(cells)
+        return at(cells, g, x)
+
+    monkeypatch.setattr(structure, "_left_bol_at", counted)
+    for seed in range(3):
+        Q = _relabeled(make(), seed)
+        tested.clear()
+        assert "left_bol: true\nright_bol: false\n" in structure_report(Q)
+        left = sum(cells is Q.cells for cells in tested)
+        assert 1 <= left <= 9 and len(tested) - left == 1, (name, seed, len(tested))
 
 
 def _abelian_report(Q: LoopTable, involutions: int) -> str:
