@@ -46,7 +46,6 @@ from .gf2 import (
     associated_cocycle,
     build_exceptional,
     build_q9,
-    cocycle_equivalent,
     e2k2_bol_check,
     enumerate_q9,
     is_right_additive,

@@ -92,9 +92,9 @@ def dihedral_group(n: int) -> LoopTable:
     return build_extension(K, E, tau, f, name=f"D{n}")
 
 
-def direct_product(K: GroupTable, E: LoopTable, name: str | None = None) -> LoopTable:
+def direct_product(K: GroupTable, E: LoopTable) -> LoopTable:
     return build_extension(
-        K, E, trivial_tau(K, E), trivial_cocycle(K, E), name=name or f"{K.name}x{E.name}"
+        K, E, trivial_tau(K, E), trivial_cocycle(K, E), name=f"{K.name}x{E.name}"
     )
 
 

@@ -6,7 +6,7 @@ bolkit check FILE                structural report for a .tbl file
 bolkit construct SPEC -o FILE    build a table and write it out
 bolkit classify FILE...          isomorphism classes of the given tables
 bolkit enumerate-q9 [--classify] the 512-member nine-parameter family
-bolkit oracle order8 [--budget N]  exhaustive order-8 left Bol search
+bolkit oracle order8             exhaustive order-8 left Bol search
 bolkit verify-paper [--timings | --json]  run the whole claim suite
 bolkit iso FILE1 FILE2           isomorphism between two tables
 
@@ -50,9 +50,6 @@ from .loop_core import LoopTable, decimal_ints, parse_table, render
 from .oracle import search_left_bol, summarize_order8
 from .structure import structure_report
 from .verify import VerificationSuite, report_json_lines, report_lines
-
-BUDGET_HELP = "order-8 search budget: candidate rows that reach propagation"
-
 
 def _load(path: str) -> LoopTable:
     with open(path, "r", encoding="utf-8") as fh:
@@ -198,7 +195,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"error: unknown oracle target {args.target!r}", file=sys.stderr)
         return 2
     try:
-        rep = summarize_order8(search_left_bol(8, budget=args.budget))
+        rep = summarize_order8(search_left_bol(8))
     except BolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -211,7 +208,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
-    suite = VerificationSuite(order8_budget=args.budget)
+    suite = VerificationSuite()
     results = suite.run()
     if args.json:
         lines = report_json_lines(results)
@@ -236,7 +233,8 @@ def cmd_iso(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``bolkit`` parser; each subcommand sets ``fn`` to its handler."""
     parser = argparse.ArgumentParser(prog="bolkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -259,11 +257,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("oracle", help="exhaustive searches")
     p.add_argument("target")
-    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")
-    p.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     out = p.add_mutually_exclusive_group()
     out.add_argument("--timings", action="store_true", help="append per-claim timings")
     out.add_argument("--json", action="store_true", help="one JSON object per claim")
@@ -274,7 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("file2")
     p.set_defaults(fn=cmd_iso)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -32,24 +32,24 @@ class GroupTable(LoopTable):
         return cls(t.order, t.cells, t.name)
 
 
-def cyclic_group(n: int, name: str | None = None) -> GroupTable:
+def cyclic_group(n: int) -> GroupTable:
     """The cyclic group of order n; element i represents i-1 mod n."""
     if n < 1:
         raise BadParams("cyclic group order must be positive")
     check_order(n)
     row = tuple(range(1, n + 1))
     cells = tuple(row[a:] + row[:a] for a in range(n))  # row a is a+1, ..., n, 1, ..., a
-    return GroupTable(n, cells, name or f"Z{n}")
+    return GroupTable(n, cells, f"Z{n}")
 
 
-def elem_abelian_2(m: int, name: str | None = None) -> GroupTable:
+def elem_abelian_2(m: int) -> GroupTable:
     """(Z_2)^m; element i represents the bitmask i-1, products are XOR."""
     if m < 0:
         raise BadParams("dimension must be nonnegative")
     n = 1 << m
     check_order(n)
     cells = [[((a ^ b) + 1) for b in range(n)] for a in range(n)]
-    return GroupTable(n, tuple(tuple(r) for r in cells), name or f"Z2^{m}")
+    return GroupTable(n, tuple(tuple(r) for r in cells), f"Z2^{m}")
 
 
 def is_automorphism(K: LoopTable, p: Permutation) -> bool:

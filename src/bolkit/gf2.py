@@ -211,22 +211,6 @@ def _apply_matrix(rows: tuple[int, ...], x: int) -> int:
     return y
 
 
-def cocycle_equivalent(f: GF2Cocycle, g: GF2Cocycle) -> bool:
-    """Whether some linear automorphism phi gives f(a,b) = g(phi(a), phi(b))."""
-    if f.dim != g.dim:
-        return False
-    size = 1 << f.dim
-    for mat in gl2_matrices(f.dim):
-        phi = [_apply_matrix(mat, x) for x in range(size)]
-        if all(
-            f.values[a][b] == g.values[phi[a]][phi[b]]
-            for a in range(size)
-            for b in range(size)
-        ):
-            return True
-    return False
-
-
 def build_exceptional() -> LoopTable:
     """The one order-16 left Bol loop with non-subloop commutant that no
     left-nuclear extension produces.

@@ -57,19 +57,12 @@ class IsoProfile:
     flags: tuple[str, ...]  # the PROFILE_FLAGS that hold, in that order
 
 
-def _safe_order(Q: LoopTable, a: int) -> int:
-    try:
-        return element_order(Q, a)
-    except NotPeriodicThroughIdentity:
-        return ORDER_UNDEFINED
-
-
 def invariant_profile(Q: LoopTable) -> IsoProfile:
     nuc = nuclei(Q)
     com = commutant(Q)
     return IsoProfile(
         order=Q.order,
-        order_spectrum=tuple(sorted(_safe_order(Q, a) for a in Q.elements())),
+        order_spectrum=tuple(sorted(_element_orders(Q))),
         commutant_size=len(com),
         lnuc_size=len(nuc.left),
         mnuc_size=len(nuc.middle),
@@ -90,7 +83,7 @@ class _ElementData(NamedTuple):
 
 
 def _element_orders(Q: LoopTable) -> list[int]:
-    """``_safe_order(Q, a)`` for each a, indexed by a - 1.
+    """Each element's order, indexed by a - 1; ORDER_UNDEFINED where it has none.
 
     Once ``element_order(Q, a) = m`` has verified that the powers of a form
     a cyclic group of order m, the j-th element on a's walk from 1 under

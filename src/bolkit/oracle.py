@@ -46,8 +46,9 @@ same tables, in the same lexicographic order, as a generator without the
 tests.  The tests reject most rows long before they are complete:
 12,081 candidates reach propagation at order 8 and 10,360 at order 9
 (12,465 and 17,668 without the cycle test, 80,437 and 581,167 for a
-plain column-consistent generator).  The ``budget`` of
-``search_left_bol`` counts the candidates that reach propagation.
+plain column-consistent generator).  ``SEARCH_BUDGET`` bounds the
+candidates that reach propagation in one search, far above the 413,385
+of order 10.
 
 Symmetry is broken only by normalizing the identity to element 1, so the
 search counts identity-normalized tables, not isomorphism classes.
@@ -60,13 +61,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .errors import SearchBudgetExceeded
+from .errors import BadParams, SearchBudgetExceeded
 from .extensions import automorphism_group
 from .iso import classify
-from .loop_core import LoopTable
+from .loop_core import LoopTable, check_order
 from .structure import check_identity, commutant, is_subloop
 
-DEFAULT_ORDER8_BUDGET = 20_000_000
+SEARCH_BUDGET = 20_000_000
 
 
 Row = tuple[int, ...]
@@ -228,15 +229,20 @@ def _propagate(
     return True
 
 
-def search_left_bol(n: int, budget: int | None = None) -> list[LoopTable]:
+def _check_search_order(n: int) -> None:
+    if n < 1:
+        raise BadParams("loop order must be positive")
+    check_order(n)
+
+
+def search_left_bol(n: int) -> list[LoopTable]:
     """Every left Bol loop of order n as an identity-normalized table.
 
-    Tables come in lexicographic order of their rows.  ``budget`` bounds
-    the number of branching candidates that reach propagation; exceeding
-    it raises SearchBudgetExceeded.
+    Tables come in lexicographic order of their rows.  More than
+    ``SEARCH_BUDGET`` branching candidates reaching propagation raises
+    SearchBudgetExceeded.
     """
-    if budget is None:
-        budget = DEFAULT_ORDER8_BUDGET
+    _check_search_order(n)
     found: list[tuple[Row, ...]] = []
     nodes = 0
 
@@ -254,8 +260,8 @@ def search_left_bol(n: int, budget: int | None = None) -> list[LoopTable]:
         branched2 = (*branched, r)
         for cand in _row_candidates(rows, r, col_used):
             nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"budget {budget} exhausted")
+            if nodes > SEARCH_BUDGET:
+                raise SearchBudgetExceeded(f"budget {SEARCH_BUDGET} exhausted")
             rows2 = rows.copy()
             g2 = gathers.copy()
             cu2 = col_used.copy()
@@ -316,6 +322,7 @@ def enumerate_all_loops(n: int) -> list[LoopTable]:
 
     Intended for tiny n (the brute-force isomorphism oracle uses n <= 5).
     """
+    _check_search_order(n)
     cells = [[0] * n for _ in range(n)]
     cells[0] = list(range(n))
     for i in range(n):

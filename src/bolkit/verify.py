@@ -83,9 +83,6 @@ class ClaimResult:
 class VerificationSuite:
     """Shared state for the verification run; builds everything lazily."""
 
-    def __init__(self, order8_budget: int | None = None):
-        self.order8_budget = order8_budget
-
     # cached building blocks ------------------------------------------------
 
     @cached_property
@@ -110,7 +107,7 @@ class VerificationSuite:
 
     @cached_property
     def order8_tables(self) -> list[LoopTable]:
-        return search_left_bol(8, budget=self.order8_budget)
+        return search_left_bol(8)
 
     @cached_property
     def order8_report(self) -> Order8Report:

@@ -12,7 +12,7 @@ from bolkit.verify import VerificationSuite
 
 @pytest.fixture(scope="session")
 def suite():
-    """The verification suite behind ``bolkit verify-paper``, at its default budget."""
+    """The verification suite behind ``bolkit verify-paper``."""
     return VerificationSuite()
 
 

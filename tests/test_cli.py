@@ -1,15 +1,18 @@
+import argparse
 from pathlib import Path
 
 import pytest
 
+from bolkit import cli, oracle
 from bolkit.catalog import FIXTURE_ORDER8, fixture_text
-from bolkit.cli import construct_from_spec, main
+from bolkit.cli import build_parser, construct_from_spec, main
 from bolkit.errors import BadParams, BadSpec
 from bolkit.loop_core import parse_table
 from bolkit.structure import structure_report
 from bolkit.verify import ClaimResult, report_lines
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_report.txt"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "perfbench" / "reference" / "verify_report.txt"
 
 
 @pytest.fixture()
@@ -216,8 +219,9 @@ def test_oracle_rejects_unknown_target(capsys):
     assert main(["oracle", "order9"]) == 2
 
 
-def test_oracle_budget_failure(capsys):
-    assert main(["oracle", "order8", "--budget", "10"]) == 1
+def test_oracle_budget_failure(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "SEARCH_BUDGET", 10)
+    assert main(["oracle", "order8"]) == 1
     assert "error" in capsys.readouterr().err
 
 
@@ -272,11 +276,12 @@ def test_verify_suite_exposes_required_claim_ids():
     assert len(ids) == len(set(ids))
 
 
-def test_order8_claim_propagates_budget_error():
+def test_order8_claim_propagates_budget_error(monkeypatch):
     from bolkit.errors import SearchBudgetExceeded
     from bolkit.verify import VerificationSuite
 
-    suite = VerificationSuite(order8_budget=10)
+    monkeypatch.setattr(oracle, "SEARCH_BUDGET", 10)
+    suite = VerificationSuite()
     fns = {cid: fn for cid, _, fn in suite.claim_definitions()}
     with pytest.raises(SearchBudgetExceeded):
         fns["sec5-order8-oracle"]()
@@ -285,10 +290,8 @@ def test_order8_claim_propagates_budget_error():
 def test_verify_paper_json(suite, monkeypatch, capsys):
     import json
 
-    from bolkit import cli
-
     # the session suite has the order-8 tables cached already
-    monkeypatch.setattr(cli, "VerificationSuite", lambda order8_budget=None: suite)
+    monkeypatch.setattr(cli, "VerificationSuite", lambda: suite)
     assert main(["verify-paper", "--json"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["id"] for r in records] == [cid for cid, _, _ in suite.claim_definitions()]
@@ -303,3 +306,45 @@ def test_verify_paper_json_excludes_timings(capsys):
     with pytest.raises(SystemExit):
         main(["verify-paper", "--json", "--timings"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command", [["oracle", "order8"], ["verify-paper"]], ids=["oracle", "verify-paper"]
+)
+def test_budget_is_not_an_option(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--budget", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
+
+
+def _documented_options(lines):
+    """{subcommand: options} from usage lines "bolkit SUBCOMMAND ARGS ..."."""
+    usage = {}
+    for line in lines:
+        if line.startswith("bolkit "):
+            words = [w.strip("[]") for w in line.split("#")[0].split()]
+            usage[words[1]] = {w for w in words[2:] if w.startswith("-")}
+    return usage
+
+
+def _readme_command_block():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [cli.__doc__.splitlines(), _readme_command_block()],
+    ids=["cli docstring", "README"],
+)
+def test_documented_commands_match_the_parser(lines):
+    # every subcommand and every option of main's parser is listed, and
+    # nothing else is: a flag removed from the parser cannot linger here
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    documented = _documented_options(lines)
+    assert set(documented) == set(commands.choices)
+    for name, parser in commands.choices.items():
+        flags = [a.option_strings for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert all(documented[name] & set(f) for f in flags), name
+        assert documented[name] <= {s for f in flags for s in f}, name

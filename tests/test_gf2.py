@@ -10,7 +10,6 @@ from bolkit.gf2 import (
     associated_cocycle,
     build_exceptional,
     build_q9,
-    cocycle_equivalent,
     cocycle_loop,
     count_constrained_cmaps,
     e2k2_bol_check,
@@ -160,13 +159,6 @@ def test_right_nucleus_criterion_for_right_additive():
             assert ((1 + u + 2 * cvec) in rnuc) == additive
 
 
-def test_cocycle_equivalence():
-    f = associated_cocycle(q9_cmap((0,) * 9))
-    g = associated_cocycle(q9_cmap((0,) * 8 + (1,)))
-    assert cocycle_equivalent(f, f)
-    assert not cocycle_equivalent(f, g)
-
-
 def test_equivalent_cocycles_give_isomorphic_loops():
     f = associated_cocycle(q9_cmap((0,) * 9))
     mats = gl2_matrices(3)
@@ -179,7 +171,6 @@ def test_equivalent_cocycles_give_isomorphic_loops():
         for b in range(8):
             g_vals[phi[a]][phi[b]] = f.values[a][b]
     g = GF2Cocycle(3, tuple(tuple(r) for r in g_vals))
-    assert cocycle_equivalent(f, g)
     assert find_isomorphism(cocycle_loop(f), cocycle_loop(g)) is not None
 
 

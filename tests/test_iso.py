@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from bolkit import iso
 from bolkit.catalog import property_catalog, q9_representatives, twenty_one
+from bolkit.errors import NotPeriodicThroughIdentity
 from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
 from bolkit.gf2 import build_exceptional, build_q9
 from bolkit.iso import (
     ORDER_UNDEFINED,
     _element_data,
-    _safe_order,
     brute_force_isomorphic,
     classification_report,
     classify,
@@ -255,15 +255,25 @@ def test_element_data_follows_relabeling(index, seed):
 NPA_TEXT = "5\n1 2 3 4 5\n2 1 4 5 3\n3 4 5 1 2\n4 5 2 3 1\n5 3 1 2 4"
 
 
+def _safe_order(Q, a):
+    try:
+        return element_order(Q, a)
+    except NotPeriodicThroughIdentity:
+        return ORDER_UNDEFINED
+
+
 def test_element_data_derives_orders_as_one_walk_per_element_would():
-    # the orders read off a's walk must agree with an element_order call
-    # per element, also where some elements have no order
+    # the orders read off a's walk, in the record and in the profile's
+    # spectrum, must agree with an element_order call per element, also
+    # where some elements have no order
     loops = [*(Q for n in range(1, 6) for Q in enumerate_all_loops(n)), *_catalog()]
     loops.append(parse_table(NPA_TEXT))
     undefined = 0
     for Q in loops:
         orders = [order for order, _ in _element_data(Q).local]
-        assert orders == [_safe_order(Q, a) for a in Q.elements()], Q.cells
+        expected = [_safe_order(Q, a) for a in Q.elements()]
+        assert orders == expected, Q.cells
+        assert invariant_profile(Q).order_spectrum == tuple(sorted(expected)), Q.cells
         undefined += orders.count(ORDER_UNDEFINED)
     assert undefined > 0
 

@@ -5,6 +5,7 @@ import pytest
 from bolkit import errors, oracle
 from bolkit.extensions import automorphism_group
 from bolkit.iso import classify
+from bolkit.loop_core import MAX_ORDER
 from bolkit.oracle import enumerate_all_loops, search_left_bol
 from bolkit.structure import check_identity
 
@@ -37,18 +38,32 @@ def test_search_order6_all_groups():
     )
 
 
-def test_search_budget():
+def test_search_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "SEARCH_BUDGET", 5)
     with pytest.raises(errors.SearchBudgetExceeded):
-        search_left_bol(6, budget=5)
+        search_left_bol(6)
 
 
-def test_search_budget_is_exact():
+def test_search_budget_is_exact(monkeypatch):
     # the budget counts candidate rows that reach propagation; at order 7
     # the cycle test passes only the 120 rows of L_2 that complete to Z7
     for n, k in ((6, 117), (7, 120)):
-        assert search_left_bol(n, budget=k) == search_left_bol(n)
+        full = search_left_bol(n)
+        monkeypatch.setattr(oracle, "SEARCH_BUDGET", k)
+        assert search_left_bol(n) == full
+        monkeypatch.setattr(oracle, "SEARCH_BUDGET", k - 1)
         with pytest.raises(errors.SearchBudgetExceeded):
-            search_left_bol(n, budget=k - 1)
+            search_left_bol(n)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("search", [search_left_bol, enumerate_all_loops])
+@pytest.mark.parametrize(
+    "n, error", [(0, errors.BadParams), (-3, errors.BadParams), (MAX_ORDER + 1, errors.TooLarge)]
+)
+def test_searches_reject_orders_out_of_range(search, n, error):
+    with pytest.raises(error):
+        search(n)
 
 
 def test_propagation_alone_completes_exactly_the_left_bol_loops(monkeypatch):
