@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import NotPeriodicThroughIdentity
 from .loop_core import LoopTable, Permutation, element_order
-from .structure import IDENTITY_NAMES, _opposite, commutant, identity_flags, involution_count, nuclei
+from .structure import IDENTITY_NAMES, _opposite, _predicates, involution_count
 
 # order_spectrum sentinel for elements whose powers do not form a group
 ORDER_UNDEFINED = 0
@@ -58,8 +58,7 @@ class IsoProfile:
 
 
 def invariant_profile(Q: LoopTable) -> IsoProfile:
-    nuc = nuclei(Q)
-    com = commutant(Q)
+    com, nuc, flags = _predicates(Q)
     return IsoProfile(
         order=Q.order,
         order_spectrum=tuple(sorted(_element_orders(Q))),
@@ -69,7 +68,7 @@ def invariant_profile(Q: LoopTable) -> IsoProfile:
         rnuc_size=len(nuc.right),
         center_size=len(nuc.center),
         involutions=involution_count(Q),
-        flags=tuple(name for name, h in zip(PROFILE_FLAGS, identity_flags(Q, nuc, com)) if h),
+        flags=tuple(name for name, h in zip(PROFILE_FLAGS, flags) if h),
     )
 
 

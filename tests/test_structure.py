@@ -27,13 +27,13 @@ from bolkit.structure import (
     IDENTITY_NAMES,
     Nuclei,
     _opposite,
+    _predicates,
     _subloop_where,
     check_identity,
     commutant,
     commutant_prime_part,
     cosets,
     generated_subloop,
-    identity_flags,
     involution_count,
     is_normal,
     is_subloop,
@@ -249,9 +249,11 @@ def _oracle_nuclei(Q: LoopTable) -> Nuclei:
 def _assert_kernel_matches_oracle(Q: LoopTable, right_regular: bool = True) -> None:
     expected = tuple(_oracle_identity(Q, name) for name in IDENTITY_NAMES)
     assert tuple(check_identity(Q, name) for name in IDENTITY_NAMES) == expected, Q.cells
-    nuc = nuclei(Q)
-    assert nuc == _oracle_nuclei(Q), Q.cells
-    assert identity_flags(Q, nuc, commutant(Q)) == expected, Q.cells
+    nuc = _oracle_nuclei(Q)
+    assert nuclei(Q) == nuc, Q.cells
+    com = tuple(a for a in Q.elements() if all(mul(Q, a, x) == mul(Q, x, a) for x in Q.elements()))
+    assert commutant(Q) == com, Q.cells
+    assert _predicates(Q) == (com, nuc, expected), Q.cells
     if not right_regular:
         return
     for s in Q.elements():
@@ -340,6 +342,10 @@ def test_kernel_matches_oracle_on_relabeled_catalog(index, seed):
     _assert_kernel_matches_oracle(_relabeled(_catalog()[index], seed))
 
 
+def _opposite_loop(Q: LoopTable) -> LoopTable:
+    return LoopTable.from_cells(_opposite(Q.cells))
+
+
 WIDE_TABLES: dict[str, Callable[[], LoopTable]] = {
     "Z32": lambda: cyclic_group(32),
     "Z2^5": lambda: elem_abelian_2(5),
@@ -359,6 +365,11 @@ WIDE_TABLES: dict[str, Callable[[], LoopTable]] = {
     "Z4xq9_9": lambda: direct_product(cyclic_group(4), q9_representatives()[9]),
     "Z2xexceptional": lambda: direct_product(cyclic_group(2), build_exceptional()),
     "Z3xexceptional": lambda: direct_product(cyclic_group(3), build_exceptional()),
+    # right Bol but not left Bol: the opposites of two left Bol loops
+    "order4n:8^op": lambda: _opposite_loop(build_named_example("order4n", n=8)),
+    "Z2xq9_1^op": lambda: _opposite_loop(
+        direct_product(cyclic_group(2), q9_representatives()[1])
+    ),
 }
 
 
@@ -377,34 +388,93 @@ def test_nucleus_closure_tests_only_outside_the_span():
             N = generated_subloop(Q, S)
             tested = []
 
-            def test(a: int) -> bool:
+            def refute(a: int, w: int) -> int | None:
                 tested.append(a + 1)
-                return a + 1 in N
+                return None if a + 1 in N else w
 
-            assert _subloop_where(Q, test) == N
+            assert _subloop_where(Q, refute) == N
             assert len(tested) == len(set(tested)) <= 6 + Q.order // len(N)
 
 
 def test_structure_report_scans_only_left_and_right_bol(monkeypatch):
     # every other identity flag is derived: none on a group, and on a
     # nonassociative Bol loop one left Bol closure of Q and one of its
-    # opposite, both seeded with the center
+    # opposite, both seeded with the center.  N_lambda = N_mu in a left Bol
+    # loop, so there the left-nucleus test on Q's own table runs only for
+    # the center, on elements of C & N_mu
     scanned = []
     left_bol = structure._left_bol
 
-    def counted(cells, seed):
+    def counted(cells, g, seed):
         scanned.append((cells, seed))
-        return left_bol(cells, seed)
+        return left_bol(cells, g, seed)
+
+    tested = []
+    left_refuter = structure._left_refuter
+
+    def recording(cells, g):
+        refute = left_refuter(cells, g)
+
+        def counted_refute(a, w):
+            tested.append((cells, a + 1))
+            return refute(a, w)
+
+        return counted_refute
 
     monkeypatch.setattr(structure, "_left_bol", counted)
+    monkeypatch.setattr(structure, "_left_refuter", recording)
     for Q in (cyclic_group(12), dihedral_group(4), elem_abelian_2(3)):
         structure_report(Q)
-    assert scanned == []
-    for Q in (load_fixture(FIXTURE_ORDER8), _chein_loop(dihedral_group(3))):
+    assert scanned == [] and tested == []
+    left_only = [
+        load_fixture(FIXTURE_ORDER8),
+        _relabeled(build_named_example("order4n", n=8), 2),
+        _relabeled(direct_product(cyclic_group(2), q9_representatives()[1]), 2),
+    ]
+    for Q in (*left_only, _chein_loop(dihedral_group(3))):
         scanned.clear()
-        structure_report(Q)
-        center = nuclei(Q).center
-        assert scanned == [(Q.cells, center), (_opposite(Q.cells), center)]
+        tested.clear()
+        report = structure_report(Q)
+        nuc = _oracle_nuclei(Q)
+        assert scanned == [(Q.cells, nuc.center), (_opposite(Q.cells), nuc.center)]
+        own = {a for cells, a in tested if cells is Q.cells}
+        assert own <= set(commutant(Q)) & set(nuc.middle), Q.cells
+        # the right nucleus is scanned exactly when Q is not right Bol
+        not_right_bol = Q in left_only
+        assert ("right_bol: false" in report) == not_right_bol
+        assert any(cells is not Q.cells for cells, _ in tested) == not_right_bol
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_right_nucleus_scan_tries_the_last_witness_first(monkeypatch, n):
+    # order4n:n (order 4n) is left Bol but not right Bol, so its report
+    # scans the right nucleus: three members at about n row gathers each,
+    # and about one gather per refuted element when the x that refuted the
+    # last one is tried first.  Measured: at most 3.75 * order.  In index
+    # order, without the witness, the unrelabeled tables take 699 and 2427.
+    checks = 0
+    left_refuter = structure._left_refuter
+
+    def counting(cells, g):
+        if cells is Q.cells:  # the center's test, not the right nucleus
+            return left_refuter(cells, g)
+
+        def counted(gather):
+            def run(t):
+                nonlocal checks
+                checks += 1
+                return gather(t)
+
+            return run
+
+        return left_refuter(cells, [counted(gather) for gather in g])
+
+    monkeypatch.setattr(structure, "_left_refuter", counting)
+    base = build_named_example("order4n", n=n)
+    for Q in (base, *(_relabeled(base, seed) for seed in range(3))):
+        checks = 0
+        assert "right_bol: false" in structure_report(Q)
+        assert 3 * Q.order < checks <= 4 * Q.order, checks
 
 
 @pytest.mark.parametrize(
