@@ -48,7 +48,6 @@ from .gf2 import (
     build_q9,
     e2k2_bol_check,
     enumerate_q9,
-    is_right_additive,
 )
 from .iso import classify, find_isomorphism, invariant_profile
 

@@ -98,19 +98,6 @@ def direct_product(K: GroupTable, E: LoopTable) -> LoopTable:
     )
 
 
-def small_even_order_loops() -> list[LoopTable]:
-    """Left Bol loops of orders 2, 6, 10, 14 for the order-2k subloop check."""
-    return [
-        cyclic_group(2),
-        cyclic_group(6),
-        dihedral_group(3),
-        cyclic_group(10),
-        dihedral_group(5),
-        cyclic_group(14),
-        dihedral_group(7),
-    ]
-
-
 def direct_products() -> list[LoopTable]:
     return [
         direct_product(cyclic_group(2), cyclic_group(2)),

@@ -48,7 +48,7 @@ from .gf2 import build_exceptional, build_q9, enumerate_q9
 from .iso import classification_report, classify, find_isomorphism
 from .loop_core import LoopTable, decimal_ints, parse_table, render
 from .oracle import search_left_bol, summarize_order8
-from .structure import structure_report
+from .structure import _predicates, involution_count, structure_report
 from .verify import VerificationSuite, report_json_lines, report_lines
 
 def _load(path: str) -> LoopTable:
@@ -179,12 +179,11 @@ def cmd_enumerate_q9(args: argparse.Namespace) -> int:
         sys.stdout.write(classification_report(loops, classes))
         print(f"{len(loops)} loops in {len(classes)} isomorphism classes")
     else:
-        from .structure import commutant, involution_count, nuclei
-
         for Q in loops:
+            com, nuc, _ = _predicates(Q)
             print(
-                f"{Q.name} commutant={len(commutant(Q))}"
-                f" involutions={involution_count(Q)} rnuc={len(nuclei(Q).right)}"
+                f"{Q.name} commutant={len(com)}"
+                f" involutions={involution_count(Q)} rnuc={len(nuc.right)}"
             )
         print(f"{len(loops)} loops")
     return 0

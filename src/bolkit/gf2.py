@@ -89,18 +89,6 @@ def associated_cocycle(c: CMap) -> GF2Cocycle:
     return GF2Cocycle(n, tuple(rows))
 
 
-def is_right_additive(f: GF2Cocycle) -> bool:
-    size = 1 << f.dim
-    vals = f.values
-    for a in range(size):
-        fa = vals[a]
-        for b in range(size):
-            fab = fa[b]
-            if any(fa[b ^ c] != fab ^ fa[c] for c in range(size)):
-                return False
-    return True
-
-
 def e2k2_bol_check(f: GF2Cocycle) -> bool:
     """Condition equations for Q((Z_2), E, trivial action, f) to be left Bol."""
     size = 1 << f.dim

@@ -68,7 +68,7 @@ def invariant_profile(Q: LoopTable) -> IsoProfile:
         rnuc_size=len(nuc.right),
         center_size=len(nuc.center),
         involutions=involution_count(Q),
-        flags=tuple(name for name, h in zip(PROFILE_FLAGS, flags) if h),
+        flags=tuple(name for name in PROFILE_FLAGS if flags[name]),
     )
 
 

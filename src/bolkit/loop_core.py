@@ -206,22 +206,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return tuple(q[v - 1] for v in p)
 
 
-def perm_inverse(p: Permutation) -> Permutation:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
-def perm_power(p: Permutation, m: int) -> Permutation:
-    if m < 0:
-        return perm_power(perm_inverse(p), -m)
-    out = identity_perm(len(p))
-    for _ in range(m):
-        out = compose(out, p)
-    return out
-
-
 def power(Q: LoopTable, a: int, m: int) -> int:
     """The m-th power of a, iterating the left translation: a^m = a * a^(m-1).
 

@@ -26,10 +26,14 @@ needed more than 9 tests; a loop that is not left Bol stops at its first
 failing element.  The left-power-alternative check walks one cycle per
 cyclic subloop, not one per element.
 
-``structure_report`` and ``iso.invariant_profile`` get the commutant, the
-nuclei and the identity flags from one pass (``_predicates``), which
-scans fewer nuclei by three facts (Robinson, *Bol loops*, Trans. AMS 123,
-1966, for the first two; products of translations act right to left):
+``_predicates`` is the one code path for the nuclei: ``nuclei`` reads
+its result, and every caller that needs more than one of the commutant,
+the nuclei and the identity flags (``structure_report``,
+``iso.invariant_profile``, the ``verify`` claims, ``bolkit enumerate-q9``)
+calls it once per table.  The flags come as a mapping keyed by
+``IDENTITY_NAMES``.  It scans fewer nuclei by three facts (Robinson,
+*Bol loops*, Trans. AMS 123, 1966, for the first two; products of
+translations act right to left):
 
 - In a left Bol loop N_lambda = N_mu.  For a in N_lambda and u = a*x:
   a*(y*a) = (a*y)*a with y = a^-1*u, so by Bol L_{u*a} = L_a L_{a^-1*u}
@@ -323,36 +327,14 @@ def _middle_refuter(cells: Rows, g: list[Callable[[Row], Row]]) -> Refuter:
     return refute
 
 
-def nuclei(Q: LoopTable) -> Nuclei:
-    """Left/middle/right nuclei, their intersection, and the center.
-
-    Each nucleus is a subloop and is found by closure (``_subloop_where``).
-    The right nucleus is the left nucleus of the opposite loop.  A loop
-    whose middle nucleus is all of Q is associative, a group, so its left
-    and right nuclei are all of Q too and are not scanned.
-    """
-    cells = Q.cells
-    g = _gathers(cells)
-    middle = _subloop_where(Q, _middle_refuter(cells, g))
-    op = _opposite(cells)
-    if len(middle) == Q.order:
-        left = right = middle
-    else:
-        left = _subloop_where(Q, _left_refuter(cells, g))
-        right = _subloop_where(Q, _left_refuter(op, _gathers(op)))
-    nuc = tuple(sorted(set(left) & set(middle) & set(right)))
-    cen = tuple(c for c in nuc if cells[c - 1] == op[c - 1])  # L_c = R_c
-    return Nuclei(left, middle, right, nuc, cen)
-
-
 class _Predicates(NamedTuple):
     commutant: ElementSet
     nuclei: Nuclei
-    flags: tuple[bool, ...]  # check_identity(Q, name) for each of IDENTITY_NAMES
+    flags: dict[str, bool]  # name -> check_identity(Q, name), for IDENTITY_NAMES
 
 
 def _predicates(Q: LoopTable) -> _Predicates:
-    """``commutant(Q)``, ``nuclei(Q)`` and the identity flags in one pass.
+    """The commutant, the nuclei and the identity flags of Q in one pass.
 
     The opposite table and the gathers of Q and of its opposite are built
     once and shared by every scan.  Q is associative iff its middle
@@ -384,7 +366,9 @@ def _predicates(Q: LoopTable) -> _Predicates:
     middle = _subloop_where(Q, _middle_refuter(cells, g))
     if len(middle) == n:
         nuc = Nuclei(middle, middle, middle, middle, com)
-        return _Predicates(com, nuc, (True, True, True, True, commutative, True))
+        flags = dict.fromkeys(IDENTITY_NAMES, True)
+        flags["commutative"] = commutative
+        return _Predicates(com, nuc, flags)
     refute_left = _left_refuter(cells, g)
     # an element outside C & N_mu is refuted untested, keeping the witness
     candidates = set(com).intersection(middle)
@@ -395,9 +379,26 @@ def _predicates(Q: LoopTable) -> _Predicates:
     left = middle if left_bol else _subloop_where(Q, refute_left)
     right = middle if right_bol else _subloop_where(Q, _left_refuter(op, gop))
     nucleus = tuple(sorted(set(left) & set(middle) & set(right)))
-    lpa = left_bol or _power_alternative(cells, g)
-    flags = (left_bol, right_bol, left_bol and right_bol, False, commutative, lpa)
+    flags = {
+        "left_bol": left_bol,
+        "right_bol": right_bol,
+        "moufang": left_bol and right_bol,
+        "associative": False,
+        "commutative": commutative,
+        "left_power_alternative": left_bol or _power_alternative(cells, g),
+    }
     return _Predicates(com, Nuclei(left, middle, right, nucleus, center), flags)
+
+
+def nuclei(Q: LoopTable) -> Nuclei:
+    """Left/middle/right nuclei, their intersection, and the center.
+
+    Read from ``_predicates``, which finds each nucleus by closure
+    (``_subloop_where``) and scans the left or right nucleus only when Q
+    is not left or right Bol.  A caller that also needs the commutant or
+    an identity flag should call ``_predicates`` once instead.
+    """
+    return _predicates(Q).nuclei
 
 
 def commutant_prime_part(Q: LoopTable, m: int) -> ElementSet:
@@ -586,8 +587,8 @@ def structure_report(Q: LoopTable) -> str:
         f"name: {Q.name or '-'}",
         f"order: {Q.order}",
     ]
-    for ident, holds in zip(IDENTITY_NAMES, flags):
-        lines.append(f"{ident}: {_fmt_bool(holds)}")
+    for ident in IDENTITY_NAMES:
+        lines.append(f"{ident}: {_fmt_bool(flags[ident])}")
     lines.extend(
         [
             f"commutant: {_fmt_set(com)}",

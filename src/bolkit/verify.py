@@ -45,14 +45,15 @@ from .iso import brute_force_isomorphic, classify, isomorphic
 from .loop_core import LoopTable, identity_perm, mul, power
 from .oracle import Order8Report, enumerate_all_loops, search_left_bol, summarize_order8
 from .structure import (
+    ElementSet,
+    Nuclei,
     _gathers,
     _opposite,
-    check_identity,
+    _predicates,
     commutant,
     commutant_prime_part,
     generated_subloop,
     is_subloop,
-    nuclei,
     involution_count,
     right_regular_is_homomorphism,
     subloop_table,
@@ -117,12 +118,11 @@ class VerificationSuite:
 
     def claim_sec3_example_fixture(self) -> tuple[bool, str]:
         T = self.fixture8
-        nuc = nuclei(T)
-        com = commutant(T)
+        com, nuc, flags = _predicates(T)
         ok = (
             T.order == 8
-            and check_identity(T, "left_bol")
-            and not check_identity(T, "associative")
+            and flags["left_bol"]
+            and not flags["associative"]
             and nuc.left == (1, 2)
             and nuc.middle == (1, 2)
             and nuc.center == (1, 2)
@@ -136,11 +136,11 @@ class VerificationSuite:
         K, E, tau, f = named_extension("order12")
         Q = build_extension(K, E, tau, f)
         kf = ker_fix(tau)
-        com = commutant(Q)
+        com, _, flags = _predicates(Q)
         ok = (
             Q.order == 12
-            and check_identity(Q, "left_bol")
-            and not check_identity(Q, "associative")
+            and flags["left_bol"]
+            and not flags["associative"]
             and len(com) == 3
             and not is_subloop(Q, com)
             and len(com) == len(kf.fix) * len(kf.ker) == 3
@@ -156,12 +156,12 @@ class VerificationSuite:
         parts = []
         ok = True
         for Q, inv_expected in ((Qc, 9), (Qe, 13)):
-            com = commutant(Q)
+            com, _, flags = _predicates(Q)
             inv = involution_count(Q)
             good = (
                 Q.order == 16
-                and check_identity(Q, "left_bol")
-                and not check_identity(Q, "associative")
+                and flags["left_bol"]
+                and not flags["associative"]
                 and len(com) == 6
                 and inv == inv_expected
             )
@@ -173,13 +173,13 @@ class VerificationSuite:
     def claim_sec6_q9_family(self) -> tuple[bool, str]:
         bad = 0
         for Q in self.q9_all:
-            com = commutant(Q)
+            com, nuc, flags = _predicates(Q)
             if not (
                 Q.order == 16
-                and check_identity(Q, "left_bol")
+                and flags["left_bol"]
                 and len(com) == 6
                 and not is_subloop(Q, com)
-                and set(com) <= set(nuclei(Q).right)
+                and set(com) <= set(nuc.right)
             ):
                 bad += 1
         return bad == 0, f"512 loops, {bad} violations of Bol/|C|=6/non-subloop/C<=RNuc"
@@ -206,18 +206,18 @@ class VerificationSuite:
 
     def claim_sec6_exceptional(self) -> tuple[bool, str]:
         X = self.exceptional
-        nuc = nuclei(X)
-        com = commutant(X)
+        com, nuc, flags = _predicates(X)
         rnuc_tbl = subloop_table(X, nuc.right)
+        rnuc_flags = _predicates(rnuc_tbl).flags
         involutory = all(mul(X, a, a) == 1 for a in X.elements())
         ok = (
-            check_identity(X, "left_bol")
+            flags["left_bol"]
             and involutory
             and nuc.left == (1,)
             and nuc.center == (1,)
             and len(nuc.right) == 8
-            and check_identity(rnuc_tbl, "associative")
-            and check_identity(rnuc_tbl, "commutative")
+            and rnuc_flags["associative"]
+            and rnuc_flags["commutative"]
             and all(mul(rnuc_tbl, a, a) == 1 for a in rnuc_tbl.elements())
             and com == (1, 2, 5, 7)
             and generated_subloop(X, com) == nuc.right
@@ -236,10 +236,10 @@ class VerificationSuite:
         bad = []
         for Q in catalog.order16_twenty():
             H = generated_subloop(Q, commutant(Q))
-            sub = subloop_table(Q, H)
+            sub_flags = _predicates(subloop_table(Q, H)).flags
             if not (
-                check_identity(sub, "associative")
-                and check_identity(sub, "commutative")
+                sub_flags["associative"]
+                and sub_flags["commutative"]
                 and Q.order % len(H) == 0
                 and right_regular_is_homomorphism(Q, H)
             ):
@@ -250,16 +250,19 @@ class VerificationSuite:
         loops = catalog.property_catalog()
         bad: list[str] = []
         for Q in loops:
-            if not check_identity(Q, "left_bol"):
+            com, nuc, flags = _predicates(Q)
+            if not flags["left_bol"]:
                 bad.append(f"{Q.name}:not-bol")
                 continue
-            if not self._commutant_property_battery(Q):
+            if not self._commutant_property_battery(Q, com, nuc):
                 bad.append(Q.name or "?")
         return not bad, f"{len(loops)} catalog loops; failures={bad or 'none'}"
 
     @staticmethod
-    def _commutant_property_battery(Q: LoopTable) -> bool:
+    def _commutant_property_battery(Q: LoopTable, com: ElementSet, nuc: Nuclei) -> bool:
         """The Section 2 commutant facts, checked on whole rows and columns.
+
+        ``com`` and ``nuc`` are the commutant and the nuclei of Q.
 
         Power law: (a^k b^l)(a^m b^n) = a^(k+m) b^(l+n) for a, b in C and
         0 <= k, l, m, n < 5.  With the grid G[i][j] = a^i b^j (i, j < 9),
@@ -272,8 +275,6 @@ class VerificationSuite:
         check made for the pair (b, a).
         """
         cells = Q.cells
-        com = commutant(Q)
-        nuc = nuclei(Q)
         lnuc, rnuc = set(nuc.left), set(nuc.right)
         pw = {a: [power(Q, a, m) for m in range(9)] for a in com}
         for a in com:
@@ -332,15 +333,16 @@ class VerificationSuite:
         bad = []
         for name, K, E, tau, f in inputs:
             Q = build_extension(K, E, tau, f)
-            if bol_conditions(K, E, tau, f) != check_identity(Q, "left_bol"):
+            com, nuc, flags = _predicates(Q)
+            if bol_conditions(K, E, tau, f) != flags["left_bol"]:
                 bad.append(f"{name}:bol")
-            if group_conditions(K, E, tau, f) != check_identity(Q, "associative"):
+            if group_conditions(K, E, tau, f) != flags["associative"]:
                 bad.append(f"{name}:group")
             rn = sorted(pair_index(K, w, c) for w, c in right_nucleus_members(K, E, tau, f))
-            if tuple(rn) != nuclei(Q).right:
+            if tuple(rn) != nuc.right:
                 bad.append(f"{name}:rnuc")
             cm = sorted(pair_index(K, u, a) for u, a in commutant_members(K, E, tau, f))
-            if tuple(cm) != commutant(Q):
+            if tuple(cm) != com:
                 bad.append(f"{name}:commutant")
         return not bad, f"{len(inputs)} inputs (catalog + 100 random); disagreements={bad or 'none'}"
 

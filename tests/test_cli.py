@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -242,10 +244,18 @@ def test_report_lines_format():
 def test_enumerate_q9_default_mode(capsys):
     assert main(["enumerate-q9"]) == 0
     out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert len(lines) == 513
-    assert lines[0].startswith("q9_000000000 commutant=6")
-    assert lines[-1] == "512 loops"
+    *loop_lines, last = out.splitlines()
+    assert last == "512 loops"
+    # enumerate_q9 is lexicographic in the nine bits
+    assert [line.split()[0] for line in loop_lines] == [f"q9_{t:09b}" for t in range(512)]
+    involutions = Counter()
+    for line in loop_lines:
+        _, com, inv, rnuc = line.split()
+        assert (com, rnuc) == ("commutant=6", "rnuc=8"), line
+        involutions[int(inv.removeprefix("involutions="))] += 1
+    assert involutions == {3: 24, 5: 96, 7: 152, 9: 128, 11: 72, 13: 32, 15: 8}
+    # the pairing of names and involution counts too
+    assert hashlib.md5(out.encode()).hexdigest() == "0b0b4da8f0d635b20def21a4eb0e59b7"
 
 
 def test_construct_then_check_never_errors(tmp_path, capsys):

@@ -12,8 +12,6 @@ from bolkit.loop_core import (
     left_divide,
     mul,
     parse_table,
-    perm_inverse,
-    perm_power,
     power,
     render,
     right_divide,
@@ -145,8 +143,10 @@ def test_power_translations_match_in_bol(T8):
     # L_{a^m} = L_a^m holds in left Bol loops
     assert check_identity(T8, "left_bol")
     for a in T8.elements():
+        la_m = identity_perm(8)  # L_a composed with itself m times
         for m in range(element_order(T8, a) + 2):
-            assert T8.cells[power(T8, a, m) - 1] == perm_power(T8.cells[a - 1], m)
+            assert T8.cells[power(T8, a, m) - 1] == la_m
+            la_m = compose(la_m, T8.cells[a - 1])
 
 
 def test_power_addition_law_in_bol(T8):
@@ -234,9 +234,6 @@ def test_perm_helpers():
     p = (2, 3, 1)
     q = (1, 3, 2)
     assert compose(p, q) == (3, 2, 1)  # apply p then q
-    assert compose(p, perm_inverse(p)) == identity_perm(3)
-    assert perm_power(p, 3) == identity_perm(3)
-    assert perm_power(p, -1) == perm_inverse(p)
 
 
 def test_from_cells_validation():
