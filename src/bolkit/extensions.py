@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParams, NotAssociative, TooLarge
-from .iso import _element_data, _isomorphisms
+from .iso import _isomorphisms, _record
 from .loop_core import LoopTable, Permutation, check_order, identity_perm, inverse, mul
 from .structure import ElementSet, check_identity, commutant, nuclei
 
@@ -66,11 +66,12 @@ def automorphism_group(K: LoopTable) -> list[Permutation]:
     """All automorphisms of the loop K, canonically sorted (identity first).
 
     The isomorphism search from K to itself, which lists maps in sorted
-    order; capped at |K| <= MAX_AUT_ORDER.
+    order; capped at |K| <= MAX_AUT_ORDER.  K's iso record is read from,
+    or memoized on, K.
     """
     if K.order > MAX_AUT_ORDER:
         raise TooLarge(f"automorphism enumeration capped at order {MAX_AUT_ORDER}")
-    data = _element_data(K)
+    data = _record(K)
     return list(_isomorphisms(K, K, data, data))
 
 

@@ -21,6 +21,20 @@ as sharp as the profile on the catalog: without it, Z2^2xZ2^2 (20160
 automorphisms) shares a key with q9_000000000 and exceptional16, and a
 failed search between them takes 10 to 80 ms, where a profile of order
 16 takes under 1 ms.
+
+The record and the profile are memoized on the table object, in its
+``_iso`` slot (a ``_Memo``), so that many queries against a few fixed
+representatives compute each representative's once.  Only this module
+writes the slot: ``_screen`` and ``classification_report`` fill it, and
+``extensions.automorphism_group`` fills it through ``_record``.
+``classify`` reads it but writes it only on its representatives, so a
+batch held by its caller, such as the 7800 order-8 tables of
+``verify``, does not keep a record per table.  The memo depends only on
+the cells; equality, hashing and ``repr`` ignore it, and content-equal
+tables built as separate objects each start empty.  A fill is
+idempotent (two threads that race store equal values), so concurrent
+use stays safe.
+
 There are no canonical forms: tables of order <= 16 and batches of a few
 thousand are the intended scale.
 """
@@ -109,6 +123,32 @@ def _element_data(Q: LoopTable) -> _ElementData:
         for order, row, col in zip(_element_orders(Q), Q.cells, _opposite(Q.cells))
     )
     return _ElementData(local, (Q.order, tuple(sorted(local))))
+
+
+class _Memo(NamedTuple):
+    """What this module keeps on a table, in ``LoopTable._iso``."""
+
+    data: _ElementData
+    profile: IsoProfile | None  # None until a screen or a report needs it
+
+
+def _record(Q: LoopTable) -> _ElementData:
+    """Q's record, computed on first use and memoized on Q."""
+    memo = Q._iso
+    if memo is None:
+        memo = Q._iso = _Memo(_element_data(Q), None)
+    return memo.data
+
+
+def _profile(Q: LoopTable) -> IsoProfile:
+    """Q's invariant profile, computed on first use and memoized on Q."""
+    data = _record(Q)
+    profile = Q._iso.profile
+    if profile is None:
+        # the public function, so a wrapper bound in its place sees each computation
+        profile = invariant_profile(Q)
+        Q._iso = _Memo(data, profile)
+    return profile
 
 
 # (img, used, known): see extend_partial_hom
@@ -212,11 +252,14 @@ def _screen(Q1: LoopTable, Q2: LoopTable) -> tuple[_ElementData, _ElementData] |
     """Records of both loops, or None when an invariant tells them apart.
 
     Cheapest first: the orders, then the keys, then the cubic profiles.
+    Records and profiles come from the tables' memos; a profile is
+    computed only for a table that has none yet, and only when the keys
+    are equal.
     """
     if Q1.order != Q2.order:
         return None
-    d1, d2 = _element_data(Q1), _element_data(Q2)
-    if d1.key != d2.key or invariant_profile(Q1) != invariant_profile(Q2):
+    d1, d2 = _record(Q1), _record(Q2)
+    if d1.key != d2.key or _profile(Q1) != _profile(Q2):
         return None
     return d1, d2
 
@@ -252,11 +295,17 @@ def classify(loops: list[LoopTable]) -> list[IsoClass]:
     ``isomorphic`` and ``find_isomorphism``.  The commuting-partner
     counts keep abelian groups such as Z2^2xZ2^2 apart from the
     nonassociative loops whose order statistics they share.
+
+    A record already memoized on a table is read, not recomputed.  Only
+    the representatives get a memo written, the tables later queries are
+    most likely to name; every other record is dropped with the call, so
+    a large batch costs no memory after it is classified.
     """
     reps: dict[tuple, list[tuple[int, _ElementData]]] = {}  # key -> (index, record)
     members: dict[int, list[int]] = {}  # representative -> members, by first member
     for i, Q in enumerate(loops):
-        data = _element_data(Q)
+        memo = Q._iso
+        data = _element_data(Q) if memo is None else memo.data
         same_key = reps.setdefault(data.key, [])
         for r, r_data in same_key:
             if next(_isomorphisms(Q, loops[r], data, r_data), None) is not None:
@@ -265,6 +314,8 @@ def classify(loops: list[LoopTable]) -> list[IsoClass]:
         else:
             same_key.append((i, data))
             members[i] = [i]
+            if memo is None:
+                Q._iso = _Memo(data, None)
     return [IsoClass(r, tuple(m)) for r, m in members.items()]
 
 
@@ -290,7 +341,7 @@ def classification_report(loops: list[LoopTable], classes: list[IsoClass]) -> st
     lines = []
     for k, cls in enumerate(classes, start=1):
         rep = loops[cls.representative]
-        prof = invariant_profile(rep)
+        prof = _profile(rep)
         fields = (
             f"order={prof.order}"
             f" spectrum={','.join(str(v) for v in prof.order_spectrum)}"

@@ -1,9 +1,12 @@
 """Finite loops as explicit Cayley tables.
 
 Elements are the integers 1..n and element 1 is always the two-sided
-identity; ``cells[a-1][b-1]`` holds the product ``a*b``.  Tables are
-immutable after construction and every function in this module is pure,
-so everything is safe for unrestricted concurrent use.
+identity; ``cells[a-1][b-1]`` holds the product ``a*b``.  The order,
+cells and name of a table never change after construction and every
+function in this module is pure.  A table's one mutable slot, ``_iso``,
+is a memo that only ``bolkit.iso`` fills (see there): it depends only on
+the cells, and filling it twice stores equal values, so tables stay safe
+for unrestricted concurrent use.
 
 Permutations of 1..n are plain tuples: ``p[i-1]`` is the image of ``i``.
 """
@@ -37,15 +40,17 @@ class LoopTable:
     """An n x n Cayley table with the identity at index 1.
 
     ``name`` is descriptive metadata only; it is ignored by equality
-    and hashing.
+    and hashing.  So is ``_iso``, the iso layer's memo, None until
+    ``bolkit.iso`` fills it; each table object starts with its own.
     """
 
-    __slots__ = ("order", "cells", "name")
+    __slots__ = ("order", "cells", "name", "_iso")
 
     def __init__(self, order: int, cells: tuple[tuple[int, ...], ...], name: str | None = None):
         self.order = order
         self.cells = cells
         self.name = name
+        self._iso = None
 
     @classmethod
     def from_cells(cls, cells: Iterable[Iterable[int]], name: str | None = None) -> "LoopTable":

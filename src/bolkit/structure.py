@@ -9,8 +9,11 @@ right-regular homomorphism test) share one kernel: per call, each row
 becomes an ``operator.itemgetter`` gather, and an identity becomes a
 comparison of whole rows per pair (x, y).  Right-hand notions come from
 the opposite table (the transpose): right Bol is left Bol of the opposite
-loop, the right nucleus is its left nucleus.  Nothing is cached on the
-table, so each call pays O(n^2) to build its gathers.
+loop, the right nucleus is its left nucleus.  This module caches
+nothing on the table, so each call pays O(n^2) to build its gathers;
+the one memo a table carries, ``LoopTable._iso``, belongs to
+``bolkit.iso``, which keeps there each table's iso record and the
+invariant profile it builds from ``_predicates``.
 
 Closures keep most predicates below n^3.  Each nucleus is a subloop and
 is found by closure, testing only elements outside the span of the
@@ -405,7 +408,12 @@ def commutant_prime_part(Q: LoopTable, m: int) -> ElementSet:
     """Commutant elements whose order is relatively prime to m."""
     if m <= 1:
         raise ValueError("m must exceed 1")
-    return tuple(c for c in commutant(Q) if math.gcd(element_order(Q, c), m) == 1)
+    return _prime_part(Q, commutant(Q), m)
+
+
+def _prime_part(Q: LoopTable, com: ElementSet, m: int) -> ElementSet:
+    """The elements of ``com``, Q's commutant, whose order is relatively prime to m."""
+    return tuple(c for c in com if math.gcd(element_order(Q, c), m) == 1)
 
 
 def generated_subloop(Q: LoopTable, S: ElementSet) -> ElementSet:

@@ -50,8 +50,8 @@ from .structure import (
     _gathers,
     _opposite,
     _predicates,
+    _prime_part,
     commutant,
-    commutant_prime_part,
     generated_subloop,
     is_subloop,
     involution_count,
@@ -290,7 +290,7 @@ class VerificationSuite:
             if (mul(Q, c, c) in lnuc) != (c in rnuc):
                 return False
         for m in (1, 2, 3):
-            if not is_subloop(Q, commutant_prime_part(Q, 2 * m)):
+            if not is_subloop(Q, _prime_part(Q, com, 2 * m)):
                 return False
         op = _opposite(cells)
         g = _gathers(op)

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import random
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from bolkit import iso
 from bolkit.catalog import property_catalog, q9_representatives, twenty_one
 from bolkit.errors import NotPeriodicThroughIdentity
-from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
+from bolkit.extensions import automorphism_group, build_named_example, cyclic_group, elem_abelian_2
 from bolkit.gf2 import build_exceptional, build_q9
 from bolkit.iso import (
     ORDER_UNDEFINED,
@@ -20,7 +22,7 @@ from bolkit.iso import (
     invariant_profile,
     isomorphic,
 )
-from bolkit.loop_core import element_order, identity_perm, mul, parse_table
+from bolkit.loop_core import LoopTable, element_order, identity_perm, mul, parse_table
 from bolkit.oracle import enumerate_all_loops, search_left_bol
 
 
@@ -318,4 +320,93 @@ def test_isomorphic_computes_profiles_only_for_equal_keys(monkeypatch):
 def test_classify_order8_matches_invariant_grouping(order8_tables, order8_classes):
     index = {id(Q): i for i, Q in enumerate(order8_tables)}
     expected = [[index[id(Q)] for Q in cls] for cls in order8_classes]
-    assert [list(c.members) for c in classify(list(order8_tables))] == expected
+    # fresh objects: other tests query the shared tables and fill their memos
+    tables = [LoopTable(Q.order, Q.cells, Q.name) for Q in order8_tables]
+    classes = classify(tables)
+    assert [list(c.members) for c in classes] == expected
+    # only the 11 representatives keep a record; the rest of the batch keeps none
+    memoized = [i for i, Q in enumerate(tables) if Q._iso is not None]
+    assert memoized == sorted(c.representative for c in classes)
+    assert all(tables[i]._iso.profile is None for i in memoized)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``iso.<name>`` with a wrapper that lists its arguments."""
+    calls = []
+    original = getattr(iso, name)
+
+    def counted(Q):
+        calls.append(Q)
+        return original(Q)
+
+    monkeypatch.setattr(iso, name, counted)
+    return calls
+
+
+def test_repeated_queries_compute_each_record_and_profile_once(monkeypatch):
+    records = _counting(monkeypatch, "_element_data")
+    profiles = _counting(monkeypatch, "invariant_profile")
+    P = build_q9((0,) * 9)
+    R = _relabel(P, (1, *range(16, 1, -1)))
+    for _ in range(3):
+        assert isomorphic(P, R) and isomorphic(R, P)
+        assert find_isomorphism(P, R) is not None
+    assert records == [P, R] and profiles == [P, R]
+    # classify, the report and automorphism_group read the same memo
+    classes = classify([P, R])
+    classification_report([P, R], classes)
+    assert automorphism_group(P)
+    assert records == [P, R] and profiles == [P, R]
+
+
+def test_content_equal_tables_do_not_share_a_memo():
+    P = build_exceptional()
+    Q = LoopTable.from_cells(P.cells)
+    assert P == Q and P._iso is None and Q._iso is None
+    assert isomorphic(P, P)
+    assert P._iso is not None and Q._iso is None
+    assert isomorphic(Q, Q)
+    assert Q._iso is not P._iso
+
+
+def test_memo_leaves_equality_hash_and_repr_alone():
+    P = build_exceptional()
+    Q = LoopTable.from_cells(P.cells, name=P.name)
+    before = (hash(P), repr(P))
+    assert isomorphic(P, P) and P._iso.profile is not None and Q._iso is None
+    assert (hash(P), repr(P)) == before == (hash(Q), repr(Q))
+    assert P == Q and Q == P and len({P, Q}) == 1
+
+
+def test_threads_sharing_tables_fill_consistent_memos():
+    # more threads than cores, switching often, all querying the same fresh
+    # tables: every answer stays right and every memo equals a cold compute
+    loops = property_catalog()[:8]
+    expected = [[isomorphic(P, Q) for Q in loops] for P in loops]
+    left = [_relabel(Q, (1, *range(Q.order, 1, -1))) for Q in loops]
+    right = [LoopTable.from_cells(Q.cells) for Q in loops]
+    answers, errors = [], []
+
+    def worker(seed):
+        pairs = list(itertools.product(range(len(loops)), repeat=2))
+        random.Random(seed).shuffle(pairs)
+        try:
+            answers.append(all(isomorphic(left[i], right[j]) == expected[i][j] for i, j in pairs))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and answers == [True] * 4
+    assert True in itertools.chain(*expected) and False in itertools.chain(*expected)
+    for Q in left + right:
+        assert Q._iso == (_element_data(Q), invariant_profile(Q))

@@ -10,7 +10,7 @@ answer: a and b commute, so (x^3 b)a = x^3(ab) for the pair (a, b) is
 (x^3 a)b = x^3(ab) for the pair (b, a), and every pair is checked.
 """
 
-from bolkit import catalog
+from bolkit import catalog, structure
 from bolkit.extensions import Cocycle, TauMap, build_extension, cyclic_group
 from bolkit.gf2 import enumerate_q9
 from bolkit.loop_core import LoopTable, identity_perm, mul, power
@@ -120,3 +120,21 @@ def test_battery_matches_the_product_by_product_oracle():
     # both answers occur, so neither a constant True nor a constant False passes
     assert True in seen and False in seen
 
+
+
+def test_commutant_claim_reads_the_commutant_it_is_handed(monkeypatch):
+    # the prime parts come from the commutant _predicates found, so the
+    # claim never recomputes it
+    calls = []
+    original = structure.commutant
+
+    def counted(Q):
+        calls.append(Q)
+        return original(Q)
+
+    monkeypatch.setattr(structure, "commutant", counted)
+    assert VerificationSuite().claim_sec2_commutant_props() == (
+        True,
+        "31 catalog loops; failures=none",
+    )
+    assert calls == []
