@@ -43,15 +43,38 @@ Both tests hold in every left Bol table, so a rejected prefix has no
 completion that is one.  Every candidate the generator yields still goes
 through propagation, which stays the one authority: the search finds the
 same tables, in the same lexicographic order, as a generator without the
-tests.  The tests reject most rows long before they are complete:
-12,081 candidates reach propagation at order 8 and 10,360 at order 9
-(12,465 and 17,668 without the cycle test, 80,437 and 581,167 for a
-plain column-consistent generator).  ``SEARCH_BUDGET`` bounds the
-candidates that reach propagation in one search, far above the 413,385
-of order 10.
+tests.  Searched on every row-2 candidate, 12,081 candidates reach
+propagation at order 8 and 10,360 at order 9 (12,465 and 17,668 without
+the cycle test, 80,437 and 581,167 for a plain column-consistent
+generator).
 
-Symmetry is broken only by normalizing the identity to element 1, so the
-search counts identity-normalized tables, not isomorphism classes.
+Row 2 is searched once per cycle type.  Every candidate L for row 2 maps
+1 to 2.  A relabeling s of the elements that fixes 1 and 2 maps a left
+Bol table T onto the left Bol table s(T) whose row s(a) is s L_a s^-1,
+so its row 2 is s L s^-1.  Two candidates of one cycle type (the length
+of the cycle through 1, then the sorted lengths of the others) are
+conjugate by the s that sends the cycle listing of the first onto that
+of the second (``_cycle_listing``); s fixes 1 and 2, since both listings
+begin 1, 2.  Then T -> s(T) is one-to-one from the tables with row 2 = L
+onto those with row 2 = s L s^-1, its inverse being the relabeling by
+s^-1.  So the search propagates and branches only below the first
+candidate of each type and relabels the tables found there onto every
+other candidate of the type.  The union is complete, because every table
+whose row 2 is a candidate of the type is the image of a table found
+below the first; it has no duplicates, because tables with different
+rows 2 differ and each relabeling is one-to-one.  No table is lost to a
+candidate the generator rejects, as a rejected row has no completion.
+The tables are then sorted, so the output is the list the search on
+every candidate returns.  Candidates reaching propagation fall to 471 at
+order 8, 20 at order 9 and 2,796 at order 10, against 413,385 for the
+search on every candidate at order 10; generating the 915, 5,320 and
+48,489 row-2 candidates and relabeling the tables take most of the
+remaining time.  ``SEARCH_BUDGET`` bounds the candidates that reach
+propagation in one search, far above all three.
+
+Beyond the identity at element 1 and this relabeling inside the search,
+no symmetry is broken: the search lists every identity-normalized table,
+not isomorphism classes.
 """
 
 from __future__ import annotations
@@ -229,6 +252,34 @@ def _propagate(
     return True
 
 
+def _cycle_listing(row: Row) -> tuple[tuple[int, ...], list[int]]:
+    """The cycle type of a 0-based permutation and its cycles in normal form.
+
+    The type is the length of the cycle through 0, then the sorted lengths
+    of the other cycles.  The listing is the cycle through 0, starting at
+    0, then the other cycles by (length, least element), each starting at
+    its least element.  Two permutations of one type are conjugate by the
+    map that sends the first listing onto the second, position by position.
+    """
+    seen = 0
+    cycles = []
+    for s in range(len(row)):
+        if not (seen >> s) & 1:
+            cycle = [s]
+            z = row[s]
+            while z != s:
+                cycle.append(z)
+                seen |= 1 << z
+                z = row[z]
+            cycles.append(cycle)
+    listing, *rest = cycles
+    rest.sort(key=len)  # stable: ties keep the order of least elements
+    kind = (len(listing), *map(len, rest))
+    for cycle in rest:
+        listing += cycle
+    return kind, listing
+
+
 def _check_search_order(n: int) -> None:
     if n < 1:
         raise BadParams("loop order must be positive")
@@ -238,52 +289,85 @@ def _check_search_order(n: int) -> None:
 def search_left_bol(n: int) -> list[LoopTable]:
     """Every left Bol loop of order n as an identity-normalized table.
 
-    Tables come in lexicographic order of their rows.  More than
-    ``SEARCH_BUDGET`` branching candidates reaching propagation raises
-    SearchBudgetExceeded.
+    Tables come in lexicographic order of their rows, and tables share the
+    object of each distinct row.  ``SEARCH_BUDGET`` bounds the candidate
+    rows that reach propagation: the first row-2 candidate of each cycle
+    type, the only ones searched (see the module docstring), and every
+    candidate for a later row.  The row-2 candidates whose tables are
+    relabeled are not counted.  One more raises SearchBudgetExceeded.
     """
     _check_search_order(n)
+    if n == 1:
+        return [LoopTable(1, ((1,),))]
     found: list[tuple[Row, ...]] = []
     nodes = 0
 
-    def dfs(
+    def branch(
         rows: list[Row | None],
         gathers: list[Callable[[Row], Row] | None],
         col_used: list[int],
         branched: tuple[int, ...],
+        cand: Row,
     ) -> None:
+        """Decide the row branched[-1] as cand, propagate, and search on."""
         nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_BUDGET:
+            raise SearchBudgetExceeded(f"budget {SEARCH_BUDGET} exhausted")
+        r = branched[-1]
+        rows = rows.copy()
+        gathers = gathers.copy()
+        col_used = col_used.copy()
+        rows[r] = cand
+        gathers[r] = itemgetter(*cand)
+        for z in range(n):
+            col_used[z] |= 1 << cand[z]
+        if not _propagate(rows, gathers, col_used, branched):
+            return
         r = next((i for i in range(n) if rows[i] is None), None)
         if r is None:
             found.append(tuple(rows))  # type: ignore[arg-type]
             return
-        branched2 = (*branched, r)
         for cand in _row_candidates(rows, r, col_used):
-            nodes += 1
-            if nodes > SEARCH_BUDGET:
-                raise SearchBudgetExceeded(f"budget {SEARCH_BUDGET} exhausted")
-            rows2 = rows.copy()
-            g2 = gathers.copy()
-            cu2 = col_used.copy()
-            rows2[r] = cand
-            g2[r] = itemgetter(*cand)
-            for z in range(n):
-                cu2[z] |= 1 << cand[z]
-            if _propagate(rows2, g2, cu2, branched2):
-                dfs(rows2, g2, cu2, branched2)
+            branch(rows, gathers, col_used, (*branched, r), cand)
 
     rows0: list[Row | None] = [None] * n
     rows0[0] = tuple(range(n))
     gathers0: list[Callable[[Row], Row] | None] = [None] * n
-    if n > 1:  # itemgetter with one index returns a scalar; order 1 never branches
-        gathers0[0] = itemgetter(*rows0[0])
+    gathers0[0] = itemgetter(*rows0[0])
     col_used0 = [1 << z for z in range(n)]
-    dfs(rows0, gathers0, col_used0, ())
+    # cycle type -> (the first candidate of the type, the cycle listings of all)
+    groups: dict[tuple[int, ...], tuple[Row, list[list[int]]]] = {}
+    for cand in _row_candidates(rows0, 1, col_used0):
+        kind, listing = _cycle_listing(cand)
+        groups.setdefault(kind, (cand, []))[1].append(listing)
 
-    # tables share their rows, so each distinct row is labelled once
-    label = tuple(range(1, n + 1)).__getitem__  # 0-based value -> element
-    labelled = {row: tuple(map(label, row)) for row in {row for raw in found for row in raw}}
-    return [LoopTable(n, tuple(map(labelled.__getitem__, raw))) for raw in found]
+    tables: list[tuple[Row, ...]] = []
+    shared: dict[Row, Row] = {}  # one object per distinct 1-based row
+    for first, listings in groups.values():
+        found.clear()
+        branch(rows0, gathers0, col_used0, (1,), first)
+        # the found tables as indices into their distinct rows
+        index: dict[Row, int] = {}
+        coded = [tuple(index.setdefault(row, len(index)) for row in T) for T in found]
+        composers = [itemgetter(*row) for row in index]
+        rep = listings[0]
+        for listing in listings:
+            # sigma sends rep onto listing, so it fixes 0 and 1 and conjugates
+            # the first candidate to this one.  Row sigma(a) of the relabeled
+            # table is sigma o T[a] o sigma^-1: row b is T[inv[b]] labelled by
+            # sigma (label[x] = sigma(x) + 1, 1-based), then read at inv
+            label = [0] * n
+            inv = [0] * n
+            for x, y in zip(rep, listing):
+                label[x] = y + 1
+                inv[y] = x
+            pull = itemgetter(*inv)
+            image = [pull(compose(label)) for compose in composers]
+            image = list(map(shared.setdefault, image, image))
+            tables += [tuple(map(image.__getitem__, pull(T))) for T in coded]
+    tables.sort()
+    return [LoopTable(n, T) for T in tables]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -45,9 +46,11 @@ def test_search_budget(monkeypatch):
 
 
 def test_search_budget_is_exact(monkeypatch):
-    # the budget counts candidate rows that reach propagation; at order 7
-    # the cycle test passes only the 120 rows of L_2 that complete to Z7
-    for n, k in ((6, 117), (7, 120)):
+    # the budget counts candidate rows that reach propagation: for row 2
+    # only the first candidate of each cycle type, the others are relabeled.
+    # Order 6 has three types (2^3, 3^2, 6) and 19 candidates for the rows
+    # branched on below them; at order 7 the first 7-cycle forces all of Z7
+    for n, k in ((6, 22), (7, 1)):
         full = search_left_bol(n)
         monkeypatch.setattr(oracle, "SEARCH_BUDGET", k)
         assert search_left_bol(n) == full
@@ -120,3 +123,37 @@ def test_search_order8_orbit_stabilizer(order8_tables, order8_classes):
     assert [len(cls) for cls in order8_classes] == counts
     assert len(order8_tables) == sum(counts) == 7800
     assert sum(check_identity(cls[0], "associative") for cls in order8_classes) == 5
+
+
+def test_search_order10_groups_only():
+    # Bol loops of order 2p are groups (Burn, 1978): Z10 and D5, with
+    # |Aut Z10| = 4 and |Aut D5| = |Hol Z5| = 20
+    assert (
+        len(search_left_bol(10))
+        == math.factorial(9) // 4 + math.factorial(9) // 20
+        == 90_720 + 18_144
+        == 108_864
+    )
+
+
+def _relabel(cells, sigma):
+    """The table in which sigma(a)*sigma(b) = sigma(a*b); sigma is 1-based, 0 unused."""
+    n = len(cells)
+    out = [[0] * n for _ in range(n)]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            out[sigma[a] - 1][sigma[b] - 1] = sigma[cells[a - 1][b - 1]]
+    return tuple(map(tuple, out))
+
+
+def test_search_is_closed_under_moving_element_2(order8_tables):
+    # the search relabels only by maps that fix 1 and 2, so a transposition
+    # (2 k) tests a symmetry it does not use: the found set is closed under it
+    rng = random.Random(20)
+    for n, tables in ((6, search_left_bol(6)), (7, search_left_bol(7)), (8, order8_tables)):
+        found = {Q.cells for Q in tables}
+        for Q in rng.sample(tables, 40):
+            for k in range(3, n + 1):
+                sigma = list(range(n + 1))
+                sigma[2], sigma[k] = k, 2
+                assert _relabel(Q.cells, sigma) in found
