@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterator, NamedTuple
 
 from .errors import NotPeriodicThroughIdentity
@@ -119,7 +120,7 @@ def _element_orders(Q: LoopTable) -> list[int]:
 
 def _element_data(Q: LoopTable) -> _ElementData:
     local = tuple(
-        (order, sum(map(int.__eq__, row, col)))
+        (order, sum(map(eq, row, col)))
         for order, row, col in zip(_element_orders(Q), Q.cells, _opposite(Q.cells))
     )
     return _ElementData(local, (Q.order, tuple(sorted(local))))

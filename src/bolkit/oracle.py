@@ -48,29 +48,41 @@ propagation at order 8 and 10,360 at order 9 (12,465 and 17,668 without
 the cycle test, 80,437 and 581,167 for a plain column-consistent
 generator).
 
-Row 2 is searched once per cycle type.  Every candidate L for row 2 maps
-1 to 2.  A relabeling s of the elements that fixes 1 and 2 maps a left
-Bol table T onto the left Bol table s(T) whose row s(a) is s L_a s^-1,
-so its row 2 is s L s^-1.  Two candidates of one cycle type (the length
-of the cycle through 1, then the sorted lengths of the others) are
-conjugate by the s that sends the cycle listing of the first onto that
-of the second (``_cycle_listing``); s fixes 1 and 2, since both listings
-begin 1, 2.  Then T -> s(T) is one-to-one from the tables with row 2 = L
-onto those with row 2 = s L s^-1, its inverse being the relabeling by
-s^-1.  So the search propagates and branches only below the first
-candidate of each type and relabels the tables found there onto every
-other candidate of the type.  The union is complete, because every table
-whose row 2 is a candidate of the type is the image of a table found
-below the first; it has no duplicates, because tables with different
-rows 2 differ and each relabeling is one-to-one.  No table is lost to a
-candidate the generator rejects, as a rejected row has no completion.
+Row 2 is searched once per cycle type, and its candidates are listed
+directly rather than generated.  When row 2 is chosen only the identity
+row is decided, so the forced-cell test has no decided row b != 1 to
+check; the cycle test admits exactly the permutations whose cycles all
+have one length m, with m >= 2 as column z already holds z; and the
+L_r L_r test admits all of these, since for m = 2 the element r*r is 1
+and L_r L_r is the identity, and for m > 2 L_r L_r fixes no point.  So the row-2 candidates are the permutations
+with 1 -> 2 of cycle type m^(n/m), for each m >= 2 dividing n: 915, 5,320
+and 48,489 at orders 8, 9 and 10.  ``_row2_classes`` lists each type as
+the canonical cycle listings of its members: the cycle through 1 starts
+1, 2, each other cycle starts at its least element, and the cycles come
+by least element.  Its representative, the lex-least member
+(1 2 ... m)(m+1 ... 2m)..., is the generator's first candidate of the
+type and has the listing 1, 2, ..., n.
+
+A relabeling s of the elements that fixes 1 and 2 maps a left Bol table
+T onto the left Bol table s(T) whose row s(a) is s L_a s^-1, so its row 2
+is s L s^-1.  Two candidates of one type are conjugate by the s that
+sends the cycle listing of the first onto that of the second, position
+by position; s fixes 1 and 2, since both listings begin 1, 2.  From the
+representative, s sends each i to the i-th entry of the member's
+listing, so the listing is s itself.  Then T -> s(T) is
+one-to-one from the tables with row 2 = L onto those with row 2 =
+s L s^-1, its inverse being the relabeling by s^-1.  So the search
+propagates and branches only below the representative of each type and
+relabels the tables found there onto every other member.  The union is
+complete, because every table whose row 2 is a member is the image of a
+table found below the representative, and it has no duplicates, because
+tables with different rows 2 differ and each relabeling is one-to-one.
 The tables are then sorted, so the output is the list the search on
 every candidate returns.  Candidates reaching propagation fall to 471 at
 order 8, 20 at order 9 and 2,796 at order 10, against 413,385 for the
-search on every candidate at order 10; generating the 915, 5,320 and
-48,489 row-2 candidates and relabeling the tables take most of the
-remaining time.  ``SEARCH_BUDGET`` bounds the candidates that reach
-propagation in one search, far above all three.
+search on every candidate at order 10; relabeling the tables takes most
+of the remaining time.  ``SEARCH_BUDGET`` bounds the candidates that
+reach propagation in one search, far above all three.
 
 Beyond the identity at element 1 and this relabeling inside the search,
 no symmetry is broken: the search lists every identity-normalized table,
@@ -81,6 +93,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Iterator
 
@@ -113,7 +126,8 @@ def _row_candidates(
     Each cell is tested against the cycle length of L_r, and then every
     cell of a row forced by the decided rows that has just become
     computable is tested (see the module docstring); a prefix that fails
-    a test is not extended.
+    a test is not extended.  The search asks it for rows 3 and up; row 2's
+    candidates come from ``_row2_classes``.
     """
     n = len(rows)
     # (b, row b, its inverse, the cells z with rb[z] <= b: those computable at p == b)
@@ -252,32 +266,32 @@ def _propagate(
     return True
 
 
-def _cycle_listing(row: Row) -> tuple[tuple[int, ...], list[int]]:
-    """The cycle type of a 0-based permutation and its cycles in normal form.
+def _row2_classes(n: int) -> Iterator[tuple[Row, list[Row]]]:
+    """The row-2 candidates, one class per cycle type, as (representative, listings).
 
-    The type is the length of the cycle through 0, then the sorted lengths
-    of the other cycles.  The listing is the cycle through 0, starting at
-    0, then the other cycles by (length, least element), each starting at
-    its least element.  Two permutations of one type are conjugate by the
-    map that sends the first listing onto the second, position by position.
+    For each m >= 2 dividing n, the class holds the permutations with
+    0 -> 1 whose cycles all have length m (see the module docstring).  The
+    representative is the lex-least, (0 1 ... m-1)(m ... 2m-1)...; the
+    listings are the canonical cycle listings of the class: the cycle
+    through 0 starts 0, 1, each other cycle starts at its least element,
+    and the cycles come by least element.  The representative's listing is
+    0, 1, ..., n-1, so a listing is also the map that conjugates the
+    representative onto its member.
     """
-    seen = 0
-    cycles = []
-    for s in range(len(row)):
-        if not (seen >> s) & 1:
-            cycle = [s]
-            z = row[s]
-            while z != s:
-                cycle.append(z)
-                seen |= 1 << z
-                z = row[z]
-            cycles.append(cycle)
-    listing, *rest = cycles
-    rest.sort(key=len)  # stable: ties keep the order of least elements
-    kind = (len(listing), *map(len, rest))
-    for cycle in rest:
-        listing += cycle
-    return kind, listing
+
+    def extend(listing: Row, k: int, rest: Row) -> Iterator[Row]:
+        # close the cycle listing ends in with k elements of rest, then list the rest
+        if k == len(rest):
+            yield from map(listing.__add__, permutations(rest))
+            return
+        for tail in permutations(rest, k):
+            left = tuple(x for x in rest if x not in tail)
+            yield from extend(listing + tail + left[:1], m - 1, left[1:])
+
+    for m in range(2, n + 1):
+        if n % m == 0:
+            rep = tuple(z + 1 if (z + 1) % m else z + 1 - m for z in range(n))
+            yield rep, list(extend((0, 1), m - 2, tuple(range(2, n))))
 
 
 def _check_search_order(n: int) -> None:
@@ -291,10 +305,10 @@ def search_left_bol(n: int) -> list[LoopTable]:
 
     Tables come in lexicographic order of their rows, and tables share the
     object of each distinct row.  ``SEARCH_BUDGET`` bounds the candidate
-    rows that reach propagation: the first row-2 candidate of each cycle
-    type, the only ones searched (see the module docstring), and every
-    candidate for a later row.  The row-2 candidates whose tables are
-    relabeled are not counted.  One more raises SearchBudgetExceeded.
+    rows that reach propagation: the representative of each row-2 class,
+    the only row 2 searched (see the module docstring), and every
+    candidate for a later row.  The other row-2 members, whose tables are
+    relabeled, are not counted.  One more raises SearchBudgetExceeded.
     """
     _check_search_order(n)
     if n == 1:
@@ -336,33 +350,21 @@ def search_left_bol(n: int) -> list[LoopTable]:
     gathers0: list[Callable[[Row], Row] | None] = [None] * n
     gathers0[0] = itemgetter(*rows0[0])
     col_used0 = [1 << z for z in range(n)]
-    # cycle type -> (the first candidate of the type, the cycle listings of all)
-    groups: dict[tuple[int, ...], tuple[Row, list[list[int]]]] = {}
-    for cand in _row_candidates(rows0, 1, col_used0):
-        kind, listing = _cycle_listing(cand)
-        groups.setdefault(kind, (cand, []))[1].append(listing)
-
     tables: list[tuple[Row, ...]] = []
     shared: dict[Row, Row] = {}  # one object per distinct 1-based row
-    for first, listings in groups.values():
+    for rep, listings in _row2_classes(n):
         found.clear()
-        branch(rows0, gathers0, col_used0, (1,), first)
+        branch(rows0, gathers0, col_used0, (1,), rep)
         # the found tables as indices into their distinct rows
         index: dict[Row, int] = {}
         coded = [tuple(index.setdefault(row, len(index)) for row in T) for T in found]
         composers = [itemgetter(*row) for row in index]
-        rep = listings[0]
-        for listing in listings:
-            # sigma sends rep onto listing, so it fixes 0 and 1 and conjugates
-            # the first candidate to this one.  Row sigma(a) of the relabeled
-            # table is sigma o T[a] o sigma^-1: row b is T[inv[b]] labelled by
-            # sigma (label[x] = sigma(x) + 1, 1-based), then read at inv
-            label = [0] * n
-            inv = [0] * n
-            for x, y in zip(rep, listing):
-                label[x] = y + 1
-                inv[y] = x
-            pull = itemgetter(*inv)
+        for sigma in listings:
+            # sigma fixes 0 and 1 and conjugates rep to this member.  Row
+            # sigma(a) of the relabeled table is sigma o T[a] o sigma^-1: row b
+            # is T[sigma^-1(b)] labelled by sigma (1-based), then read at sigma^-1
+            label = tuple(map((1).__add__, sigma))
+            pull = itemgetter(*sorted(range(n), key=sigma.__getitem__))
             image = [pull(compose(label)) for compose in composers]
             image = list(map(shared.setdefault, image, image))
             tables += [tuple(map(image.__getitem__, pull(T))) for T in coded]

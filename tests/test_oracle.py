@@ -70,8 +70,9 @@ def test_searches_reject_orders_out_of_range(search, n, error):
 
 
 def test_propagation_alone_completes_exactly_the_left_bol_loops(monkeypatch):
-    # offered only a loop's own rows, with no forward check, the search
-    # must complete the loop iff it is left Bol, and nothing that is not
+    # offered only a loop's own rows, with no forward check and no
+    # relabeling, the search must complete the loop iff it is left Bol, and
+    # nothing that is not
     own: list[tuple[int, ...]] = []
 
     def own_row(rows, r, col_used):
@@ -79,7 +80,12 @@ def test_propagation_alone_completes_exactly_the_left_bol_loops(monkeypatch):
         if not any((col_used[z] >> v) & 1 for z, v in enumerate(row)):
             yield row
 
+    def own_row2(n):
+        # the identity listing: row 2 is searched as it is, not relabeled
+        yield own[1], [tuple(range(n))]
+
     monkeypatch.setattr(oracle, "_row_candidates", own_row)
+    monkeypatch.setattr(oracle, "_row2_classes", own_row2)
     bol = 0
     for n in range(1, 7):
         for Q in enumerate_all_loops(n):
@@ -90,6 +96,71 @@ def test_propagation_alone_completes_exactly_the_left_bol_loops(monkeypatch):
             assert (found == [Q]) == is_bol
             bol += is_bol
     assert bol == 93
+
+
+def _cycle_listing(row):
+    """The cycle type of a 0-based permutation and its cycles in normal form.
+
+    The type is the length of the cycle through 0, then the sorted lengths
+    of the other cycles.  The listing is the cycle through 0, starting at
+    0, then the other cycles by (length, least element), each starting at
+    its least element.
+    """
+    seen = 0
+    cycles = []
+    for s in range(len(row)):
+        if not (seen >> s) & 1:
+            cycle = [s]
+            z = row[s]
+            while z != s:
+                cycle.append(z)
+                seen |= 1 << z
+                z = row[z]
+            cycles.append(cycle)
+    listing, *rest = cycles
+    rest.sort(key=len)  # stable: ties keep the order of least elements
+    kind = (len(listing), *map(len, rest))
+    for cycle in rest:
+        listing += cycle
+    return kind, tuple(listing)
+
+
+def test_row2_classes_are_the_filtered_row2_candidates(monkeypatch):
+    # the generator, offered only the identity row, yields for row 2 exactly
+    # the permutations with 0 -> 1 of one cycle length m, for each m | n, m > 1;
+    # the direct classes list them, led by the generator's first of each type
+    for n in range(2, 10):
+        rows0 = [tuple(range(n))] + [None] * (n - 1)
+        col0 = [1 << z for z in range(n)]
+        first = {}
+        grouped = {}
+        for cand in oracle._row_candidates(rows0, 1, col0):
+            kind, listing = _cycle_listing(cand)
+            first.setdefault(kind, cand)
+            grouped.setdefault(kind, set()).add(listing)
+        classes = list(oracle._row2_classes(n))
+        kinds = [(m,) * (n // m) for m in range(2, n + 1) if n % m == 0]
+        assert [_cycle_listing(rep)[0] for rep, _ in classes] == kinds
+        assert sorted(grouped) == sorted(kinds)
+        for rep, listings in classes:
+            kind, listing = _cycle_listing(rep)
+            assert rep == first[kind]
+            assert listing == tuple(range(n))
+            assert len(set(listings)) == len(listings)
+            assert set(listings) == grouped[kind]
+
+    # the search takes no row-2 candidate from the generator
+    rows_asked = []
+    generate = oracle._row_candidates
+
+    def spy(rows, r, col_used):
+        rows_asked.append(r)
+        return generate(rows, r, col_used)
+
+    monkeypatch.setattr(oracle, "_row_candidates", spy)
+    for n in range(2, 10):
+        search_left_bol(n)
+    assert rows_asked and 1 not in rows_asked
 
 
 def test_search_order7_cyclic_only():
