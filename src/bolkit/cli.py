@@ -43,6 +43,7 @@ from .extensions import (
     build_semidirect,
     cyclic_group,
     elem_abelian_2,
+    trivial_tau,
 )
 from .gf2 import build_exceptional, build_q9, enumerate_q9
 from .iso import classification_report, classify, find_isomorphism
@@ -109,21 +110,21 @@ def construct_from_spec(spec: str) -> LoopTable:
         raise BadSpec(f"unknown named example {rest[0]!r}")
     if head == "semidirect":
         fields = dict(w.partition("=")[::2] for w in rest)
-        if set(fields) != {"K", "E", "tau"}:
-            raise BadSpec("semidirect needs K=, E=, tau=")
+        if len(fields) != len(rest) or set(fields) != {"K", "E", "tau"}:
+            raise BadSpec("semidirect needs K=, E=, tau=, each once")
         K = _parse_group(fields["K"])
         E = _parse_group(fields["E"])
-        auts = automorphism_group(K)
         if fields["tau"] == "trivial":
-            indices = [0] * E.order
+            tau = trivial_tau(K, E)
         else:
             error = "tau must be 'trivial' or comma-separated indices"
             indices = [_spec_int(t, error) for t in fields["tau"].split(",")]
-        if len(indices) != E.order:
-            raise BadSpec(f"tau needs {E.order} indices, got {len(indices)}")
-        if any(i >= len(auts) for i in indices):
-            raise BadSpec(f"tau indices must be in 0..{len(auts) - 1}")
-        tau = TauMap(E, K, tuple(auts[i] for i in indices))
+            if len(indices) != E.order:
+                raise BadSpec(f"tau needs {E.order} indices, got {len(indices)}")
+            auts = automorphism_group(K)
+            if any(i >= len(auts) for i in indices):
+                raise BadSpec(f"tau indices must be in 0..{len(auts) - 1}")
+            tau = TauMap(E, K, tuple(auts[i] for i in indices))
         return build_semidirect(K, E, tau, name=f"semidirect({fields['K']},{fields['E']})")
     raise BadSpec(f"unknown construction {head!r}")
 

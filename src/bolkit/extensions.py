@@ -13,6 +13,7 @@ follow function composition: "tau_a tau_b" means apply tau_b, then tau_a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import BadParams, NotAssociative, TooLarge
 from .iso import _isomorphisms, _record
@@ -20,6 +21,7 @@ from .loop_core import LoopTable, Permutation, check_order, identity_perm, inver
 from .structure import ElementSet, check_identity, commutant, nuclei
 
 MAX_AUT_ORDER = 64
+MAX_AUT_MAPS = 20_160  # |GL(4,2)|
 
 
 class GroupTable(LoopTable):
@@ -66,13 +68,17 @@ def automorphism_group(K: LoopTable) -> list[Permutation]:
     """All automorphisms of the loop K, canonically sorted (identity first).
 
     The isomorphism search from K to itself, which lists maps in sorted
-    order; capped at |K| <= MAX_AUT_ORDER.  K's iso record is read from,
-    or memoized on, K.
+    order; capped at |K| <= MAX_AUT_ORDER, and at MAX_AUT_MAPS maps, since
+    |Aut(Z2^6)| is about 2*10^10.  K's iso record is read from, or
+    memoized on, K.
     """
     if K.order > MAX_AUT_ORDER:
         raise TooLarge(f"automorphism enumeration capped at order {MAX_AUT_ORDER}")
     data = _record(K)
-    return list(_isomorphisms(K, K, data, data))
+    auts = list(islice(_isomorphisms(K, K, data, data), MAX_AUT_MAPS + 1))
+    if len(auts) > MAX_AUT_MAPS:
+        raise TooLarge(f"automorphism enumeration capped at {MAX_AUT_MAPS} maps")
+    return auts
 
 
 @dataclass(frozen=True)

@@ -23,45 +23,33 @@ rows as checking every ordered pair would.
 
 The candidates for the branched row r are filled left to right, values
 in increasing order, against the row and column usage, so they come in
-lexicographic order.  Two kinds of test reject a prefix:
+lexicographic order.  One test rejects a prefix, by the cells of the
+rows the candidate forces: after each cell, the generator tests every
+cell that has just become computable in two such rows.  For each decided
+row b != 1, L_b L_r L_b is the row of c = b*(r*b); its cell z is
+b*(r*(b*z)), known once the cells of row r at b and at b*z are filled.
+It must equal row c's cell if row c is decided, and row r's own cell z
+if c = r; otherwise it must avoid the values column z already holds and
+row r's cell z.  L_r L_r, the row of r*r (left Bol with y = 1), is
+tested once the cell at r is filled.
 
-- cycles: L_{x^k} = L_x^k in a left Bol loop (Robinson, 1966), so
-  x^k*z = z forces x^k = 1 and every cycle of L_r has length |r|.  A
-  value that closes a cycle of another length than the first cycle
-  closed is rejected, and so is one that leaves an open chain with at
-  least that many edges;
-- forced cells: after each cell, the generator tests every cell that has
-  just become computable in two rows the candidate forces.  For each
-  decided row b != 1, L_b L_r L_b is the row of c = b*(r*b); its cell z
-  is b*(r*(b*z)), known once the cells of row r at b and at b*z are
-  filled.  It must equal row c's cell if row c is decided, and row r's
-  own cell z if c = r; otherwise it must avoid the values column z
-  already holds and row r's cell z.  L_r L_r, the row of r*r (left Bol
-  with y = 1), is tested once the cell at r is filled.
-
-Both tests hold in every left Bol table, so a rejected prefix has no
+The test holds in every left Bol table, so a rejected prefix has no
 completion that is one.  Every candidate the generator yields still goes
 through propagation, which stays the one authority: the search finds the
 same tables, in the same lexicographic order, as a generator without the
-tests.  Searched on every row-2 candidate, 12,081 candidates reach
-propagation at order 8 and 10,360 at order 9 (12,465 and 17,668 without
-the cycle test, 80,437 and 581,167 for a plain column-consistent
-generator).
+test.
 
 Row 2 is searched once per cycle type, and its candidates are listed
-directly rather than generated.  When row 2 is chosen only the identity
-row is decided, so the forced-cell test has no decided row b != 1 to
-check; the cycle test admits exactly the permutations whose cycles all
-have one length m, with m >= 2 as column z already holds z; and the
-L_r L_r test admits all of these, since for m = 2 the element r*r is 1
-and L_r L_r is the identity, and for m > 2 L_r L_r fixes no point.  So the row-2 candidates are the permutations
-with 1 -> 2 of cycle type m^(n/m), for each m >= 2 dividing n: 915, 5,320
-and 48,489 at orders 8, 9 and 10.  ``_row2_classes`` lists each type as
-the canonical cycle listings of its members: the cycle through 1 starts
-1, 2, each other cycle starts at its least element, and the cycles come
-by least element.  Its representative, the lex-least member
-(1 2 ... m)(m+1 ... 2m)..., is the generator's first candidate of the
-type and has the listing 1, 2, ..., n.
+directly rather than generated.  In a left Bol loop L_{x^k} = L_x^k
+(Robinson, *Bol loops*, Trans. AMS 123, 1966), so x^k*z = z for one z
+forces x^k = 1, and every cycle of L_x has length |x|.  Element 2 is
+not the identity, so row 2 of a left Bol table is a permutation with
+1 -> 2 of cycle type m^(n/m) for some m >= 2 dividing n: 915, 5,320 and
+48,489 permutations at orders 8, 9 and 10.  ``_row2_classes`` lists each
+type as the canonical cycle listings of its members: the cycle through
+1 starts 1, 2, each other cycle starts at its least element, and the
+cycles come by least element.  Its representative is the lex-least
+member (1 2 ... m)(m+1 ... 2m)..., which has the listing 1, 2, ..., n.
 
 A relabeling s of the elements that fixes 1 and 2 maps a left Bol table
 T onto the left Bol table s(T) whose row s(a) is s L_a s^-1, so its row 2
@@ -78,11 +66,10 @@ complete, because every table whose row 2 is a member is the image of a
 table found below the representative, and it has no duplicates, because
 tables with different rows 2 differ and each relabeling is one-to-one.
 The tables are then sorted, so the output is the list the search on
-every candidate returns.  Candidates reaching propagation fall to 471 at
-order 8, 20 at order 9 and 2,796 at order 10, against 413,385 for the
-search on every candidate at order 10; relabeling the tables takes most
-of the remaining time.  ``SEARCH_BUDGET`` bounds the candidates that
-reach propagation in one search, far above all three.
+every candidate returns.  Candidates reaching propagation number 471 at
+order 8, 29 at order 9 and 5,196 at order 10; relabeling the tables
+takes most of the remaining time.  ``SEARCH_BUDGET`` bounds the
+candidates that reach propagation in one search, far above all three.
 
 Beyond the identity at element 1 and this relabeling inside the search,
 no symmetry is broken: the search lists every identity-normalized table,
@@ -123,11 +110,10 @@ def _row_candidates(
     """Rows for element r, 0-based and in lex order, that no forced row refutes.
 
     Cells are decided left to right against the row and column usage.
-    Each cell is tested against the cycle length of L_r, and then every
-    cell of a row forced by the decided rows that has just become
-    computable is tested (see the module docstring); a prefix that fails
-    a test is not extended.  The search asks it for rows 3 and up; row 2's
-    candidates come from ``_row2_classes``.
+    After each cell, every cell of a row forced by the decided rows that
+    has just become computable is tested (see the module docstring); a
+    prefix that fails the test is not extended.  The search asks it for
+    rows 3 and up; row 2's candidates come from ``_row2_classes``.
     """
     n = len(rows)
     # (b, row b, its inverse, the cells z with rb[z] <= b: those computable at p == b)
@@ -159,10 +145,6 @@ def _row_candidates(
                         return False
                 elif (col_used[z] >> f) & 1 or (z <= p and f == row[z]):
                     return False
-            # cell p, computable since an earlier position, against row r's own cell p
-            if b < p and rc is None and rb[p] < p:
-                if (rb[row[rb[p]]] == row[p]) != (c == r):
-                    return False
         if p >= r:
             # L_r L_r is the row of c = r*r; its cell z is row[row[z]]
             c = row[r]
@@ -183,41 +165,20 @@ def _row_candidates(
                     return False
         return True
 
-    def rec(p: int, used: int, cycle: int) -> Iterator[Row]:
-        # cycle: the length of the first cycle of L_r closed so far, 0 if none
+    def rec(p: int, used: int) -> Iterator[Row]:
         if p == n:
             yield tuple(row)
             return
-        # the chain of filled cells that ends at p: its start s and its edges
-        s = p
-        back = 0
-        while (used >> s) & 1:
-            s = at[s]
-            back += 1
         forbidden = used | col_used[p]
         for v in range(n):
             if (forbidden >> v) & 1:
                 continue
-            if v == s:  # p -> s closes a cycle of back + 1 edges
-                if cycle and back + 1 != cycle:
-                    continue
-                length = back + 1
-            else:
-                length = cycle
-                if cycle:  # p -> v joins two chains; walk to the end of v's
-                    k = back + 1
-                    z = v
-                    while z < p:
-                        z = row[z]
-                        k += 1
-                    if k >= cycle:
-                        continue
             row[p] = v
             at[v] = p
             if fits(p, used | (1 << v)):
-                yield from rec(p + 1, used | (1 << v), length)
+                yield from rec(p + 1, used | (1 << v))
 
-    yield from rec(1, 1 << r, 0)
+    yield from rec(1, 1 << r)
 
 
 def _propagate(
@@ -270,7 +231,8 @@ def _row2_classes(n: int) -> Iterator[tuple[Row, list[Row]]]:
     """The row-2 candidates, one class per cycle type, as (representative, listings).
 
     For each m >= 2 dividing n, the class holds the permutations with
-    0 -> 1 whose cycles all have length m (see the module docstring).  The
+    0 -> 1 whose cycles all have length m: by Robinson's lemma every row
+    2 of a left Bol table is in one of them (see the module docstring).  The
     representative is the lex-least, (0 1 ... m-1)(m ... 2m-1)...; the
     listings are the canonical cycle listings of the class: the cycle
     through 0 starts 0, 1, each other cycle starts at its least element,

@@ -23,20 +23,20 @@ element outside the nucleus usually costs one row gather, not up to n.
 Left Bol is decided the same way (``_left_bol``): the elements x with
 L_x L_y L_x = L_{x*(y*x)} for every y are closed under (x, w) -> x*(w*x)
 and under multiplication by the center, so only elements outside the
-closure of those found so far are tested, n row gathers each.  Seeded
-with the center, as ``structure_report`` does, no measured Bol loop
-needed more than 9 tests; a loop that is not left Bol stops at its first
-failing element.  The left-power-alternative check walks one cycle per
-cyclic subloop, not one per element.
+closure of the center and the elements found so far are tested, n row
+gathers each.  No measured Bol loop needed more than 9 tests; a loop
+that is not left Bol stops at its first failing element.  The
+left-power-alternative check walks one cycle per cyclic subloop, not one
+per element.
 
-``_predicates`` is the one code path for the nuclei: ``nuclei`` reads
-its result, and every caller that needs more than one of the commutant,
-the nuclei and the identity flags (``structure_report``,
-``iso.invariant_profile``, the ``verify`` claims, ``bolkit enumerate-q9``)
-calls it once per table.  The flags come as a mapping keyed by
-``IDENTITY_NAMES``.  It scans fewer nuclei by three facts (Robinson,
-*Bol loops*, Trans. AMS 123, 1966, for the first two; products of
-translations act right to left):
+``_predicates`` is the one code path for the nuclei and the identity
+flags: ``nuclei`` and ``check_identity`` read its result, and every
+caller that needs more than one of the commutant, the nuclei and the
+identity flags (``structure_report``, ``iso.invariant_profile``, the
+``verify`` claims, ``bolkit enumerate-q9``) calls it once per table.
+The flags come as a mapping keyed by ``IDENTITY_NAMES``.  It scans fewer
+nuclei by three facts (Robinson, *Bol loops*, Trans. AMS 123, 1966, for
+the first two; products of translations act right to left):
 
 - In a left Bol loop N_lambda = N_mu.  For a in N_lambda and u = a*x:
   a*(y*a) = (a*y)*a with y = a^-1*u, so by Bol L_{u*a} = L_a L_{a^-1*u}
@@ -117,11 +117,11 @@ def _left_bol_at(cells: Rows, g: list[Callable[[Row], Row]], x: int) -> bool:
     return True
 
 
-def _left_bol(cells: Rows, g: list[Callable[[Row], Row]], seed: ElementSet) -> bool:
+def _left_bol(cells: Rows, g: list[Callable[[Row], Row]], center: ElementSet) -> bool:
     """L_x L_y L_x = L_{x*(y*x)} for all x, y, decided by closure.
 
-    ``g`` is ``_gathers(cells)``.  ``seed`` is a set of central elements
-    that contains 1: ``(1,)``, or the whole center.  The elements x that
+    ``g`` is ``_gathers(cells)``.  ``center`` is the center of the loop,
+    which is also the center of its opposite.  The elements x that
     pass for every y form a set S.  S contains the center and is closed
     under (x, w) -> x*(w*x) (``oracle`` module docstring).  It is also
     closed under x -> x*c for c central: c is nuclear and L_c commutes
@@ -133,9 +133,9 @@ def _left_bol(cells: Rows, g: list[Callable[[Row], Row]], seed: ElementSet) -> b
     element ends the check.
     """
     n = len(cells)
-    members = set(seed)
+    members = set(center)
     known: list[int] = []  # members whose products with each other are formed
-    frontier = list(seed)
+    frontier = list(center)
     x = 1
     while len(members) < n:
         if not frontier:
@@ -160,7 +160,7 @@ def _left_bol(cells: Rows, g: list[Callable[[Row], Row]], seed: ElementSet) -> b
             if v not in members:
                 members.add(v)
                 frontier.append(v)
-        for c in seed:
+        for c in center:
             v = ra[c - 1]
             if v not in members:
                 members.add(v)
@@ -193,41 +193,20 @@ def _power_alternative(cells: Rows, g: list[Callable[[Row], Row]]) -> bool:
 
 
 def check_identity(Q: LoopTable, which: str) -> bool:
-    """Exhaustively test a named identity on the whole table.
+    """Whether Q satisfies the identity named ``which``, one of ``IDENTITY_NAMES``.
 
     left_bol:  x(y*xz) = (x*yx)z
     right_bol: ((zx)y)x = z((xy)x)
     moufang:   x(y*xz) = (xy*x)z
     left_power_alternative: L_x^m = L_{x^m} for 0 <= m <= order(x)
 
-    The cubic identities are one row-composition kernel: for each pair
-    (x, y) a gather of whole rows (see ``_gathers``) is compared with the
-    row of the element the word names, e.g. L_x L_y L_x with the row of
-    x*(y*x).  left_bol tests those pairs only for the x outside the
-    closure, under (x, w) -> x*(w*x), of the elements that passed
-    (``_left_bol``, seeded with {1}); it still tests up to n elements when
-    the closure grows slowly.  right_bol is left_bol of the opposite loop,
-    and a loop is Moufang iff it is both left and right Bol (Robinson,
-    *Bol loops*, Trans. AMS 123, 1966).  Returns on the first failing pair.
+    The flag is read from ``_predicates``, the one code path that decides
+    every identity flag, so this costs a whole predicate pass: a caller
+    that needs more than one flag should call ``_predicates`` once.
     """
-    cells = Q.cells
-    if which == "left_bol":
-        return _left_bol(cells, _gathers(cells), (1,))
-    if which == "right_bol":
-        op = _opposite(cells)
-        return _left_bol(op, _gathers(op), (1,))
-    if which == "moufang":
-        op = _opposite(cells)
-        return _left_bol(cells, _gathers(cells), (1,)) and _left_bol(op, _gathers(op), (1,))
-    if which == "associative":
-        # L_y then L_x is L_{x*y}
-        g = _gathers(cells)
-        return all(g[y](rx) == cells[rx[y] - 1] for rx in cells for y in range(Q.order))
-    if which == "commutative":
-        return cells == _opposite(cells)
-    if which == "left_power_alternative":
-        return _power_alternative(cells, _gathers(cells))
-    raise ValueError(f"unknown identity {which!r}")
+    if which not in IDENTITY_NAMES:
+        raise ValueError(f"unknown identity {which!r}")
+    return _predicates(Q).flags[which]
 
 
 def commutant(Q: LoopTable) -> ElementSet:
@@ -333,7 +312,7 @@ def _middle_refuter(cells: Rows, g: list[Callable[[Row], Row]]) -> Refuter:
 class _Predicates(NamedTuple):
     commutant: ElementSet
     nuclei: Nuclei
-    flags: dict[str, bool]  # name -> check_identity(Q, name), for IDENTITY_NAMES
+    flags: dict[str, bool]  # each name of IDENTITY_NAMES -> whether Q satisfies it
 
 
 def _predicates(Q: LoopTable) -> _Predicates:
@@ -355,7 +334,7 @@ def _predicates(Q: LoopTable) -> _Predicates:
     - a left Bol loop has N_lambda = N_mu and a right Bol loop N_rho = N_mu
       (module docstring), so the left or right nucleus is scanned only
       when that Bol flag fails;
-    - a loop is Moufang iff it is left and right Bol (``check_identity``),
+    - a loop is Moufang iff it is left and right Bol (Robinson, 1966),
       and a left Bol loop is left power alternative (``oracle`` module
       docstring), so the cycle walk runs only on a loop that is not left
       Bol.

@@ -156,6 +156,7 @@ def test_construct_bad_specs(capsys):
         "semidirect K=cyclic:3 E=elem2:2 tau=0,0,0",
         "semidirect K=cyclic:3 E=elem2:2 tau=0,0,0,9",
         "semidirect K=weird:3 E=elem2:2 tau=trivial",
+        "semidirect K=cyclic:3 K=cyclic:4 E=elem2:2 tau=trivial",
         # not ASCII digits int() reads: isdigit() passes ² ① ³, int() reads -1 and ١
         "named order4n:²",
         "named commutant:①",
@@ -171,6 +172,15 @@ def test_construct_bad_specs(capsys):
     assert main(["construct", "q9 01"]) == 2
     assert main(["construct", "named order4n:2"]) == 2
     assert main(["construct", "named commutant:①"]) == 2
+
+
+def test_construct_semidirect_lists_automorphisms_only_for_indices(capsys):
+    # tau=trivial needs no automorphism list: |Aut(Z2^6)| is about 2*10^10
+    assert main(["construct", "semidirect K=elem2:6 E=cyclic:2 tau=trivial"]) == 0
+    assert parse_table(capsys.readouterr().out).order == 128
+    # an index list does, and |Aut(Z2^5)| = |GL(5,2)| is past the cap
+    assert main(["construct", "semidirect K=elem2:5 E=cyclic:2 tau=0,1"]) == 2
+    assert "capped at 20160 maps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

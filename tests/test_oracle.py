@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -126,18 +127,17 @@ def _cycle_listing(row):
 
 
 def test_row2_classes_are_the_filtered_row2_candidates(monkeypatch):
-    # the generator, offered only the identity row, yields for row 2 exactly
-    # the permutations with 0 -> 1 of one cycle length m, for each m | n, m > 1;
-    # the direct classes list them, led by the generator's first of each type
+    # the reference, by brute force: every permutation with 0 -> 1 whose
+    # cycles all have one length, grouped by type; the direct classes list
+    # exactly those, each led by the lex-least member of its type
     for n in range(2, 10):
-        rows0 = [tuple(range(n))] + [None] * (n - 1)
-        col0 = [1 << z for z in range(n)]
         first = {}
         grouped = {}
-        for cand in oracle._row_candidates(rows0, 1, col0):
-            kind, listing = _cycle_listing(cand)
-            first.setdefault(kind, cand)
-            grouped.setdefault(kind, set()).add(listing)
+        for tail in permutations([0, *range(2, n)]):  # lex order
+            kind, listing = _cycle_listing((1, *tail))
+            if len(set(kind)) == 1:
+                first.setdefault(kind, (1, *tail))
+                grouped.setdefault(kind, set()).add(listing)
         classes = list(oracle._row2_classes(n))
         kinds = [(m,) * (n // m) for m in range(2, n + 1) if n % m == 0]
         assert [_cycle_listing(rep)[0] for rep, _ in classes] == kinds

@@ -85,6 +85,28 @@ def test_left_power_alternative_fails_on_npa_loop():
     assert not check_identity(npa, "left_power_alternative")
 
 
+def test_check_identity_is_one_predicate_pass(monkeypatch, catalog_loops):
+    # every flag has one code path: check_identity makes exactly one
+    # _predicates call and returns its flag
+    loops = [catalog_loops[0], catalog_loops[20], catalog_loops[21]]
+    loops += [dihedral_group(3), parse_table(NPA_TEXT)]
+    passes = []
+
+    def counted(Q):
+        passes.append(Q)
+        return _predicates(Q)
+
+    monkeypatch.setattr(structure, "_predicates", counted)
+    for Q in loops:
+        flags = _predicates(Q).flags
+        for name in IDENTITY_NAMES:
+            passes.clear()
+            assert check_identity(Q, name) == flags[name]
+            assert passes == [Q], name
+        with pytest.raises(ValueError):
+            check_identity(Q, "bol")
+
+
 def test_commutant(T8, X16):
     z6 = cyclic_group(6)
     assert commutant(z6) == tuple(z6.elements())
