@@ -32,10 +32,12 @@ Exit codes: 0 success, 1 verification/isomorphism failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from .errors import BadSpec, BolkitError, Malformed
+from .errors import BadSpec, BolkitError, Malformed, TooLarge
 from .extensions import (
+    MAX_AUT_MAPS,
     GroupTable,
     TauMap,
     automorphism_group,
@@ -48,7 +50,7 @@ from .extensions import (
 from .gf2 import build_exceptional, build_q9, enumerate_q9
 from .iso import classification_report, classify, find_isomorphism
 from .loop_core import LoopTable, decimal_ints, parse_table, render
-from .oracle import search_left_bol, summarize_order8
+from .oracle import summarize_order8, witnessed_search
 from .structure import _predicates, involution_count, structure_report
 from .verify import VerificationSuite, report_json_lines, report_lines
 
@@ -70,13 +72,19 @@ def _spec_int(field: str, error: str) -> int:
     return value
 
 
-def _parse_group(token: str) -> GroupTable:
+def _parse_group(token: str) -> tuple[GroupTable, int]:
+    """The group a spec token names, and its number of automorphisms.
+
+    |Aut(Z_N)| is phi(N), and |Aut(Z2^M)| = |GL(M,2)| is the product of
+    2^M - 2^i over i < M; both are counted after the group is built, which
+    checks its size.
+    """
     kind, _, num = token.partition(":")
     size = _spec_int(num, f"bad group spec {token!r}")
     if kind == "cyclic":
-        return cyclic_group(size)
+        return cyclic_group(size), sum(math.gcd(k, size) == 1 for k in range(1, size + 1))
     if kind == "elem2":
-        return elem_abelian_2(size)
+        return elem_abelian_2(size), math.prod(2**size - 2**i for i in range(size))
     raise BadSpec(f"unknown group kind {kind!r}")
 
 
@@ -112,8 +120,8 @@ def construct_from_spec(spec: str) -> LoopTable:
         fields = dict(w.partition("=")[::2] for w in rest)
         if len(fields) != len(rest) or set(fields) != {"K", "E", "tau"}:
             raise BadSpec("semidirect needs K=, E=, tau=, each once")
-        K = _parse_group(fields["K"])
-        E = _parse_group(fields["E"])
+        K, aut_count = _parse_group(fields["K"])
+        E, _ = _parse_group(fields["E"])
         if fields["tau"] == "trivial":
             tau = trivial_tau(K, E)
         else:
@@ -121,6 +129,9 @@ def construct_from_spec(spec: str) -> LoopTable:
             indices = [_spec_int(t, error) for t in fields["tau"].split(",")]
             if len(indices) != E.order:
                 raise BadSpec(f"tau needs {E.order} indices, got {len(indices)}")
+            # the same cap automorphism_group enforces, before listing a single map
+            if aut_count > MAX_AUT_MAPS:
+                raise TooLarge(f"automorphism enumeration capped at {MAX_AUT_MAPS} maps")
             auts = automorphism_group(K)
             if any(i >= len(auts) for i in indices):
                 raise BadSpec(f"tau indices must be in 0..{len(auts) - 1}")
@@ -195,7 +206,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"error: unknown oracle target {args.target!r}", file=sys.stderr)
         return 2
     try:
-        rep = summarize_order8(search_left_bol(8))
+        rep = summarize_order8(witnessed_search(8))
     except BolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -204,7 +215,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"associative classes: {rep.associative_classes}")
     print(f"nonassociative classes: {rep.nonassociative_classes}")
     print(f"all commutants are subloops: {'yes' if rep.all_commutants_subloops else 'NO'}")
-    return 0 if rep.all_commutants_subloops else 1
+    failed = rep.failures()
+    if failed:
+        print(f"error: failed checks: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:

@@ -28,7 +28,7 @@ representatives compute each representative's once.  Only this module
 writes the slot: ``_screen`` and ``classification_report`` fill it, and
 ``extensions.automorphism_group`` fills it through ``_record``.
 ``classify`` reads it but writes it only on its representatives, so a
-batch held by its caller, such as the 7800 order-8 tables of
+batch held by its caller, such as the 512 q9 tables of
 ``verify``, does not keep a record per table.  The memo depends only on
 the cells; equality, hashing and ``repr`` ignore it, and content-equal
 tables built as separate objects each start empty.  A fill is

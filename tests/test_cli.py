@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from bolkit import cli, oracle
 from bolkit.catalog import FIXTURE_ORDER8, fixture_text
 from bolkit.cli import build_parser, construct_from_spec, main
 from bolkit.errors import BadParams, BadSpec
+from bolkit.extensions import automorphism_group
 from bolkit.loop_core import parse_table
 from bolkit.structure import structure_report
 from bolkit.verify import ClaimResult, report_lines
@@ -174,13 +176,27 @@ def test_construct_bad_specs(capsys):
     assert main(["construct", "named commutant:①"]) == 2
 
 
-def test_construct_semidirect_lists_automorphisms_only_for_indices(capsys):
+def test_construct_semidirect_lists_automorphisms_only_for_indices(monkeypatch, capsys):
     # tau=trivial needs no automorphism list: |Aut(Z2^6)| is about 2*10^10
     assert main(["construct", "semidirect K=elem2:6 E=cyclic:2 tau=trivial"]) == 0
     assert parse_table(capsys.readouterr().out).order == 128
-    # an index list does, and |Aut(Z2^5)| = |GL(5,2)| is past the cap
-    assert main(["construct", "semidirect K=elem2:5 E=cyclic:2 tau=0,1"]) == 2
-    assert "capped at 20160 maps" in capsys.readouterr().err
+    # an index list does, and |Aut(Z2^5)| = |GL(5,2)| is past the cap: the
+    # count alone refuses it, before a single automorphism is listed
+    def unlisted(K):
+        raise AssertionError("automorphism_group called")
+
+    monkeypatch.setattr(cli, "automorphism_group", unlisted)
+    for K in ("elem2:5", "elem2:6"):
+        assert main(["construct", f"semidirect K={K} E=cyclic:2 tau=0,1"]) == 2
+        assert "capped at 20160 maps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "token", [f"cyclic:{n}" for n in range(1, 17)] + ["elem2:1", "elem2:2", "elem2:3"]
+)
+def test_parsed_group_automorphism_count_is_the_listed_count(token):
+    K, count = cli._parse_group(token)
+    assert count == len(automorphism_group(K))
 
 
 @pytest.mark.parametrize(
@@ -229,6 +245,40 @@ def test_iso_command(tmp_path, capsys):
 
 def test_oracle_rejects_unknown_target(capsys):
     assert main(["oracle", "order9"]) == 2
+
+
+ORACLE_ORDER8_OUT = """\
+tables found: 7800
+isomorphism classes: 11
+associative classes: 5
+nonassociative classes: 6
+all commutants are subloops: yes
+"""
+
+
+def test_oracle_order8_output(suite, monkeypatch, capsys):
+    # the session suite has the order-8 search cached already
+    monkeypatch.setattr(cli, "witnessed_search", lambda n: suite.order8_search)
+    assert main(["oracle", "order8"]) == 0
+    assert capsys.readouterr().out == ORACLE_ORDER8_OUT
+
+
+@pytest.mark.parametrize(
+    "field, value, check",
+    [
+        ("witnesses_cover_tables", False, "relabeling witnesses"),
+        ("all_commutants_subloops", False, "commutants"),
+        ("associative_classes", 4, "class counts"),
+        ("nonassociative_classes", 7, "class counts"),
+        ("orbit_stabilizer_total", 7799, "orbit-stabilizer"),
+    ],
+)
+def test_oracle_order8_fails_on_any_failed_check(suite, monkeypatch, capsys, field, value, check):
+    bad = replace(suite.order8_report, **{field: value})
+    monkeypatch.setattr(cli, "witnessed_search", lambda n: suite.order8_search)
+    monkeypatch.setattr(cli, "summarize_order8", lambda search: bad)
+    assert main(["oracle", "order8"]) == 1
+    assert capsys.readouterr().err == f"error: failed checks: {check}\n"
 
 
 def test_oracle_budget_failure(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +10,11 @@ from bolkit import errors, oracle
 from bolkit.extensions import automorphism_group
 from bolkit.iso import classify
 from bolkit.loop_core import MAX_ORDER
-from bolkit.oracle import enumerate_all_loops, search_left_bol
+from bolkit.oracle import enumerate_all_loops, search_left_bol, witnessed_search
 from bolkit.structure import check_identity
+from bolkit.verify import VerificationSuite
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_report.txt"
 
 
 def test_enumerate_all_loops_counts():
@@ -145,7 +150,7 @@ def test_row2_classes_are_the_filtered_row2_candidates(monkeypatch):
         for rep, listings in classes:
             kind, listing = _cycle_listing(rep)
             assert rep == first[kind]
-            assert listing == tuple(range(n))
+            assert listing == tuple(range(n)) == listings[0]
             assert len(set(listings)) == len(listings)
             assert set(listings) == grouped[kind]
 
@@ -228,3 +233,84 @@ def test_search_is_closed_under_moving_element_2(order8_tables):
                 sigma = list(range(n + 1))
                 sigma[2], sigma[k] = k, 2
                 assert _relabel(Q.cells, sigma) in found
+
+
+def test_witnesses_relabel_onto_the_search_output():
+    # each found table, relabeled by each listing of its class, is one of
+    # the output tables, and the images hit every table exactly once
+    for n in range(1, 10):
+        search = witnessed_search(n)
+        assert search.tables == search_left_bol(n)
+        images = Counter(
+            _relabel(T, (0, *(v + 1 for v in s)))
+            for cls in search.classes
+            for s in cls.listings
+            for T in cls.found
+        )
+        assert set(images.values()) == {1}
+        assert set(images) == {Q.cells for Q in search.tables}
+        assert oracle._witnesses_cover(search)
+
+
+def _with_class(search, k, **changes):
+    """The search with the fields of its row-2 class k replaced."""
+    classes = list(search.classes)
+    classes[k] = classes[k]._replace(**changes)
+    return search._replace(classes=classes)
+
+
+def _listing_times_34(search):
+    # one listing of the 8-cycle class composed with (3 4), which fixes 1 and 2
+    listings = list(search.classes[-1].listings)
+    s = listings[1]
+    listings[1] = (s[0], s[1], s[3], s[2], *s[4:])
+    return _with_class(search, -1, listings=listings)
+
+
+def _listing_dropped(search):
+    return _with_class(search, 1, listings=search.classes[1].listings[:-1])
+
+
+def _found_table_dropped(search):
+    return _with_class(search, 0, found=search.classes[0].found[1:])
+
+
+def _listing_repeated(search):
+    # every table is still hit, but some twice
+    listings = search.classes[0].listings
+    return _with_class(search, 0, listings=[*listings, listings[-1]])
+
+
+def _order8_claim(search):
+    """The sec5-order8-oracle claim and report of a fresh suite on this search."""
+    fresh = VerificationSuite()
+    fresh.order8_search = search
+    return fresh.claim_sec5_order8_oracle(), fresh.order8_report
+
+
+@pytest.mark.parametrize(
+    "mutate", [_listing_times_34, _listing_dropped, _found_table_dropped, _listing_repeated]
+)
+def test_order8_claim_fails_on_broken_witnesses(suite, mutate):
+    (passed, _), report = _order8_claim(mutate(suite.order8_search))
+    # the witness check alone catches each of these
+    assert not passed
+    assert report.failures() == ["relabeling witnesses"]
+
+
+def test_order8_claim_classifies_only_the_found_tables(suite, monkeypatch):
+    # classify sees the 275 tables found below the row-2 representatives,
+    # not the 7,800 tables, and the claim's text is the recorded one
+    sizes = []
+
+    def counted(loops):
+        sizes.append(len(loops))
+        return classify(loops)
+
+    monkeypatch.setattr(oracle, "classify", counted)
+    (passed, details), report = _order8_claim(suite.order8_search)
+    lines = REFERENCE.read_text(encoding="utf-8").splitlines()
+    [recorded] = [d for h, d in zip(lines, lines[1:]) if h.startswith("claim sec5-order8-oracle:")]
+    assert passed and report.failures() == []
+    assert "  " + details == recorded
+    assert 0 < sum(sizes) <= 275
