@@ -16,13 +16,10 @@ from .structure import (
     check_identity,
     commutant,
     commutant_prime_part,
-    cosets,
     generated_subloop,
     involution_count,
-    is_normal,
     is_subloop,
     nuclei,
-    quotient,
     right_regular_is_homomorphism,
     structure_report,
 )
@@ -46,7 +43,6 @@ from .gf2 import (
     associated_cocycle,
     build_exceptional,
     build_q9,
-    e2k2_bol_check,
     enumerate_q9,
 )
 from .iso import classify, find_isomorphism, invariant_profile

@@ -49,7 +49,7 @@ from .extensions import (
 )
 from .gf2 import build_exceptional, build_q9, enumerate_q9
 from .iso import classification_report, classify, find_isomorphism
-from .loop_core import LoopTable, decimal_ints, parse_table, render
+from .loop_core import MAX_ORDER, LoopTable, check_order, decimal_ints, parse_table, render
 from .oracle import summarize_order8, witnessed_search
 from .structure import _predicates, involution_count, structure_report
 from .verify import VerificationSuite, report_json_lines, report_lines
@@ -72,6 +72,23 @@ def _spec_int(field: str, error: str) -> int:
     return value
 
 
+def _group_order(token: str) -> int:
+    """The order of the group a spec token names, read before it is built.
+
+    N for ``cyclic:N`` and 2^M for ``elem2:M``; an M whose 2^M exceeds
+    MAX_ORDER is rejected before 2^M is formed.
+    """
+    kind, _, num = token.partition(":")
+    size = _spec_int(num, f"bad group spec {token!r}")
+    if kind == "cyclic":
+        return size
+    if kind == "elem2":
+        if size >= MAX_ORDER.bit_length():
+            raise TooLarge(f"order 2^{size} exceeds supported maximum {MAX_ORDER}")
+        return 1 << size
+    raise BadSpec(f"unknown group kind {kind!r}")
+
+
 def _parse_group(token: str) -> tuple[GroupTable, int]:
     """The group a spec token names, and its number of automorphisms.
 
@@ -79,13 +96,11 @@ def _parse_group(token: str) -> tuple[GroupTable, int]:
     2^M - 2^i over i < M; both are counted after the group is built, which
     checks its size.
     """
-    kind, _, num = token.partition(":")
-    size = _spec_int(num, f"bad group spec {token!r}")
-    if kind == "cyclic":
-        return cyclic_group(size), sum(math.gcd(k, size) == 1 for k in range(1, size + 1))
-    if kind == "elem2":
-        return elem_abelian_2(size), math.prod(2**size - 2**i for i in range(size))
-    raise BadSpec(f"unknown group kind {kind!r}")
+    order = _group_order(token)
+    if token.startswith("cyclic:"):
+        return cyclic_group(order), sum(math.gcd(k, order) == 1 for k in range(1, order + 1))
+    m = order.bit_length() - 1
+    return elem_abelian_2(m), math.prod(order - 2**i for i in range(m))
 
 
 def construct_from_spec(spec: str) -> LoopTable:
@@ -120,6 +135,9 @@ def construct_from_spec(spec: str) -> LoopTable:
         fields = dict(w.partition("=")[::2] for w in rest)
         if len(fields) != len(rest) or set(fields) != {"K", "E", "tau"}:
             raise BadSpec("semidirect needs K=, E=, tau=, each once")
+        # |K| * |E| from the tokens: TauMap checks |E| automorphisms at |K|^2
+        # products each, long before build_semidirect would check the order
+        check_order(_group_order(fields["K"]) * _group_order(fields["E"]))
         K, aut_count = _parse_group(fields["K"])
         E, _ = _parse_group(fields["E"])
         if fields["tau"] == "trivial":

@@ -43,14 +43,6 @@ class NotSubloop(BolkitError):
     pass
 
 
-class NotNormal(BolkitError):
-    pass
-
-
-class NotPartition(BolkitError):
-    pass
-
-
 class NotAssociative(BolkitError):
     pass
 

@@ -4,10 +4,13 @@ Vectors of (Z_2)^n are int bitmasks 0..2^n-1; bit i is the coefficient of
 the basis vector e_{i+1}.  A CMap holds c(e, e_i) for every vector e and
 basis column i; its associated cocycle extends it right-additively.
 
-The loop of a cocycle f is the extension Q(Z_2, (Z_2)^n, 1, f) built by
-``extensions.build_extension`` (with f's bits moved to the elements 1, 2
-of Z_2): pairs (u, a) with u in Z_2 and a in (Z_2)^n, multiplied by
-(u,a)(v,b) = (u+v+f(a,b), a+b) and encoded as
+An associated cocycle is an ``extensions.Cocycle`` from E = (Z_2)^n to
+K = Z_2: the vector a is element a + 1 of E, and the bit v of f(a, b) is
+element v + 1 of K, so its values are the elements 1 and 2 of Z_2.  Its
+loop is the extension Q(Z_2, (Z_2)^n, 1, f) built by
+``extensions.build_extension``, and ``extensions.bol_conditions`` decides
+whether that loop is left Bol.  Pairs (u, a) with u in Z_2 and a in
+(Z_2)^n are multiplied by (u,a)(v,b) = (u+v+f(a,b), a+b) and encoded as
 
     idx(u, a) = 1 + u + 2*a        (a as bitmask)
 
@@ -21,11 +24,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BadParams, TooLarge
+from .errors import BadParams
 from .extensions import Cocycle, build_extension, cyclic_group, elem_abelian_2, trivial_tau
 from .loop_core import LoopTable
-
-MAX_GL_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -45,29 +46,7 @@ class CMap:
             raise BadParams("c(0, e_i) must vanish")
 
 
-@dataclass(frozen=True)
-class GF2Cocycle:
-    """A bit matrix f(a, b) with zero first row and column."""
-
-    dim: int
-    values: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        size = 1 << self.dim
-        if len(self.values) != size or any(len(r) != size for r in self.values):
-            raise BadParams("cocycle must be 2^n x 2^n")
-        if any(v not in (0, 1) for row in self.values for v in row):
-            raise BadParams("cocycle entries must be bits")
-        if any(self.values[0][b] for b in range(size)) or any(
-            self.values[a][0] for a in range(size)
-        ):
-            raise BadParams("cocycle border must vanish")
-
-    def at(self, a: int, b: int) -> int:
-        return self.values[a][b]
-
-
-def associated_cocycle(c: CMap) -> GF2Cocycle:
+def associated_cocycle(c: CMap) -> Cocycle:
     """The unique right-additive cocycle restricting to c on basis columns."""
     n = c.dim
     size = 1 << n
@@ -84,37 +63,14 @@ def associated_cocycle(c: CMap) -> GF2Cocycle:
                     acc ^= ca[i]
                 m >>= 1
                 i += 1
-            row.append(acc)
+            row.append(acc + 1)
         rows.append(tuple(row))
-    return GF2Cocycle(n, tuple(rows))
+    return Cocycle(elem_abelian_2(n), cyclic_group(2), tuple(rows))
 
 
-def e2k2_bol_check(f: GF2Cocycle) -> bool:
-    """Condition equations for Q((Z_2), E, trivial action, f) to be left Bol."""
-    size = 1 << f.dim
-    vals = f.values
-    for a in range(size):
-        fa = vals[a]
-        faa = fa[a]
-        if any(fa[a ^ c] != faa ^ fa[c] for c in range(size)):
-            return False
-    for a in range(size):
-        fa = vals[a]
-        for b in range(size):
-            fb = vals[b]
-            if any(
-                fa[b ^ c] ^ fa[b] ^ fa[c] != fb[a ^ c] ^ fb[a] ^ fb[c]
-                for c in range(size)
-            ):
-                return False
-    return True
-
-
-def cocycle_loop(f: GF2Cocycle, name: str | None = None) -> LoopTable:
-    """Order 2^(n+1) table on pairs (u, a): (u,a)(v,b) = (u+v+f(a,b), a+b)."""
-    K, E = cyclic_group(2), elem_abelian_2(f.dim)
-    values = tuple(tuple(v + 1 for v in row) for row in f.values)
-    return build_extension(K, E, trivial_tau(K, E), Cocycle(E, K, values), name=name)
+def cocycle_loop(f: Cocycle, name: str | None = None) -> LoopTable:
+    """The table of Q(K, E, 1, f): (u,a)(v,b) = (u+v+f(a,b), a+b) for K = Z_2."""
+    return build_extension(f.K, f.E, trivial_tau(f.K, f.E), f, name=name)
 
 
 def q9_cmap(bits: tuple[int, ...]) -> CMap:
@@ -161,42 +117,6 @@ def build_q9(bits: tuple[int, ...]) -> LoopTable:
 def enumerate_q9() -> list[LoopTable]:
     """All 512 parameter tuples in lexicographic order."""
     return [build_q9(bits) for bits in itertools.product((0, 1), repeat=9)]
-
-
-def gl2_matrices(n: int) -> list[tuple[int, ...]]:
-    """All invertible n x n bit matrices, as tuples of row masks."""
-    if n > MAX_GL_DIM:
-        raise TooLarge(f"GL(n,2) materialization capped at n = {MAX_GL_DIM}")
-    out = []
-    for rows in itertools.product(range(1 << n), repeat=n):
-        if _gf2_rank(list(rows), n) == n:
-            out.append(rows)
-    return out
-
-
-def _gf2_rank(rows: list[int], n: int) -> int:
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r] >> col & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r] >> col & 1:
-                rows[r] ^= rows[rank]
-        rank += 1
-    return rank
-
-
-def _apply_matrix(rows: tuple[int, ...], x: int) -> int:
-    y = 0
-    for i, row in enumerate(rows):
-        y |= (bin(row & x).count("1") & 1) << i
-    return y
 
 
 def build_exceptional() -> LoopTable:

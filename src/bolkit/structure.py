@@ -1,8 +1,8 @@
 """Structural analysis of loop tables.
 
-Identity checking, commutant, nuclei, generated subloops, normality,
-quotients, and the homomorphism test for restricted right translations.
-Element sets are returned as sorted tuples.  All functions are pure.
+Identity checking, commutant, nuclei, generated subloops, and the
+homomorphism test for restricted right translations.  Element sets are
+returned as sorted tuples.  All functions are pure.
 
 The row predicates (the identity checks, the nuclei and the
 right-regular homomorphism test) share one kernel: per call, each row
@@ -65,11 +65,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .errors import (
-    NotNormal,
-    NotPartition,
-    NotSubloop,
-)
+from .errors import NotSubloop
 from .loop_core import LoopTable, element_order, mul
 
 ElementSet = tuple[int, ...]
@@ -444,71 +440,6 @@ def _close(cells: Rows, members: set[int], known: list[int], frontier: list[int]
 
 def is_subloop(Q: LoopTable, S: ElementSet) -> bool:
     return generated_subloop(Q, S) == tuple(sorted(set(S)))
-
-
-def is_normal(Q: LoopTable, S: ElementSet) -> bool:
-    """Setwise normality: xS = Sx, (xS)y = x(Sy), (Sx)y = S(xy) for all x,y."""
-    cells = Q.cells
-    n = Q.order
-    sel = [s - 1 for s in S]
-    left_cos = [frozenset(cells[x][s] for s in sel) for x in range(n)]
-    right_cos = [frozenset(cells[s][x] for s in sel) for x in range(n)]
-    for x in range(n):
-        if left_cos[x] != right_cos[x]:
-            return False
-    for x in range(n):
-        rx = cells[x]
-        for y in range(n):
-            xs_y = frozenset(cells[v - 1][y] for v in left_cos[x])
-            x_sy = frozenset(rx[v - 1] for v in right_cos[y])
-            if xs_y != x_sy:
-                return False
-            sx_y = frozenset(cells[v - 1][y] for v in right_cos[x])
-            s_xy = right_cos[rx[y] - 1]
-            if sx_y != s_xy:
-                return False
-    return True
-
-
-def cosets(Q: LoopTable, S: ElementSet) -> list[ElementSet]:
-    """Deduplicated left cosets xS, ordered by least member.
-
-    Raises NotPartition when two distinct cosets overlap; the partition
-    property is a theorem only under extra hypotheses.
-    """
-    cells = Q.cells
-    sel = [s - 1 for s in S]
-    seen: list[frozenset[int]] = []
-    for x in range(Q.order):
-        cs = frozenset(cells[x][s] for s in sel)
-        if cs in seen:
-            continue
-        for prior in seen:
-            if prior & cs:
-                raise NotPartition(f"cosets {sorted(prior)} and {sorted(cs)} overlap")
-        seen.append(cs)
-    return sorted((tuple(sorted(c)) for c in seen), key=lambda c: c[0])
-
-
-def quotient(Q: LoopTable, S: ElementSet) -> LoopTable:
-    """Quotient table on the cosets of a normal subloop; coset of 1 is 1."""
-    if not is_normal(Q, S):
-        raise NotNormal(f"{S} is not normal")
-    blocks = cosets(Q, S)
-    k = len(blocks)
-    index = {}
-    for i, block in enumerate(blocks):
-        for e in block:
-            index[e] = i + 1
-    cells = [[0] * k for _ in range(k)]
-    for i, bi in enumerate(blocks):
-        for j, bj in enumerate(blocks):
-            prods = {index[mul(Q, x, y)] for x in bi for y in bj}
-            if len(prods) != 1:
-                raise NotPartition("coset product is not well defined")
-            cells[i][j] = prods.pop()
-    tag = f"{Q.name}/{len(S)}" if Q.name else None
-    return LoopTable.from_cells(cells, name=tag)
 
 
 def right_regular_is_homomorphism(Q: LoopTable, S: ElementSet) -> bool:

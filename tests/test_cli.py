@@ -205,12 +205,18 @@ def test_parsed_group_automorphism_count_is_the_listed_count(token):
         "semidirect K=cyclic:4100 E=cyclic:2 tau=trivial",
         "semidirect K=cyclic:3 E=cyclic:1400 tau=trivial",
         "semidirect K=cyclic:3 E=elem2:64 tau=trivial",
+        "semidirect K=cyclic:4096 E=cyclic:4096 tau=trivial",
         "named order4n:1100",
         "named commutant:5000",
     ],
 )
-def test_construct_rejects_oversized_specs(spec, capsys):
-    # the size is checked before the oversized table is allocated
+def test_construct_rejects_oversized_specs(spec, capsys, monkeypatch):
+    # the size is checked before the oversized table, or tau on its
+    # groups, is built
+    def refuse(K, E):
+        raise AssertionError("tau built for an oversized spec")
+
+    monkeypatch.setattr(cli, "trivial_tau", refuse)
     assert main(["construct", spec]) == 2
     assert "exceeds supported maximum" in capsys.readouterr().err
 

@@ -4,18 +4,24 @@ import pytest
 
 from bolkit import errors
 from bolkit.catalog import FIXTURE_ORDER16, Q9_REPRESENTATIVE_TUPLES, load_fixture
+from bolkit.extensions import (
+    Cocycle,
+    automorphism_group,
+    bol_conditions,
+    cyclic_group,
+    elem_abelian_2,
+    trivial_cocycle,
+    trivial_tau,
+)
 from bolkit.gf2 import (
     CMap,
-    GF2Cocycle,
     associated_cocycle,
     build_exceptional,
     build_q9,
     cocycle_loop,
     count_constrained_cmaps,
-    e2k2_bol_check,
     enumerate_q9,
     free_parameter_count,
-    gl2_matrices,
     q9_cmap,
 )
 from bolkit.iso import find_isomorphism
@@ -31,27 +37,37 @@ def random_cmap(dim: int, rng: random.Random) -> CMap:
     return CMap(dim, tuple(rows))
 
 
+def as_bits(f: Cocycle) -> list[list[int]]:
+    """f's values as bits: element v of Z_2 is the bit v - 1."""
+    return [[v - 1 for v in row] for row in f.values]
+
+
+def is_left_bol(f: Cocycle) -> bool:
+    """The condition equations of Q(Z_2, E, 1, f), checked against the built table."""
+    general = bol_conditions(f.K, f.E, trivial_tau(f.K, f.E), f)
+    assert general == check_identity(cocycle_loop(f), "left_bol")
+    return general
+
+
 def test_associated_cocycle_all_zero():
     c = CMap(2, ((0, 0),) * 4)
     f = associated_cocycle(c)
-    assert all(v == 0 for row in f.values for v in row)
+    assert all(v == 0 for row in as_bits(f) for v in row)
 
 
 def test_associated_cocycle_restricts_and_is_right_additive():
     rng = random.Random(97)
     for _ in range(100):
         c = random_cmap(3, rng)
-        f = associated_cocycle(c)
+        f = as_bits(associated_cocycle(c))
         # f(a, b ^ d) = f(a, b) ^ f(a, d)
-        assert all(
-            fa[b ^ d] == fa[b] ^ fa[d] for fa in f.values for b in range(8) for d in range(8)
-        )
+        assert all(fa[b ^ d] == fa[b] ^ fa[d] for fa in f for b in range(8) for d in range(8))
         for e in range(8):
             for i in range(3):
-                assert f.values[e][1 << i] == c.values[e][i]
+                assert f[e][1 << i] == c.values[e][i]
         # right additivity on a sum of basis vectors
         for a in range(8):
-            assert f.values[a][0b011] == c.values[a][0] ^ c.values[a][1]
+            assert f[a][0b011] == c.values[a][0] ^ c.values[a][1]
 
 
 def test_associated_cocycle_unique():
@@ -61,43 +77,28 @@ def test_associated_cocycle_unique():
     for _ in range(100):
         c = random_cmap(3, rng)
         f = associated_cocycle(c)
-        c2 = CMap(3, tuple(tuple(f.values[e][1 << i] for i in range(3)) for e in range(8)))
-        assert associated_cocycle(c2).values == f.values
+        fb = as_bits(f)
+        c2 = CMap(3, tuple(tuple(fb[e][1 << i] for i in range(3)) for e in range(8)))
+        assert associated_cocycle(c2) == f
 
 
-def test_e2k2_bol_check_right_additive_and_zero():
+def test_bol_conditions_right_additive_and_zero():
     rng = random.Random(100)
-    zero = GF2Cocycle(2, ((0,) * 4,) * 4)
-    assert e2k2_bol_check(zero)
+    K, E = cyclic_group(2), elem_abelian_2(2)
+    assert is_left_bol(trivial_cocycle(K, E))
     for _ in range(20):
-        f = associated_cocycle(random_cmap(3, rng))
-        assert e2k2_bol_check(f)
-
-
-def test_e2k2_bol_check_cross_validation():
-    # random bit matrices with zero borders: the condition equations must
-    # agree with the direct Bol check of the built table
-    rng = random.Random(101)
-    for _ in range(50):
-        size = 8
-        rows = [[0] * size]
-        rows += [
-            [0] + [rng.randrange(2) for _ in range(size - 1)] for _ in range(size - 1)
-        ]
-        f = GF2Cocycle(3, tuple(tuple(r) for r in rows))
-        Q = cocycle_loop(f)
-        assert e2k2_bol_check(f) == check_identity(Q, "left_bol")
+        assert is_left_bol(associated_cocycle(random_cmap(3, rng)))
 
 
 def test_q9_cmap_constraints():
     rng = random.Random(102)
     bits = tuple(rng.randrange(2) for _ in range(9))
     c = q9_cmap(bits)
-    f = associated_cocycle(c)
+    f = associated_cocycle(c).values
     # rows e1, e2 are symmetric; the (e1+e2, e3) slot breaks additivity
     for e in range(8):
-        assert f.values[1][e] == f.values[e][1]
-        assert f.values[2][e] == f.values[e][2]
+        assert f[1][e] == f[e][1]
+        assert f[2][e] == f[e][2]
     assert c.values[3][2] == c.values[1][2] ^ c.values[2][2] ^ 1
 
 
@@ -140,10 +141,11 @@ def test_right_nucleus_criterion_for_right_additive():
     # (w,c) lies in the right nucleus iff a -> f(a,c) is additive in a
     f = associated_cocycle(q9_cmap((0, 1, 1, 0, 1, 0, 1, 0, 1)))
     Q = cocycle_loop(f)
+    fb = as_bits(f)
     rnuc = set(nuclei(Q).right)
     for cvec in range(8):
         additive = all(
-            f.values[a ^ b][cvec] == f.values[a][cvec] ^ f.values[b][cvec]
+            fb[a ^ b][cvec] == fb[a][cvec] ^ fb[b][cvec]
             for a in range(8)
             for b in range(8)
         )
@@ -152,25 +154,16 @@ def test_right_nucleus_criterion_for_right_additive():
 
 
 def test_equivalent_cocycles_give_isomorphic_loops():
+    # relabel E by an element of GL(3,2) = Aut((Z_2)^3): g(phi a, phi b) = f(a, b)
     f = associated_cocycle(q9_cmap((0,) * 9))
-    mats = gl2_matrices(3)
-    mat = mats[5]
-    from bolkit.gf2 import _apply_matrix
-
-    phi = [_apply_matrix(mat, x) for x in range(8)]
+    phi = automorphism_group(f.E)[5]
     g_vals = [[0] * 8 for _ in range(8)]
     for a in range(8):
         for b in range(8):
-            g_vals[phi[a]][phi[b]] = f.values[a][b]
-    g = GF2Cocycle(3, tuple(tuple(r) for r in g_vals))
+            g_vals[phi[a] - 1][phi[b] - 1] = f.values[a][b]
+    g = Cocycle(f.E, f.K, tuple(tuple(r) for r in g_vals))
+    assert g != f
     assert find_isomorphism(cocycle_loop(f), cocycle_loop(g)) is not None
-
-
-def test_gl2_sizes():
-    assert len(gl2_matrices(2)) == 6
-    assert len(gl2_matrices(3)) == 168
-    with pytest.raises(errors.TooLarge):
-        gl2_matrices(5)
 
 
 def test_exceptional_matches_fixture_bit_for_bit():
@@ -220,25 +213,19 @@ def test_dim2_right_additive_exhaustive():
         rows = ((0, 0), bits[0:2], bits[2:4], bits[4:6])
         f = associated_cocycle(CMap(2, rows))
         assert all(
-            fa[b ^ d] == fa[b] ^ fa[d] for fa in f.values for b in range(4) for d in range(4)
+            fa[b ^ d] == fa[b] ^ fa[d] for fa in as_bits(f) for b in range(4) for d in range(4)
         )
-        assert e2k2_bol_check(f)
-        assert check_identity(cocycle_loop(f), "left_bol")
+        assert is_left_bol(f)
 
 
 def test_gf2_conditions_agree_with_general_extension_conditions():
-    # a GF(2) cocycle is also a trivial-action extension cocycle over the
-    # two-element group; the two condition checkers must agree on it
-    rng = random.Random(104)
-    from bolkit.extensions import Cocycle, bol_conditions, cyclic_group, elem_abelian_2, trivial_tau
-
-    K = cyclic_group(2)
-    E = elem_abelian_2(3)
-    for _ in range(25):
-        rows = [[0] * 8]
-        rows += [[0] + [rng.randrange(2) for _ in range(7)] for _ in range(7)]
-        f = GF2Cocycle(3, tuple(tuple(r) for r in rows))
-        fk = Cocycle(E, K, tuple(tuple(v + 1 for v in row) for row in rows))
-        general = bol_conditions(K, E, trivial_tau(K, E), fk)
-        assert general == e2k2_bol_check(f)
-        assert general == check_identity(cocycle_loop(f), "left_bol")
+    # random bit matrices with zero borders: as trivial-action extension
+    # cocycles over Z_2, their condition equations must agree with the
+    # direct Bol check of the built table
+    K, E = cyclic_group(2), elem_abelian_2(3)
+    for seed, count in ((101, 50), (104, 25)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            rows = [(1,) * 8]
+            rows += [(1, *(rng.randrange(1, 3) for _ in range(7))) for _ in range(7)]
+            is_left_bol(Cocycle(E, K, tuple(rows)))

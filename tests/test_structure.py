@@ -31,13 +31,10 @@ from bolkit.structure import (
     check_identity,
     commutant,
     commutant_prime_part,
-    cosets,
     generated_subloop,
     involution_count,
-    is_normal,
     is_subloop,
     nuclei,
-    quotient,
     right_regular_is_homomorphism,
     structure_report,
     subloop_table,
@@ -560,33 +557,9 @@ def test_structure_report_on_elementary_abelian_2_groups(k):
 
 def test_is_subloop_and_normal(T8):
     assert is_subloop(T8, (1,))
-    assert is_normal(T8, tuple(T8.elements()))
     assert is_subloop(T8, commutant(T8))
     q12 = build_named_example("order12")
     assert not is_subloop(q12, commutant(q12))
-
-
-def test_cosets_and_quotient(T8, X16):
-    whole = tuple(T8.elements())
-    q = quotient(T8, whole)
-    assert q.order == 1
-
-    blocks = cosets(X16, tuple(range(1, 9)))
-    assert len(blocks) == 2 and all(len(b) == 8 for b in blocks)
-
-    sub = (1, 2)
-    assert is_normal(T8, sub)
-    q2 = quotient(T8, sub)
-    assert q2.order == 4
-
-    with pytest.raises(errors.NotNormal):
-        quotient(T8, (1, 5))  # {1,5} is a subloop but not normal here
-
-
-def test_cosets_not_partition():
-    q12 = build_named_example("order12")
-    with pytest.raises(errors.NotPartition):
-        cosets(q12, commutant(q12))
 
 
 def test_right_regular_homomorphism(T8):
