@@ -79,32 +79,29 @@ def twenty_one() -> list[LoopTable]:
     return [build_named_example("order12")] + order16_twenty()
 
 
-def dihedral_inputs(n: int) -> tuple[GroupTable, LoopTable, TauMap, Cocycle]:
+def dihedral_inputs(n: int) -> tuple[TauMap, Cocycle]:
     """D_n as the semidirect product of Z_n by Z_2 acting by inversion."""
     K = cyclic_group(n)
     E = cyclic_group(2)
-    tau = TauMap(E, K, (identity_perm(n), inversion_aut(K)))
-    return K, E, tau, trivial_cocycle(K, E)
+    return TauMap(E, K, (identity_perm(n), inversion_aut(K))), trivial_cocycle(K, E)
 
 
 def dihedral_group(n: int) -> LoopTable:
-    K, E, tau, f = dihedral_inputs(n)
-    return build_extension(K, E, tau, f, name=f"D{n}")
+    return build_extension(*dihedral_inputs(n), name=f"D{n}")
 
 
 def direct_product(K: GroupTable, E: LoopTable) -> LoopTable:
-    return build_extension(
-        K, E, trivial_tau(K, E), trivial_cocycle(K, E), name=f"{K.name}x{E.name}"
-    )
+    return build_extension(trivial_tau(K, E), trivial_cocycle(K, E), name=f"{K.name}x{E.name}")
+
+
+def _product_factors() -> list[tuple[GroupTable, GroupTable]]:
+    """(K, E) of the direct products in the property and extension catalogs."""
+    C, E2 = cyclic_group, elem_abelian_2
+    return [(C(2), C(2)), (C(3), C(3)), (C(4), E2(2)), (E2(2), E2(2))]
 
 
 def direct_products() -> list[LoopTable]:
-    return [
-        direct_product(cyclic_group(2), cyclic_group(2)),
-        direct_product(cyclic_group(3), cyclic_group(3)),
-        direct_product(cyclic_group(4), elem_abelian_2(2)),
-        direct_product(elem_abelian_2(2), elem_abelian_2(2)),
-    ]
+    return [direct_product(K, E) for K, E in _product_factors()]
 
 
 def order4n_family() -> list[LoopTable]:
@@ -119,13 +116,11 @@ def property_catalog() -> list[LoopTable]:
 @dataclass(frozen=True)
 class CatalogExtension:
     name: str
-    K: GroupTable
-    E: LoopTable
     tau: TauMap
     f: Cocycle
 
     def build(self) -> LoopTable:
-        return build_extension(self.K, self.E, self.tau, self.f, name=self.name)
+        return build_extension(self.tau, self.f, name=self.name)
 
 
 def extension_catalog() -> list[CatalogExtension]:
@@ -144,15 +139,9 @@ def extension_catalog() -> list[CatalogExtension]:
             CatalogExtension(example_name(name, **params), *named_extension(name, **params))
         )
     for n in (3, 5, 7):
-        K, E, tau, f = dihedral_inputs(n)
-        entries.append(CatalogExtension(f"D{n}", K, E, tau, f))
-    for K, E in (
-        (cyclic_group(2), cyclic_group(2)),
-        (cyclic_group(3), cyclic_group(3)),
-        (cyclic_group(4), elem_abelian_2(2)),
-        (elem_abelian_2(2), elem_abelian_2(2)),
-    ):
+        entries.append(CatalogExtension(f"D{n}", *dihedral_inputs(n)))
+    for K, E in _product_factors():
         entries.append(
-            CatalogExtension(f"{K.name}x{E.name}", K, E, trivial_tau(K, E), trivial_cocycle(K, E))
+            CatalogExtension(f"{K.name}x{E.name}", trivial_tau(K, E), trivial_cocycle(K, E))
         )
     return entries

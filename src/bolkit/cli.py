@@ -72,8 +72,8 @@ def _spec_int(field: str, error: str) -> int:
     return value
 
 
-def _group_order(token: str) -> int:
-    """The order of the group a spec token names, read before it is built.
+def _parse_group(token: str) -> tuple[str, int]:
+    """The kind and order of the group a spec token names, before it is built.
 
     N for ``cyclic:N`` and 2^M for ``elem2:M``; an M whose 2^M exceeds
     MAX_ORDER is rejected before 2^M is formed.
@@ -81,23 +81,22 @@ def _group_order(token: str) -> int:
     kind, _, num = token.partition(":")
     size = _spec_int(num, f"bad group spec {token!r}")
     if kind == "cyclic":
-        return size
+        return kind, size
     if kind == "elem2":
         if size >= MAX_ORDER.bit_length():
             raise TooLarge(f"order 2^{size} exceeds supported maximum {MAX_ORDER}")
-        return 1 << size
+        return kind, 1 << size
     raise BadSpec(f"unknown group kind {kind!r}")
 
 
-def _parse_group(token: str) -> tuple[GroupTable, int]:
-    """The group a spec token names, and its number of automorphisms.
+def _build_group(kind: str, order: int) -> tuple[GroupTable, int]:
+    """The group of a parsed spec token, and its number of automorphisms.
 
     |Aut(Z_N)| is phi(N), and |Aut(Z2^M)| = |GL(M,2)| is the product of
     2^M - 2^i over i < M; both are counted after the group is built, which
     checks its size.
     """
-    order = _group_order(token)
-    if token.startswith("cyclic:"):
+    if kind == "cyclic":
         return cyclic_group(order), sum(math.gcd(k, order) == 1 for k in range(1, order + 1))
     m = order.bit_length() - 1
     return elem_abelian_2(m), math.prod(order - 2**i for i in range(m))
@@ -135,11 +134,13 @@ def construct_from_spec(spec: str) -> LoopTable:
         fields = dict(w.partition("=")[::2] for w in rest)
         if len(fields) != len(rest) or set(fields) != {"K", "E", "tau"}:
             raise BadSpec("semidirect needs K=, E=, tau=, each once")
+        k_kind, k_order = _parse_group(fields["K"])
+        e_kind, e_order = _parse_group(fields["E"])
         # |K| * |E| from the tokens: TauMap checks |E| automorphisms at |K|^2
         # products each, long before build_semidirect would check the order
-        check_order(_group_order(fields["K"]) * _group_order(fields["E"]))
-        K, aut_count = _parse_group(fields["K"])
-        E, _ = _parse_group(fields["E"])
+        check_order(k_order * e_order)
+        K, aut_count = _build_group(k_kind, k_order)
+        E, _ = _build_group(e_kind, e_order)
         if fields["tau"] == "trivial":
             tau = trivial_tau(K, E)
         else:
@@ -154,7 +155,7 @@ def construct_from_spec(spec: str) -> LoopTable:
             if any(i >= len(auts) for i in indices):
                 raise BadSpec(f"tau indices must be in 0..{len(auts) - 1}")
             tau = TauMap(E, K, tuple(auts[i] for i in indices))
-        return build_semidirect(K, E, tau, name=f"semidirect({fields['K']},{fields['E']})")
+        return build_semidirect(tau, name=f"semidirect({fields['K']},{fields['E']})")
     raise BadSpec(f"unknown construction {head!r}")
 
 

@@ -8,6 +8,9 @@ cocycle (f(1,a) = f(a,1) = 1).  Pairs are encoded as table indices by
 
 so constructed tables are byte-reproducible.  Products of automorphisms
 follow function composition: "tau_a tau_b" means apply tau_b, then tau_a.
+
+tau and f both carry K and E, so the builders and the condition equations
+take (tau, f) alone; they raise BadParams when f and tau disagree on K or E.
 """
 
 from __future__ import annotations
@@ -139,10 +142,16 @@ def pair_index(K: GroupTable, u: int, a: int) -> int:
     return u + K.order * (a - 1)
 
 
-def build_extension(
-    K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle, name: str | None = None
-) -> LoopTable:
+def _groups(tau: TauMap, f: Cocycle) -> tuple[GroupTable, LoopTable]:
+    """K and E of Q(K, E, tau, f), read from tau; BadParams unless f has the same tables."""
+    if f.K != tau.K or f.E != tau.E:
+        raise BadParams("tau and f must be over the same K and E")
+    return tau.K, tau.E
+
+
+def build_extension(tau: TauMap, f: Cocycle, name: str | None = None) -> LoopTable:
     """The table of Q(K, E, tau, f) under the fixed pair encoding."""
+    K, E = _groups(tau, f)
     nk, ne = K.order, E.order
     n = nk * ne
     check_order(n)
@@ -166,19 +175,20 @@ def build_extension(
     return LoopTable.from_cells(cells, name=name)
 
 
-def build_semidirect(K: GroupTable, E: LoopTable, tau: TauMap, name: str | None = None) -> LoopTable:
+def build_semidirect(tau: TauMap, name: str | None = None) -> LoopTable:
     """Q(K, E, tau): the extension with the all-identity cocycle."""
-    check_order(K.order * E.order)  # before the |E| x |E| cocycle is built
-    return build_extension(K, E, tau, trivial_cocycle(K, E), name=name)
+    check_order(tau.K.order * tau.E.order)  # before the |E| x |E| cocycle is built
+    return build_extension(tau, trivial_cocycle(tau.K, tau.E), name=name)
 
 
-def bol_conditions(K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle) -> bool:
+def bol_conditions(tau: TauMap, f: Cocycle) -> bool:
     """Condition equations for Q(K,E,tau,f) to be left Bol (E itself left Bol).
 
     Two equations: one over a,b,c in E with w = 1, one over a,b in E and
     all w in K; together they are equivalent to the Bol identity on the
     built table.
     """
+    K, E = _groups(tau, f)
     ec = E.cells
     ne, nk = E.order, K.order
     for a in range(1, ne + 1):
@@ -208,8 +218,9 @@ def bol_conditions(K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle) -> bool
     return True
 
 
-def group_conditions(K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle) -> bool:
+def group_conditions(tau: TauMap, f: Cocycle) -> bool:
     """Condition equations for Q(K,E,tau,f) to be a group."""
+    K, E = _groups(tau, f)
     if not check_identity(E, "associative"):
         return False
     ec = E.cells
@@ -231,10 +242,9 @@ def group_conditions(K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle) -> bo
     return True
 
 
-def right_nucleus_members(
-    K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle
-) -> set[tuple[int, int]]:
+def right_nucleus_members(tau: TauMap, f: Cocycle) -> set[tuple[int, int]]:
     """Pairs (w, c) satisfying the right-nucleus condition equations."""
+    K, E = _groups(tau, f)
     ec = E.cells
     ne, nk = E.order, K.order
     rnuc_e = set(nuclei(E).right)
@@ -263,10 +273,9 @@ def right_nucleus_members(
     return out
 
 
-def commutant_members(
-    K: GroupTable, E: LoopTable, tau: TauMap, f: Cocycle
-) -> set[tuple[int, int]]:
+def commutant_members(tau: TauMap, f: Cocycle) -> set[tuple[int, int]]:
     """Pairs (u, a) satisfying the commutant condition equations."""
+    K, E = _groups(tau, f)
     ne, nk = E.order, K.order
     com_e = set(commutant(E))
     out: set[tuple[int, int]] = set()
@@ -287,13 +296,12 @@ def commutant_members(
     return out
 
 
-def is_semihomomorphism(E: LoopTable, tau: TauMap) -> bool:
+def is_semihomomorphism(tau: TauMap) -> bool:
     """Whether tau_{a*(b*a)} = tau_a tau_b tau_a for all a, b in E."""
-    ec = E.cells
-    ne = E.order
-    for a in range(1, ne + 1):
+    ec = tau.E.cells
+    for a in tau.E.elements():
         ta = tau.at(a)
-        for b in range(1, ne + 1):
+        for b in tau.E.elements():
             tb = tau.at(b)
             aba = ec[a - 1][ec[b - 1][a - 1] - 1]
             comp = tuple(ta[tb[ta[w] - 1] - 1] for w in range(len(ta)))
@@ -302,12 +310,12 @@ def is_semihomomorphism(E: LoopTable, tau: TauMap) -> bool:
     return True
 
 
-def is_tau_homomorphism(E: LoopTable, tau: TauMap) -> bool:
+def is_tau_homomorphism(tau: TauMap) -> bool:
     """Whether tau_{a*b} = tau_a tau_b for all a, b in E."""
-    ec = E.cells
-    for a in range(1, E.order + 1):
+    ec = tau.E.cells
+    for a in tau.E.elements():
         ta = tau.at(a)
-        for b in range(1, E.order + 1):
+        for b in tau.E.elements():
             tb = tau.at(b)
             comp = tuple(ta[tb[w] - 1] for w in range(len(ta)))
             if comp != tau.at(ec[a - 1][b - 1]):
@@ -337,16 +345,16 @@ def inversion_aut(K: GroupTable) -> Permutation:
     return tuple(inverse(K, u) for u in K.elements())
 
 
-def _order4n_inputs(n: int) -> tuple[GroupTable, LoopTable, TauMap, Cocycle]:
+def _order4n_inputs(n: int) -> tuple[TauMap, Cocycle]:
     """K = Zn, E = (Z2)^2, tau the inversion at e1e2 and the identity elsewhere."""
     e4 = elem_abelian_2(2)
     K = cyclic_group(n)
     tau = TauMap(e4, K, (identity_perm(n),) * 3 + (inversion_aut(K),))
-    return K, e4, tau, trivial_cocycle(K, e4)
+    return tau, trivial_cocycle(K, e4)
 
 
-def named_extension(name: str, **params: int) -> tuple[GroupTable, LoopTable, TauMap, Cocycle]:
-    """Ingredients (K, E, tau, f) for the named example families.
+def named_extension(name: str, **params: int) -> tuple[TauMap, Cocycle]:
+    """Ingredients (tau, f) for the named example families.
 
     order12:        order4n at n = 3.
     order16cyclic:  order4n at n = 4.
@@ -354,6 +362,9 @@ def named_extension(name: str, **params: int) -> tuple[GroupTable, LoopTable, Ta
     order4n:        K = Zn (n > 2), E = (Z2)^2, inversion at e1e2.
     commutant_order: K = Z3, E = (Z2)^m with 2^m > k, |Ker(tau)| = k.
     """
+    extra = sorted(set(params) - {"order4n": {"n"}, "commutant_order": {"k"}}.get(name, set()))
+    if extra:
+        raise BadParams(f"{name} takes no parameter {', '.join(extra)}")
     if name == "order12":
         return _order4n_inputs(3)
     if name == "order16cyclic":
@@ -363,7 +374,7 @@ def named_extension(name: str, **params: int) -> tuple[GroupTable, LoopTable, Ta
         # masks: k1 = 1, k2 = 2; k1 -> k1, k2 -> k1k2 extends linearly
         phi = (1, 2, 4, 3)
         tau = TauMap(e4, K, (identity_perm(4),) * 3 + (phi,))
-        return K, e4, tau, trivial_cocycle(K, e4)
+        return tau, trivial_cocycle(K, e4)
     if name == "order4n":
         n = params.get("n", 0)
         if n <= 2:
@@ -385,8 +396,7 @@ def named_extension(name: str, **params: int) -> tuple[GroupTable, LoopTable, Ta
         assignment = tuple(
             identity_perm(3) if (a - 1) in kernel else phi for a in E.elements()
         )
-        tau = TauMap(E, K, assignment)
-        return K, E, tau, trivial_cocycle(K, E)
+        return TauMap(E, K, assignment), trivial_cocycle(K, E)
     raise BadParams(f"unknown example name {name!r}")
 
 
@@ -410,5 +420,4 @@ def example_name(name: str, **params: int) -> str:
 
 
 def build_named_example(name: str, **params: int) -> LoopTable:
-    K, E, tau, f = named_extension(name, **params)
-    return build_extension(K, E, tau, f, name=example_name(name, **params))
+    return build_extension(*named_extension(name, **params), name=example_name(name, **params))

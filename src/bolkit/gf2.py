@@ -2,15 +2,17 @@
 
 Vectors of (Z_2)^n are int bitmasks 0..2^n-1; bit i is the coefficient of
 the basis vector e_{i+1}.  A CMap holds c(e, e_i) for every vector e and
-basis column i; its associated cocycle extends it right-additively.
+basis column i; its associated cocycle extends it right-additively, so
+f(a, b) is the GF(2) dot product of row a, read as a bitmask, with b.
 
 An associated cocycle is an ``extensions.Cocycle`` from E = (Z_2)^n to
 K = Z_2: the vector a is element a + 1 of E, and the bit v of f(a, b) is
 element v + 1 of K, so its values are the elements 1 and 2 of Z_2.  Its
-loop is the extension Q(Z_2, (Z_2)^n, 1, f) built by
-``extensions.build_extension``, and ``extensions.bol_conditions`` decides
-whether that loop is left Bol.  Pairs (u, a) with u in Z_2 and a in
-(Z_2)^n are multiplied by (u,a)(v,b) = (u+v+f(a,b), a+b) and encoded as
+loop is the extension Q(Z_2, (Z_2)^n, 1, f), which
+``extensions.build_extension`` builds from the trivial tau and f alone;
+``extensions.bol_conditions`` decides whether that loop is left Bol.
+Pairs (u, a) with u in Z_2 and a in (Z_2)^n are multiplied by
+(u,a)(v,b) = (u+v+f(a,b), a+b) and encoded as
 
     idx(u, a) = 1 + u + 2*a        (a as bitmask)
 
@@ -46,31 +48,27 @@ class CMap:
             raise BadParams("c(0, e_i) must vanish")
 
 
+def _mask(row: list[int] | tuple[int, ...]) -> int:
+    """A row of bits as a bitmask: bit i is row[i]."""
+    return sum(bit << i for i, bit in enumerate(row))
+
+
+def _dot(mask: int, e: int) -> int:
+    """The GF(2) dot product of two bitmasks."""
+    return (mask & e).bit_count() & 1
+
+
 def associated_cocycle(c: CMap) -> Cocycle:
     """The unique right-additive cocycle restricting to c on basis columns."""
-    n = c.dim
-    size = 1 << n
-    rows = []
-    for a in range(size):
-        ca = c.values[a]
-        row = []
-        for b in range(size):
-            acc = 0
-            m = b
-            i = 0
-            while m:
-                if m & 1:
-                    acc ^= ca[i]
-                m >>= 1
-                i += 1
-            row.append(acc + 1)
-        rows.append(tuple(row))
-    return Cocycle(elem_abelian_2(n), cyclic_group(2), tuple(rows))
+    size = 1 << c.dim
+    masks = [_mask(row) for row in c.values]
+    rows = tuple(tuple(_dot(m, b) + 1 for b in range(size)) for m in masks)
+    return Cocycle(elem_abelian_2(c.dim), cyclic_group(2), rows)
 
 
 def cocycle_loop(f: Cocycle, name: str | None = None) -> LoopTable:
     """The table of Q(K, E, 1, f): (u,a)(v,b) = (u+v+f(a,b), a+b) for K = Z_2."""
-    return build_extension(f.K, f.E, trivial_tau(f.K, f.E), f, name=name)
+    return build_extension(trivial_tau(f.K, f.E), f, name=name)
 
 
 def q9_cmap(bits: tuple[int, ...]) -> CMap:
@@ -91,18 +89,14 @@ def q9_cmap(bits: tuple[int, ...]) -> CMap:
     c[5][2] = b7  # row e1+e3
     c[6][2] = b8  # row e2+e3
     c[7][2] = b9  # row e1+e2+e3
+    row1 = _mask(c[1])
     for e in range(8):  # column 1: c(e, e1) = sum over support of c(e1, e_i)
-        acc = 0
-        for i in range(3):
-            if e >> i & 1:
-                acc ^= c[1][i]
-        c[e][0] = acc
-    for e in range(8):  # column 2: c(e, e2) likewise against row e2
-        acc = 0
-        for i in range(3):
-            if e >> i & 1:
-                acc ^= c[2][i]
-        c[e][1] = acc
+        c[e][0] = _dot(row1, e)
+    # column 2 likewise against row e2, masked only now: its column-1 cell
+    # c(e2, e1) = b2 comes from the loop above
+    row2 = _mask(c[2])
+    for e in range(8):
+        c[e][1] = _dot(row2, e)
     c[3][2] = c[1][2] ^ c[2][2] ^ 1  # forced inequality at (e1+e2, e3)
     return CMap(3, tuple(tuple(r) for r in c))
 
@@ -156,26 +150,16 @@ def count_constrained_cmaps() -> int:
     n = 3
     size = 1 << n
     count = 0
-    rows: list[tuple[int, ...]] = [(0,) * n] * size
+    rows = [0] * size  # row e as a bitmask: bit i is c(e, e_{i+1})
 
-    def row_ok(e: int, row: tuple[int, ...]) -> bool:
+    def row_ok(e: int, row: int) -> bool:
         # constraints referencing rows e1/e2 only apply once those are placed;
         # at e == 1 and e == 2 the skipped checks are tautologies anyway
-        if e >= 2:  # column 1 symmetry against row e1
-            acc = 0
-            for i in range(n):
-                if e >> i & 1:
-                    acc ^= rows[1][i]
-            if row[0] != acc:
-                return False
-        if e >= 3:  # column 2 symmetry against row e2
-            acc = 0
-            for i in range(n):
-                if e >> i & 1:
-                    acc ^= rows[2][i]
-            if row[1] != acc:
-                return False
-        if e == 3 and row[2] != rows[1][2] ^ rows[2][2] ^ 1:
+        if e >= 2 and row & 1 != _dot(rows[1], e):  # column 1 against row e1
+            return False
+        if e >= 3 and row >> 1 & 1 != _dot(rows[2], e):  # column 2 against row e2
+            return False
+        if e == 3 and row >> 2 & 1 != ((rows[1] ^ rows[2]) >> 2 & 1) ^ 1:
             return False
         return True
 
@@ -184,9 +168,9 @@ def count_constrained_cmaps() -> int:
         if e == size:
             count += 1
             return
-        for bits in itertools.product((0, 1), repeat=n):
-            if row_ok(e, bits):
-                rows[e] = bits
+        for row in range(size):
+            if row_ok(e, row):
+                rows[e] = row
                 rec(e + 1)
 
     rec(1)

@@ -144,8 +144,8 @@ class VerificationSuite:
         return ok, "Z=LNuc={1,2}, C=RNuc={1,2,3,4}, <4,5> generates"
 
     def claim_sec5_order12(self) -> tuple[bool, str]:
-        K, E, tau, f = named_extension("order12")
-        Q = build_extension(K, E, tau, f)
+        tau, f = named_extension("order12")
+        Q = build_extension(tau, f)
         kf = ker_fix(tau)
         com, _, flags = _predicates(Q)
         ok = (
@@ -156,8 +156,8 @@ class VerificationSuite:
             and not is_subloop(Q, com)
             and len(com) == len(kf.fix) * len(kf.ker) == 3
             # Ker(tau) is not closed: tau is a semihomomorphism but not a homomorphism
-            and is_semihomomorphism(E, tau)
-            and not is_tau_homomorphism(E, tau)
+            and is_semihomomorphism(tau)
+            and not is_tau_homomorphism(tau)
         )
         return ok, f"order 12, |C|=3 non-subloop, |Fix|*|Ker|={len(kf.fix)}*{len(kf.ker)}"
 
@@ -319,7 +319,7 @@ class VerificationSuite:
 
     def claim_sec4_condition_oracle(self) -> tuple[bool, str]:
         rng = random.Random(RANDOM_SEED)
-        inputs = [(e.name, e.K, e.E, e.tau, e.f) for e in catalog.extension_catalog()]
+        inputs = [(e.name, e.tau, e.f) for e in catalog.extension_catalog()]
         small: list[GroupTable] = [
             cyclic_group(2),
             cyclic_group(3),
@@ -340,19 +340,19 @@ class VerificationSuite:
                 for b in range(1, E.order):
                     values[a][b] = rng.randrange(1, K.order + 1)
             f = Cocycle(E, K, tuple(tuple(r) for r in values))
-            inputs.append((f"random{t}", K, E, tau, f))
+            inputs.append((f"random{t}", tau, f))
         bad = []
-        for name, K, E, tau, f in inputs:
-            Q = build_extension(K, E, tau, f)
+        for name, tau, f in inputs:
+            Q = build_extension(tau, f)
             com, nuc, flags = _predicates(Q)
-            if bol_conditions(K, E, tau, f) != flags["left_bol"]:
+            if bol_conditions(tau, f) != flags["left_bol"]:
                 bad.append(f"{name}:bol")
-            if group_conditions(K, E, tau, f) != flags["associative"]:
+            if group_conditions(tau, f) != flags["associative"]:
                 bad.append(f"{name}:group")
-            rn = sorted(pair_index(K, w, c) for w, c in right_nucleus_members(K, E, tau, f))
+            rn = sorted(pair_index(tau.K, w, c) for w, c in right_nucleus_members(tau, f))
             if tuple(rn) != nuc.right:
                 bad.append(f"{name}:rnuc")
-            cm = sorted(pair_index(K, u, a) for u, a in commutant_members(K, E, tau, f))
+            cm = sorted(pair_index(tau.K, u, a) for u, a in commutant_members(tau, f))
             if tuple(cm) != com:
                 bad.append(f"{name}:commutant")
         return not bad, f"{len(inputs)} inputs (catalog + 100 random); disagreements={bad or 'none'}"

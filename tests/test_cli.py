@@ -195,7 +195,7 @@ def test_construct_semidirect_lists_automorphisms_only_for_indices(monkeypatch, 
     "token", [f"cyclic:{n}" for n in range(1, 17)] + ["elem2:1", "elem2:2", "elem2:3"]
 )
 def test_parsed_group_automorphism_count_is_the_listed_count(token):
-    K, count = cli._parse_group(token)
+    K, count = cli._build_group(*cli._parse_group(token))
     assert count == len(automorphism_group(K))
 
 

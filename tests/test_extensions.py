@@ -89,9 +89,9 @@ def test_builders_reject_orders_above_max_order():
         elem_abelian_2(64)
     K, E = cyclic_group(65), cyclic_group(64)  # |K||E| = 4160
     with pytest.raises(errors.TooLarge):
-        build_extension(K, E, trivial_tau(K, E), trivial_cocycle(K, E))
+        build_extension(trivial_tau(K, E), trivial_cocycle(K, E))
     with pytest.raises(errors.TooLarge):
-        build_semidirect(K, E, trivial_tau(K, E))
+        build_semidirect(trivial_tau(K, E))
     with pytest.raises(errors.TooLarge):
         named_extension("order4n", n=MAX_ORDER // 4 + 1)
     with pytest.raises(errors.TooLarge):
@@ -115,7 +115,7 @@ def test_tau_and_cocycle_validation():
 def test_trivial_extension_is_direct_product():
     K = cyclic_group(3)
     E = elem_abelian_2(2)
-    Q = build_semidirect(K, E, trivial_tau(K, E))
+    Q = build_semidirect(trivial_tau(K, E))
     for a in range(1, 5):
         for b in range(1, 5):
             for u in range(1, 4):
@@ -130,7 +130,8 @@ def test_embedded_k_in_left_and_middle_nuclei():
     for entry in extension_catalog():
         Q = entry.build()
         nuc = nuclei(Q)
-        embedded = {pair_index(entry.K, u, 1) for u in entry.K.elements()}
+        K = entry.tau.K
+        embedded = {pair_index(K, u, 1) for u in K.elements()}
         assert embedded <= set(nuc.left)
         assert embedded <= set(nuc.middle)
 
@@ -142,11 +143,11 @@ def test_order12_example_properties():
     assert not check_identity(Q, "associative")
     com = commutant(Q)
     assert len(com) == 3 and not is_subloop(Q, com)
-    K, E, tau, f = named_extension("order12")
+    tau, f = named_extension("order12")
     kf = ker_fix(tau)
     assert len(kf.ker) == 3 and len(kf.fix) == 1
-    assert is_semihomomorphism(E, tau)
-    assert not is_tau_homomorphism(E, tau)
+    assert is_semihomomorphism(tau)
+    assert not is_tau_homomorphism(tau)
 
 
 def test_order16_examples():
@@ -161,7 +162,7 @@ def test_order16_examples():
         assert not check_identity(Q, "associative")
         assert not is_subloop(Q, commutant(Q))
     assert not isomorphic(Qc, Qe)
-    K, E, tau, _ = named_extension("order16cyclic")
+    tau, _ = named_extension("order16cyclic")
     kf = ker_fix(tau)
     assert len(kf.ker) == 3 and len(kf.fix) == 2
 
@@ -177,62 +178,51 @@ def test_ker_fix_trivial():
 def test_bol_conditions_cross_validation():
     # the stated tau and a deliberately different one: the predicate must
     # agree with the direct table check either way
-    K, E, tau, f = named_extension("order12")
-    assert bol_conditions(K, E, tau, f)
+    tau, f = named_extension("order12")
+    assert bol_conditions(tau, f)
     phi = tau.at(4)
-    modified = TauMap(E, K, (identity_perm(3), phi, identity_perm(3), phi))
-    Qm = build_extension(K, E, modified, f)
-    assert bol_conditions(K, E, modified, f) == check_identity(Qm, "left_bol")
+    modified = TauMap(tau.E, tau.K, (identity_perm(3), phi, identity_perm(3), phi))
+    Qm = build_extension(modified, f)
+    assert bol_conditions(modified, f) == check_identity(Qm, "left_bol")
 
 
 def test_condition_oracle_agreement_on_catalog():
     for entry in extension_catalog():
         Q = entry.build()
-        assert bol_conditions(entry.K, entry.E, entry.tau, entry.f) == check_identity(
-            Q, "left_bol"
-        )
-        assert group_conditions(entry.K, entry.E, entry.tau, entry.f) == check_identity(
-            Q, "associative"
-        )
-        rn = sorted(
-            pair_index(entry.K, w, c)
-            for w, c in right_nucleus_members(entry.K, entry.E, entry.tau, entry.f)
-        )
+        tau, f, K = entry.tau, entry.f, entry.tau.K
+        assert bol_conditions(tau, f) == check_identity(Q, "left_bol")
+        assert group_conditions(tau, f) == check_identity(Q, "associative")
+        rn = sorted(pair_index(K, w, c) for w, c in right_nucleus_members(tau, f))
         assert tuple(rn) == nuclei(Q).right
-        cm = sorted(
-            pair_index(entry.K, u, a)
-            for u, a in commutant_members(entry.K, entry.E, entry.tau, entry.f)
-        )
+        cm = sorted(pair_index(K, u, a) for u, a in commutant_members(tau, f))
         assert tuple(cm) == commutant(Q)
 
 
 def test_right_nucleus_members_order12():
-    K, E, tau, f = named_extension("order12")
-    members = right_nucleus_members(K, E, tau, f)
+    tau, f = named_extension("order12")
+    members = right_nucleus_members(tau, f)
     # tau is not a homomorphism, so only the fixed points of phi survive
-    assert members == {(1, c) for c in E.elements()}
+    assert members == {(1, c) for c in tau.E.elements()}
 
 
 def test_commutant_members_counts():
-    K, E, tau, f = named_extension("order12")
-    assert len(commutant_members(K, E, tau, f)) == 3
-    K2, E2, tau2, f2 = named_extension("order16elem")
-    assert len(commutant_members(K2, E2, tau2, f2)) == 6
+    assert len(commutant_members(*named_extension("order12"))) == 3
+    assert len(commutant_members(*named_extension("order16elem"))) == 6
     # direct product of abelian groups: everything commutes
     K3 = cyclic_group(3)
     E3 = cyclic_group(3)
-    assert len(commutant_members(K3, E3, trivial_tau(K3, E3), trivial_cocycle(K3, E3))) == 9
+    assert len(commutant_members(trivial_tau(K3, E3), trivial_cocycle(K3, E3))) == 9
 
 
 def test_semihomomorphism_cases():
     K = cyclic_group(3)
     E = elem_abelian_2(2)
-    assert is_semihomomorphism(E, trivial_tau(K, E))
+    assert is_semihomomorphism(trivial_tau(K, E))
     # a homomorphism into {1, phi} with involutory image is a semihomomorphism
     phi = tuple(inverse(K, u) for u in K.elements())
     hom = TauMap(E, K, (identity_perm(3), identity_perm(3), phi, phi))
-    assert is_tau_homomorphism(E, hom)
-    assert is_semihomomorphism(E, hom)
+    assert is_tau_homomorphism(hom)
+    assert is_semihomomorphism(hom)
 
 
 def test_semidirect_bol_iff_semihomomorphism():
@@ -242,18 +232,16 @@ def test_semidirect_bol_iff_semihomomorphism():
     ident = identity_perm(3)
     for images in itertools.product((ident, phi), repeat=3):
         tau = TauMap(E, K, (ident,) + images)
-        Q = build_semidirect(K, E, tau)
-        assert check_identity(Q, "left_bol") == is_semihomomorphism(E, tau)
+        Q = build_semidirect(tau)
+        assert check_identity(Q, "left_bol") == is_semihomomorphism(tau)
 
 
 def test_semidirect_commutant_size_is_fix_times_ker():
     for entry in extension_catalog():
-        if entry.f.values != trivial_cocycle(entry.K, entry.E).values:
+        K, E = entry.tau.K, entry.tau.E
+        if entry.f.values != trivial_cocycle(K, E).values:
             continue
-        if not (
-            check_identity(entry.E, "commutative")
-            and check_identity(entry.K, "commutative")
-        ):
+        if not (check_identity(E, "commutative") and check_identity(K, "commutative")):
             continue
         Q = entry.build()
         kf = ker_fix(entry.tau)
@@ -272,9 +260,9 @@ def test_semidirects_with_factor_of_order_two_are_groups():
         ident = identity_perm(K.order)
         for images in itertools.product(auts, repeat=E.order - 1):
             tau = TauMap(E, K, (ident,) + images)
-            if not is_semihomomorphism(E, tau):
+            if not is_semihomomorphism(tau):
                 continue
-            Q = build_semidirect(K, E, tau)
+            Q = build_semidirect(tau)
             assert check_identity(Q, "associative")
 
 
@@ -285,7 +273,7 @@ def test_semidirect_commutant_in_rnuc_iff_base():
     assert set(commutant(Q12)) <= set(nuclei(Q12).right)
     K = cyclic_group(3)
     E = Q12
-    Q = build_semidirect(K, E, trivial_tau(K, E))
+    Q = build_semidirect(trivial_tau(K, E))
     base_holds = set(commutant(E)) <= set(nuclei(E).right)
     built_holds = set(commutant(Q)) <= set(nuclei(Q).right)
     assert built_holds == base_holds
@@ -297,16 +285,16 @@ def test_pair_projection_is_a_homomorphism_onto_e():
     # the embedded K
     for entry in extension_catalog():
         Q = entry.build()
-        nk = entry.K.order
-        proj = [(idx - 1) // nk + 1 for idx in Q.elements()]
-        assert sorted(set(proj)) == list(entry.E.elements())
+        K, E = entry.tau.K, entry.tau.E
+        proj = [(idx - 1) // K.order + 1 for idx in Q.elements()]
+        assert sorted(set(proj)) == list(E.elements())
         assert all(
-            proj[mul(Q, x, y) - 1] == mul(entry.E, proj[x - 1], proj[y - 1])
+            proj[mul(Q, x, y) - 1] == mul(E, proj[x - 1], proj[y - 1])
             for x in Q.elements()
             for y in Q.elements()
         )
         fibre = [idx for idx in Q.elements() if proj[idx - 1] == 1]
-        assert fibre == [pair_index(entry.K, u, 1) for u in entry.K.elements()]
+        assert fibre == [pair_index(K, u, 1) for u in K.elements()]
 
 
 def test_dihedral_builder():
@@ -345,6 +333,26 @@ def test_named_example_bad_params():
         build_named_example("commutant_order", k=2)
     with pytest.raises(errors.BadParams):
         build_named_example("nonsense")
+    # a parameter the family does not take is named, not ignored
+    for name, params, unexpected in (
+        ("order12", {"n": 5}, "n"),
+        ("order4n", {"n": 5, "k": 3}, "k"),
+        ("order4n", {"k": 5}, "k"),
+    ):
+        with pytest.raises(errors.BadParams, match=f"takes no parameter {unexpected}$"):
+            build_named_example(name, **params)
+
+
+def test_tau_and_cocycle_over_different_groups_are_rejected():
+    # order16elem acts on K = E = Z2^2; a cocycle over Z4 in place of
+    # either group is refused, not built into a table that is not left Bol
+    tau, f = named_extension("order16elem")
+    z4 = cyclic_group(4)
+    for g in (trivial_cocycle(z4, tau.E), trivial_cocycle(tau.K, z4)):
+        with pytest.raises(errors.BadParams, match="same K and E"):
+            build_extension(tau, g)
+        with pytest.raises(errors.BadParams, match="same K and E"):
+            bol_conditions(tau, g)
 
 
 def test_direct_product_helper():

@@ -44,7 +44,7 @@ def as_bits(f: Cocycle) -> list[list[int]]:
 
 def is_left_bol(f: Cocycle) -> bool:
     """The condition equations of Q(Z_2, E, 1, f), checked against the built table."""
-    general = bol_conditions(f.K, f.E, trivial_tau(f.K, f.E), f)
+    general = bol_conditions(trivial_tau(f.K, f.E), f)
     assert general == check_identity(cocycle_loop(f), "left_bol")
     return general
 
@@ -135,6 +135,9 @@ def test_enumerate_q9_order_and_tags():
     assert loops[0].name == "q9_000000000"
     assert loops[1].name == "q9_000000001"
     assert loops[-1].name == "q9_111111111"
+    # pairwise distinct tables: every bit reaches the table, b2 included,
+    # which enters only through c(e2, e1), read by column 2 from row e2
+    assert len(set(loops)) == 512
 
 
 def test_right_nucleus_criterion_for_right_additive():

@@ -96,7 +96,7 @@ def cube_counterexample() -> LoopTable:
             (1, 2, 2, 2, 1, 2),
         ),
     )
-    return build_extension(K, E, tau, f)
+    return build_extension(tau, f)
 
 
 def battery_tables():
