@@ -109,8 +109,20 @@ def order4n_family() -> list[LoopTable]:
 
 
 def property_catalog() -> list[LoopTable]:
-    """Loops for the commutant structure property battery."""
+    """Loops for the commutant structure property battery.
+
+    In order: ``twenty_one()`` (the order-12 loop, the 19 Q9
+    representatives, the exceptional loop), ``direct_products()``, then
+    ``order4n_family()``.  The slices below read the first three families
+    out of it.
+    """
     return twenty_one() + direct_products() + order4n_family()
+
+
+# slices of property_catalog(): twenty_one(), order16_twenty(), q9_representatives()
+TWENTY_ONE = slice(0, 21)
+ORDER16_TWENTY = slice(1, 21)
+Q9_REPRESENTATIVES = slice(1, 20)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import BadParams, NotAssociative, TooLarge
-from .iso import _isomorphisms, _record
+from .iso import _isomorphisms, _record, is_isomorphism
 from .loop_core import LoopTable, Permutation, check_order, identity_perm, inverse, mul
 from .structure import ElementSet, check_identity, commutant, nuclei
 
@@ -58,13 +58,7 @@ def elem_abelian_2(m: int) -> GroupTable:
 
 
 def is_automorphism(K: LoopTable, p: Permutation) -> bool:
-    n = K.order
-    if len(p) != n or sorted(p) != list(range(1, n + 1)) or p[0] != 1:
-        return False
-    cells = K.cells
-    return all(
-        p[cells[u][v] - 1] == cells[p[u] - 1][p[v] - 1] for u in range(n) for v in range(n)
-    )
+    return is_isomorphism(K, K, p)
 
 
 def automorphism_group(K: LoopTable) -> list[Permutation]:

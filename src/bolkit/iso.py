@@ -5,9 +5,13 @@ tables in lexicographic image order.  It maps the least unmapped element
 to each candidate image (same element order and commuting-partner count)
 in increasing order and closes the partial map under products with
 ``extend_partial_hom``.  ``find_isomorphism`` takes its first map, which
-is the lexicographically least; ``isomorphic`` and ``classify`` ask
-whether a first map exists; ``extensions.automorphism_group`` takes all
-of them.
+is the lexicographically least; ``isomorphic`` asks whether a first map
+exists; ``classify`` keeps each member's first map onto its class
+representative as the class's witness; ``extensions.automorphism_group``
+takes all of them.  ``is_isomorphism`` checks a given map product by
+product, one row gather at a time, and shares no code with the search,
+so a caller can check a witness without trusting the engine that found
+it.
 
 Each table gets one record, ``_element_data``: per element its order and
 its number of commuting partners, and the table's key, its order and the
@@ -28,8 +32,9 @@ representatives compute each representative's once.  Only this module
 writes the slot: ``_screen`` and ``classification_report`` fill it, and
 ``extensions.automorphism_group`` fills it through ``_record``.
 ``classify`` reads it but writes it only on its representatives, so a
-batch held by its caller, such as the 512 q9 tables of
-``verify``, does not keep a record per table.  The memo depends only on
+batch held by its caller, such as the 512 q9 tables that
+``verify`` classifies once and keeps with their witnesses, does not keep
+a record per table.  The memo depends only on
 the cells; equality, hashing and ``repr`` ignore it, and content-equal
 tables built as separate objects each start empty.  A fill is
 idempotent (two threads that race store equal values), so concurrent
@@ -44,12 +49,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import NotPeriodicThroughIdentity
-from .loop_core import LoopTable, Permutation, element_order
-from .structure import IDENTITY_NAMES, _opposite, _predicates, involution_count
+from .loop_core import LoopTable, Permutation, element_order, identity_perm
+from .structure import IDENTITY_NAMES, _gathers, _opposite, _predicates, involution_count
 
 # order_spectrum sentinel for elements whose powers do not form a group
 ORDER_UNDEFINED = 0
@@ -280,10 +285,35 @@ def isomorphic(Q1: LoopTable, Q2: LoopTable) -> bool:
     return find_isomorphism(Q1, Q2) is not None
 
 
+def is_isomorphism(Q1: LoopTable, Q2: LoopTable, p: Permutation) -> bool:
+    """Whether p is an isomorphism Q1 -> Q2: a permutation of 1..n with
+    p(1) = 1 and Q2[p(a)][p(b)] = p(Q1[a][b]) for all a, b.
+
+    One row gather per a: row p(a) of Q2 read at the p(b) is compared
+    with row a of Q1 followed by p.  Shares no code with the search.
+    """
+    n = Q1.order
+    if Q2.order != n or len(p) != n or p[0] != 1 or sorted(p) != list(range(1, n + 1)):
+        return False
+    if n == 1:
+        return True  # the one loop of order 1, and p is the identity
+    at_p = itemgetter(*[v - 1 for v in p])  # t -> (t[p(1)], ..., t[p(n)])
+    then_p = _gathers(Q1.cells)  # then_p[a](p) is row a of Q1 followed by p
+    c2 = Q2.cells
+    return all(at_p(c2[p[a] - 1]) == then_p[a](p) for a in range(n))
+
+
 @dataclass(frozen=True)
 class IsoClass:
-    representative: int  # index into the classified list
+    """Indices into the classified list: the representative, the members
+    in list order, and per member the map that sends it onto the
+    representative (``maps[i]`` belongs to ``members[i]``; the
+    representative's own is the identity).  ``classify`` fills ``maps``;
+    a class built without witnesses has none."""
+
+    representative: int
     members: tuple[int, ...]
+    maps: tuple[Permutation, ...] = ()
 
 
 def classify(loops: list[LoopTable]) -> list[IsoClass]:
@@ -301,23 +331,32 @@ def classify(loops: list[LoopTable]) -> list[IsoClass]:
     the representatives get a memo written, the tables later queries are
     most likely to name; every other record is dropped with the call, so
     a large batch costs no memory after it is classified.
+
+    Each member keeps the map that put it in its class: the first map of
+    the search from the member to the representative, so the
+    lexicographically least isomorphism, as ``find_isomorphism`` returns
+    it; the representative keeps the identity.  ``is_isomorphism`` checks
+    such a map without the search.
     """
     reps: dict[tuple, list[tuple[int, _ElementData]]] = {}  # key -> (index, record)
-    members: dict[int, list[int]] = {}  # representative -> members, by first member
+    # representative -> (members, maps), by first member
+    members: dict[int, tuple[list[int], list[Permutation]]] = {}
     for i, Q in enumerate(loops):
         memo = Q._iso
         data = _element_data(Q) if memo is None else memo.data
         same_key = reps.setdefault(data.key, [])
         for r, r_data in same_key:
-            if next(_isomorphisms(Q, loops[r], data, r_data), None) is not None:
-                members[r].append(i)
+            p = next(_isomorphisms(Q, loops[r], data, r_data), None)
+            if p is not None:
+                members[r][0].append(i)
+                members[r][1].append(p)
                 break
         else:
             same_key.append((i, data))
-            members[i] = [i]
+            members[i] = ([i], [identity_perm(Q.order)])
             if memo is None:
                 Q._iso = _Memo(data, None)
-    return [IsoClass(r, tuple(m)) for r, m in members.items()]
+    return [IsoClass(r, tuple(m), tuple(maps)) for r, (m, maps) in members.items()]
 
 
 def brute_force_isomorphic(Q1: LoopTable, Q2: LoopTable) -> bool:

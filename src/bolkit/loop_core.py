@@ -13,6 +13,7 @@ Permutations of 1..n are plain tuples: ``p[i-1]`` is the image of ``i``.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
@@ -54,19 +55,27 @@ class LoopTable:
 
     @classmethod
     def from_cells(cls, cells: Iterable[Iterable[int]], name: str | None = None) -> "LoopTable":
-        """Validate and build a table whose identity is already element 1."""
+        """Validate and build a table whose identity is already element 1.
+
+        Entries must be of type int exactly: True and 2.0 compare equal to
+        1 and 2 and would pass the Latin check.  As in ``parse_table``, the
+        range is checked only when the Latin check fails.
+        """
         rows = tuple(tuple(row) for row in cells)
         n = len(rows)
         if n == 0:
             raise Malformed("empty table")
         check_order(n)
-        for row in rows:
-            if len(row) != n:
-                raise Malformed("table is not square")
-            for v in row:
-                if not isinstance(v, int) or not 1 <= v <= n:
-                    raise Malformed(f"entry {v!r} out of range 1..{n}")
-        _check_latin(rows)
+        if any(len(row) != n for row in rows):
+            raise Malformed("table is not square")
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+            bad = next(v for v in chain.from_iterable(rows) if type(v) is not int)
+            raise Malformed(f"entry {bad!r} is not an int")
+        try:
+            _check_latin(rows)
+        except NotLatin:
+            _check_range(chain.from_iterable(rows), n)
+            raise
         full = tuple(range(1, n + 1))
         if rows[0] != full or tuple(r[0] for r in rows) != full:
             raise NoIdentity("element 1 is not a two-sided identity")
@@ -97,6 +106,18 @@ def _check_latin(rows: tuple[tuple[int, ...], ...]) -> None:
     for col in zip(*rows):
         if frozenset(col) != full:
             raise NotLatin("a column repeats a value")
+
+
+def _check_range(entries: Iterable[int], n: int) -> None:
+    """Raise Malformed for the first entry outside 1..n.
+
+    Called only once the Latin check has failed: a row holding an entry
+    outside 1..n is not a permutation of 1..n, so a table that passes it
+    needs no range check.
+    """
+    bad = next((v for v in entries if not 1 <= v <= n), None)
+    if bad is not None:
+        raise Malformed(f"entry {bad} out of range 1..{n}") from None
 
 
 def decimal_ints(tokens: list[str]) -> list[int]:
@@ -145,11 +166,7 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
     try:
         _check_latin(rows)
     except NotLatin:
-        # rows are checked first, and a row holding an entry outside 1..n
-        # is not a permutation of 1..n, so the range is only checked here
-        bad = next((v for v in entries if not 1 <= v <= n), None)
-        if bad is not None:
-            raise Malformed(f"entry {bad} out of range 1..{n}") from None
+        _check_range(entries, n)
         raise
 
     e = _find_identity(rows)

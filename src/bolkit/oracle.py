@@ -355,15 +355,17 @@ def witnessed_search(n: int) -> WitnessedSearch:
     col_used0 = [1 << z for z in range(n)]
     tables: list[tuple[Row, ...]] = []
     classes: list[RowTwoClass] = []
-    shared: dict[Row, Row] = {}  # one object per distinct 1-based row
+    ident = tuple(range(1, n + 1))
+    shared: dict[Row, Row] = {ident: ident}  # one object per distinct 1-based row
     for rep, listings in _row2_classes(n):
         found.clear()
         branch(rows0, gathers0, col_used0, (1,), rep)
         start = len(tables)
-        # the found tables as indices into their distinct rows
-        index: dict[Row, int] = {}
+        # the found tables as indices into their distinct rows; the identity
+        # row, row 1 of every table, is index 0 and is its own image
+        index: dict[Row, int] = {rows0[0]: 0}
         coded = [tuple(index.setdefault(row, len(index)) for row in T) for T in found]
-        composers = [itemgetter(*row) for row in index]
+        composers = [itemgetter(*row) for row in list(index)[1:]]
         for sigma in listings:
             # sigma fixes 0 and 1 and conjugates rep to this member.  Row
             # sigma(a) of the relabeled table is sigma o T[a] o sigma^-1: row b
@@ -371,7 +373,7 @@ def witnessed_search(n: int) -> WitnessedSearch:
             label = tuple(map((1).__add__, sigma))
             pull = itemgetter(*sorted(range(n), key=sigma.__getitem__))
             image = [pull(compose(label)) for compose in composers]
-            image = list(map(shared.setdefault, image, image))
+            image = [ident, *map(shared.setdefault, image, image)]
             tables += [tuple(map(image.__getitem__, pull(T))) for T in coded]
         # the first listing, the identity, relabeled the found tables to themselves
         classes.append(RowTwoClass(tables[start : start + len(found)], listings))

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .errors import NotSubloop
+from .errors import BadParams, NotSubloop
 from .loop_core import LoopTable, element_order, mul
 
 ElementSet = tuple[int, ...]
@@ -400,11 +400,16 @@ def generated_subloop(Q: LoopTable, S: ElementSet) -> ElementSet:
     H into itself, hence to bijections of H.  Each element taken from the
     frontier is multiplied once on each side by every element known so
     far, itself included, so every product of two members is formed once.
+
+    Raises BadParams for an element of S that is not an int in 1..|Q|.
     """
+    n = Q.order
     members = {1}
     frontier = []
     for s in S:
         if s not in members:
+            if type(s) is not int or not 1 < s <= n:
+                raise BadParams(f"element {s!r} is not in 1..{n}")
             members.add(s)
             frontier.append(s)
     _close(Q.cells, members, [], frontier)
@@ -439,6 +444,7 @@ def _close(cells: Rows, members: set[int], known: list[int], frontier: list[int]
 
 
 def is_subloop(Q: LoopTable, S: ElementSet) -> bool:
+    """Whether S is a subloop of Q; BadParams as in ``generated_subloop``."""
     return generated_subloop(Q, S) == tuple(sorted(set(S)))
 
 

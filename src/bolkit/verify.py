@@ -36,12 +36,11 @@ from .extensions import (
     right_nucleus_members,
 )
 from .gf2 import (
-    build_exceptional,
     count_constrained_cmaps,
     enumerate_q9,
     free_parameter_count,
 )
-from .iso import brute_force_isomorphic, classify, isomorphic
+from .iso import IsoClass, brute_force_isomorphic, classify, is_isomorphism, isomorphic
 from .loop_core import LoopTable, identity_perm, mul, power
 from .oracle import (
     Order8Report,
@@ -105,12 +104,30 @@ class VerificationSuite:
         return enumerate_q9()
 
     @cached_property
-    def q9_reps(self) -> list[LoopTable]:
-        return catalog.q9_representatives()
+    def q9_classes(self) -> list[IsoClass]:
+        """``classify(q9_all)``: the classes with their witness maps."""
+        return classify(self.q9_all)
 
     @cached_property
+    def property_catalog(self) -> list[LoopTable]:
+        """``catalog.property_catalog()``, built once; the families below are slices of it."""
+        return catalog.property_catalog()
+
+    @property
+    def twenty_one(self) -> list[LoopTable]:
+        return self.property_catalog[catalog.TWENTY_ONE]
+
+    @property
+    def order16_twenty(self) -> list[LoopTable]:
+        return self.property_catalog[catalog.ORDER16_TWENTY]
+
+    @property
+    def q9_reps(self) -> list[LoopTable]:
+        return self.property_catalog[catalog.Q9_REPRESENTATIVES]
+
+    @property
     def exceptional(self) -> LoopTable:
-        return build_exceptional()
+        return self.order16_twenty[-1]
 
     @cached_property
     def order8_search(self) -> WitnessedSearch:
@@ -182,27 +199,46 @@ class VerificationSuite:
         return ok, "; ".join(parts) + "; non-isomorphic"
 
     def claim_sec6_q9_family(self) -> tuple[bool, str]:
+        """Every q9 table is left Bol of order 16, with |C| = 6, C not a
+        subloop and C inside the right nucleus, checked once per class.
+
+        The properties are checked on each class representative of
+        ``q9_classes``, and each member's witness map is checked product by
+        product with ``is_isomorphism``.  A member counts as a violation
+        when its representative fails or its map is not an isomorphism onto
+        the representative.  An isomorphism preserves the order, the left
+        Bol identity, the commutant and its size, subloops and the right
+        nucleus, so a member with a verified map passes exactly when its
+        representative does: while every map holds, the count is the count
+        a check of every table would give.
+        """
+        loops = self.q9_all
         bad = 0
-        for Q in self.q9_all:
-            com, nuc, flags = _predicates(Q)
-            if not (
-                Q.order == 16
+        for cls in self.q9_classes:
+            R = loops[cls.representative]
+            com, nuc, flags = _predicates(R)
+            rep_ok = (
+                R.order == 16
                 and flags["left_bol"]
                 and len(com) == 6
-                and not is_subloop(Q, com)
+                and not is_subloop(R, com)
                 and set(com) <= set(nuc.right)
-            ):
-                bad += 1
+            )
+            for m, p in zip(cls.members, cls.maps, strict=True):
+                if not (rep_ok and is_isomorphism(loops[m], R, p)):
+                    bad += 1
         return bad == 0, f"512 loops, {bad} violations of Bol/|C|=6/non-subloop/C<=RNuc"
 
     def claim_sec6_19_noniso(self) -> tuple[bool, str]:
+        """The 19 listed tuples are pairwise non-isomorphic, and the classes
+        of ``q9_classes`` hold one listed tuple each."""
         reps = self.q9_reps
         pairwise = all(
             not isomorphic(reps[i], reps[j])
             for i in range(len(reps))
             for j in range(i + 1, len(reps))
         )
-        classes = classify(self.q9_all)
+        classes = self.q9_classes
         # enumerate_q9 is lexicographic, so a tuple's position is its binary value;
         # each class must contain exactly one of the 19 listed tuples
         listed_positions = {
@@ -238,14 +274,14 @@ class VerificationSuite:
         return ok, "involutory, LNuc=Z={1}, RNuc elem-abelian of order 8 = <C>, C={1,2,5,7}, matches fixture, new class"
 
     def claim_sec5_21_total(self) -> tuple[bool, str]:
-        twenty = classify(catalog.order16_twenty())
-        all21 = classify(catalog.twenty_one())
+        twenty = classify(self.order16_twenty)
+        all21 = classify(self.twenty_one)
         ok = len(twenty) == 20 and len(all21) == 21
         return ok, f"order-16 classes={len(twenty)}, with order-12 loop total={len(all21)}"
 
     def claim_sec3_coprime3_order16(self) -> tuple[bool, str]:
         bad = []
-        for Q in catalog.order16_twenty():
+        for Q in self.order16_twenty:
             H = generated_subloop(Q, commutant(Q))
             sub_flags = _predicates(subloop_table(Q, H)).flags
             if not (
@@ -258,7 +294,7 @@ class VerificationSuite:
         return not bad, f"20 loops: <C> abelian group, |<C>| divides 16, R|<C> homomorphism; failures={bad or 'none'}"
 
     def claim_sec2_commutant_props(self) -> tuple[bool, str]:
-        loops = catalog.property_catalog()
+        loops = self.property_catalog
         bad: list[str] = []
         for Q in loops:
             com, nuc, flags = _predicates(Q)

@@ -11,7 +11,7 @@ from bolkit import iso
 from bolkit.catalog import property_catalog, q9_representatives, twenty_one
 from bolkit.errors import NotPeriodicThroughIdentity
 from bolkit.extensions import automorphism_group, build_named_example, cyclic_group, elem_abelian_2
-from bolkit.gf2 import build_exceptional, build_q9
+from bolkit.gf2 import build_exceptional, build_q9, enumerate_q9
 from bolkit.iso import (
     ORDER_UNDEFINED,
     _element_data,
@@ -20,6 +20,7 @@ from bolkit.iso import (
     classify,
     find_isomorphism,
     invariant_profile,
+    is_isomorphism,
     isomorphic,
 )
 from bolkit.loop_core import LoopTable, element_order, identity_perm, mul, parse_table
@@ -176,11 +177,55 @@ def test_classify_relabeled_catalog_batch():
     expected: dict[str, list[int]] = {}
     for i, (_, key) in enumerate(batch):
         expected.setdefault(key, []).append(i)
-    classes = classify([Q for Q, _ in batch])
+    loops = [Q for Q, _ in batch]
+    classes = classify(loops)
     assert len(classes) == 29
     # classes in first-member order, each listing its members in order
     assert [list(c.members) for c in classes] == list(expected.values())
     assert all(c.representative == c.members[0] for c in classes)
+    # each member's witness is the lex-least map onto its representative
+    for c in classes:
+        R = loops[c.representative]
+        assert c.maps[0] == identity_perm(R.order)
+        for m, p in zip(c.members, c.maps, strict=True):
+            assert is_isomorphism(loops[m], R, p)
+            assert p == find_isomorphism(loops[m], R)
+
+
+def test_classify_witnesses_on_the_q9_family():
+    loops = enumerate_q9()
+    classes = classify(loops)
+    assert len(classes) == 19
+    assert sum(len(c.maps) for c in classes) == 512
+    for c in classes:
+        R = loops[c.representative]
+        assert all(
+            is_isomorphism(loops[m], R, p) for m, p in zip(c.members, c.maps, strict=True)
+        )
+
+
+def test_is_isomorphism_rejects_what_is_not_one():
+    Z4, K4 = cyclic_group(4), elem_abelian_2(2)
+    assert is_isomorphism(Z4, Z4, (1, 4, 3, 2))  # x -> x^-1
+    assert is_isomorphism(K4, K4, (1, 3, 4, 2))
+    assert not is_isomorphism(Z4, Z4, (1, 3, 2, 4))  # a bijection, not a homomorphism
+    assert not is_isomorphism(K4, K4, (1, 2, 2, 3))  # not a bijection
+    assert not is_isomorphism(K4, K4, (1, 2, 3, 5))  # not onto 1..4
+    assert not is_isomorphism(K4, K4, (2, 1, 3, 4))  # moves the identity
+    assert not is_isomorphism(K4, K4, (1, 2, 3))  # wrong length
+    assert not is_isomorphism(Z4, K4, (1, 2, 3, 4))
+    assert not is_isomorphism(Z4, cyclic_group(5), (1, 2, 3, 4))
+    assert is_isomorphism(cyclic_group(1), cyclic_group(1), (1,))
+
+
+def test_is_isomorphism_agrees_with_brute_force_on_small_loops():
+    for n in range(1, 5):
+        loops = enumerate_all_loops(n)
+        maps = [(1, *rest) for rest in itertools.permutations(range(2, n + 1))]
+        for Q1 in loops:
+            for Q2 in loops:
+                found = any(is_isomorphism(Q1, Q2, p) for p in maps)
+                assert found == brute_force_isomorphic(Q1, Q2)
 
 
 def test_classification_report_format():

@@ -247,6 +247,20 @@ def test_from_cells_validation():
         LoopTable.from_cells([[1, 2], [2, 3]])
 
 
+def test_from_cells_accepts_int_entries_only():
+    # True == 1 and 2.0 == 2, so both would pass the Latin check
+    for bad in (True, 2.0):
+        with pytest.raises(errors.Malformed, match="not an int"):
+            LoopTable.from_cells([[1, 2], [2, bad]])
+    with pytest.raises(errors.Malformed, match="out of range"):
+        LoopTable.from_cells([[1, 2, 3], [2, 3, 1], [3, 1, 4]])
+    with pytest.raises(errors.NotLatin):
+        LoopTable.from_cells([[1, 2, 3], [2, 3, 1], [3, 1, 1]])
+    # the table that builds renders to text that parses back to it
+    Q = LoopTable.from_cells([[1, 2], [2, 1]])
+    assert parse_table(render(Q)) == Q
+
+
 def test_equality_ignores_name():
     a = parse_table("2\n1 2\n2 1", name="one")
     b = parse_table("2\n1 2\n2 1", name="two")

@@ -153,6 +153,14 @@ def test_generated_subloop(T8, X16):
     assert generated_subloop(X16, commutant(X16)) == tuple(range(1, 9))
 
 
+def test_subloop_functions_reject_elements_outside_the_loop():
+    Z4 = cyclic_group(4)
+    for s in (0, -1, 5):
+        for fn in (generated_subloop, is_subloop, subloop_table):
+            with pytest.raises(errors.BadParams, match=f"element {s} "):
+                fn(Z4, (2, s))
+
+
 @functools.cache
 def _catalog() -> tuple[LoopTable, ...]:
     return tuple(property_catalog())

@@ -8,14 +8,29 @@ battery compares whole rows and columns; both must give the same answer
 Of the arms (x^3 a)b and (x^3 b)a, either one alone gives the same
 answer: a and b commute, so (x^3 b)a = x^3(ab) for the pair (a, b) is
 (x^3 a)b = x^3(ab) for the pair (b, a), and every pair is checked.
+
+The q9 claims run the predicates on the 19 class representatives only
+and check each member's witness map; the tests at the end break a table
+or a map and require the claim to fail.
 """
 
-from bolkit import catalog, structure
+from dataclasses import replace
+
+import pytest
+
+from bolkit import catalog, structure, verify
 from bolkit.extensions import Cocycle, TauMap, build_extension, cyclic_group
 from bolkit.gf2 import enumerate_q9
-from bolkit.loop_core import LoopTable, identity_perm, mul, power
+from bolkit.loop_core import LoopTable, compose, identity_perm, mul, power
 from bolkit.oracle import enumerate_all_loops, search_left_bol
-from bolkit.structure import _predicates, commutant, commutant_prime_part, is_subloop, nuclei
+from bolkit.structure import (
+    _opposite,
+    _predicates,
+    commutant,
+    commutant_prime_part,
+    is_subloop,
+    nuclei,
+)
 from bolkit.verify import VerificationSuite
 
 
@@ -138,3 +153,59 @@ def test_commutant_claim_reads_the_commutant_it_is_handed(monkeypatch):
         "31 catalog loops; failures=none",
     )
     assert calls == []
+
+
+Q9_FAILS = "512 loops, 1 violations of Bol/|C|=6/non-subloop/C<=RNuc"
+
+
+@pytest.fixture(scope="module")
+def q9_all():
+    return enumerate_q9()
+
+
+def test_q9_claim_counts_a_table_that_is_not_left_bol(q9_all):
+    # the opposite of a q9 loop is right Bol, not left Bol; it is alone in
+    # its class, so it is checked as a representative
+    bad = LoopTable(16, _opposite(q9_all[5].cells))
+    assert not _predicates(bad).flags["left_bol"]
+    fresh = VerificationSuite()
+    fresh.q9_all = q9_all[:5] + [bad] + q9_all[6:]
+    assert fresh.claim_sec6_q9_family() == (False, Q9_FAILS)
+
+
+def test_q9_claim_checks_every_witness_map(q9_all, monkeypatch):
+    fresh = VerificationSuite()
+    fresh.q9_all = q9_all
+    classes = list(fresh.q9_classes)
+    k = next(k for k, c in enumerate(classes) if len(c.members) > 1)
+    swap = (1, 3, 2, *range(4, 17))
+    maps = list(classes[k].maps)
+    maps[1] = compose(maps[1], swap)
+    classes[k] = replace(classes[k], maps=tuple(maps))
+    fresh.q9_classes = classes
+    assert fresh.claim_sec6_q9_family() == (False, Q9_FAILS)
+    # the representatives all pass: the failure is the map's
+    monkeypatch.setattr(verify, "is_isomorphism", lambda Q1, Q2, p: True)
+    assert fresh.claim_sec6_q9_family()[0]
+
+
+def test_q9_claims_classify_once_and_check_representatives_only(q9_all, monkeypatch):
+    calls = {"_predicates": 0, "classify": 0}
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    fresh = VerificationSuite()
+    fresh.q9_all = q9_all
+    assert fresh.claim_sec6_q9_family()[0]
+    assert calls["_predicates"] <= 19
+    assert fresh.claim_sec6_19_noniso()[0]
+    assert calls["classify"] == 1
