@@ -16,7 +16,7 @@ take (tau, f) alone; they raise BadParams when f and tau disagree on K or E.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import BadParams, NotAssociative, TooLarge
 from .iso import _isomorphisms, _record, is_isomorphism
@@ -89,9 +89,15 @@ class TauMap:
     def __post_init__(self) -> None:
         if len(self.assignment) != self.E.order:
             raise BadParams("tau must assign one automorphism per element of E")
+        # exact types: the check below skips repeats, and (1.0, 2.0) both
+        # equals and hashes as (1, 2)
+        if {tuple} != set(map(type, self.assignment)) or not {int}.issuperset(
+            map(type, chain.from_iterable(self.assignment))
+        ):
+            raise BadParams("tau entries must be tuples of ints")
         if self.assignment[0] != identity_perm(self.K.order):
             raise BadParams("tau_1 must be the identity automorphism")
-        for p in self.assignment:
+        for p in dict.fromkeys(self.assignment):  # each distinct map once, in order
             if not is_automorphism(self.K, p):
                 raise BadParams(f"{p} is not an automorphism of K")
 
@@ -113,6 +119,8 @@ class Cocycle:
             raise BadParams("cocycle must be |E| x |E|")
         for row in self.values:
             for v in row:
+                if type(v) is not int:
+                    raise BadParams(f"cocycle value {v!r} is not an int")
                 if not 1 <= v <= nk:
                     raise BadParams(f"cocycle value {v} outside K")
         if any(self.values[0][b] != 1 for b in range(ne)) or any(

@@ -18,7 +18,12 @@ Pairs (u, a) with u in Z_2 and a in (Z_2)^n are multiplied by
 
 The nine-parameter order-16 family and the one exceptional order-16 loop
 that no such extension produces are both constructed here with fixed
-encodings, so their tables are byte-reproducible.
+encodings, so their tables are byte-reproducible.  The family does not
+take the general route above: row idx(u, a) of a family table depends
+only on u, a and the mask m_a of CMap row a, so its 512 tables share at
+most 2*8*8 = 128 row objects, each built once per ``enumerate_q9`` call.
+``associated_cocycle`` and ``cocycle_loop`` stay the general route, and
+the tests compare every family table against it.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ class CMap:
         size = 1 << self.dim
         if len(self.values) != size or any(len(r) != self.dim for r in self.values):
             raise BadParams("CMap must be 2^n x n")
-        if any(v not in (0, 1) for row in self.values for v in row):
-            raise BadParams("CMap entries must be bits")
+        if any(type(v) is not int or v not in (0, 1) for row in self.values for v in row):
+            raise BadParams("CMap entries must be the ints 0 and 1")
         if any(v != 0 for v in self.values[0]):
             raise BadParams("c(0, e_i) must vanish")
 
@@ -79,8 +84,8 @@ def q9_cmap(bits: tuple[int, ...]) -> CMap:
     Determined slots: column 1 from symmetry against row e1, column 2 from
     symmetry against row e2, and c(e1+e2, e3) forced to break additivity.
     """
-    if len(bits) != 9 or any(b not in (0, 1) for b in bits):
-        raise BadParams("expected nine bits")
+    if len(bits) != 9 or any(type(b) is not int or b not in (0, 1) for b in bits):
+        raise BadParams("expected nine bits, each the int 0 or 1")
     b1, b2, b3, b4, b5, b6, b7, b8, b9 = bits
     c = [[0, 0, 0] for _ in range(8)]
     c[1] = [b1, b2, b4]  # row e1
@@ -101,16 +106,41 @@ def q9_cmap(bits: tuple[int, ...]) -> CMap:
     return CMap(3, tuple(tuple(r) for r in c))
 
 
+def _q9_loop(
+    bits: tuple[int, ...], rows: dict[tuple[int, int], tuple[tuple[int, ...], ...]]
+) -> LoopTable:
+    """The table of Q(Z_2, (Z_2)^3, 1, f) for f = associated_cocycle(q9_cmap(bits)).
+
+    Row idx(u, a) holds 1 + (u ^ v ^ f(a, b)) + 2*(a ^ b) at column
+    idx(v, b), and f(a, b) is the dot product of the mask m_a of CMap row
+    a with b, so the rows idx(0, a) and idx(1, a) depend only on (a, m_a).
+    They are read from ``rows`` under that key, or built and stored there.
+    """
+    cells: list[tuple[int, ...]] = []
+    for a, crow in enumerate(q9_cmap(bits).values):
+        m = _mask(crow)
+        pair = rows.get((a, m))
+        if pair is None:
+            pair = rows[a, m] = tuple(
+                tuple(1 + (u ^ v ^ _dot(m, b)) + 2 * (a ^ b) for b in range(8) for v in (0, 1))
+                for u in (0, 1)
+            )
+        cells += pair
+    return LoopTable.from_cells(cells, name="q9_" + "".join(map(str, bits)))
+
+
 def build_q9(bits: tuple[int, ...]) -> LoopTable:
     """Order-16 left Bol loop from the nine-bit parameter tuple."""
-    f = associated_cocycle(q9_cmap(tuple(bits)))
-    tag = "".join(str(b) for b in bits)
-    return cocycle_loop(f, name=f"q9_{tag}")
+    return _q9_loop(tuple(bits), {})
 
 
 def enumerate_q9() -> list[LoopTable]:
-    """All 512 parameter tuples in lexicographic order."""
-    return [build_q9(bits) for bits in itertools.product((0, 1), repeat=9)]
+    """All 512 parameter tuples in lexicographic order.
+
+    The tables share their rows: each distinct row is built once per call.
+    """
+    rows: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+    return [_q9_loop(bits, rows) for bits in itertools.product((0, 1), repeat=9)]
 
 
 def build_exceptional() -> LoopTable:

@@ -324,6 +324,14 @@ def test_enumerate_q9_default_mode(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "0b0b4da8f0d635b20def21a4eb0e59b7"
 
 
+def test_enumerate_q9_classify_mode(capsys):
+    assert main(["enumerate-q9", "--classify"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "512 loops in 19 isomorphism classes"
+    # representatives, members and class order of the family's tables
+    assert hashlib.md5(out.encode()).hexdigest() == "36677e1cfc67cbc7d8358e8d15433f40"
+
+
 def test_construct_then_check_never_errors(tmp_path, capsys):
     specs = [
         "q9 101010101",

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from bolkit import errors
+from bolkit import errors, extensions
 from bolkit.catalog import dihedral_group, dihedral_inputs, direct_product, extension_catalog
 from bolkit.extensions import (
     Cocycle,
@@ -26,7 +26,7 @@ from bolkit.extensions import (
     trivial_cocycle,
     trivial_tau,
 )
-from bolkit.iso import isomorphic
+from bolkit.iso import is_isomorphism, isomorphic
 from bolkit.loop_core import MAX_ORDER, identity_perm, inverse, mul, parse_table
 from bolkit.structure import (
     check_identity,
@@ -110,6 +110,40 @@ def test_tau_and_cocycle_validation():
         TauMap(E, K, (identity_perm(3),) * 3 + ((1, 2, 3, 4),))  # not an Aut(K) member
     with pytest.raises(errors.BadParams):
         Cocycle(E, K, ((1, 2, 1, 1),) + ((1, 1, 1, 1),) * 3)  # bad border
+
+
+def test_tau_checks_each_distinct_map_once(monkeypatch):
+    calls = []
+
+    def counted(Q1, Q2, p):
+        calls.append(p)
+        return is_isomorphism(Q1, Q2, p)
+
+    monkeypatch.setattr(extensions, "is_isomorphism", counted)
+    trivial_tau(cyclic_group(2), elem_abelian_2(3))
+    assert calls == [(1, 2)]
+    K = cyclic_group(3)
+    swap = (1, 3, 2)  # inversion: an automorphism of Z3
+    bad = (2, 1, 3)  # does not fix the identity
+    calls.clear()
+    with pytest.raises(errors.BadParams, match=r"\(2, 1, 3\)"):
+        TauMap(elem_abelian_2(2), K, (identity_perm(3), bad, swap, bad))
+    assert calls == [identity_perm(3), bad]  # the first bad map is reported
+
+
+def test_tau_rejects_float_entries():
+    K, E = cyclic_group(2), elem_abelian_2(1)
+    # (1.0, 2.0) equals the identity (1, 2) and would be skipped as a repeat
+    with pytest.raises(errors.BadParams):
+        TauMap(E, K, ((1, 2), (1.0, 2.0)))
+    with pytest.raises(errors.BadParams):
+        TauMap(E, K, ((1.0, 2.0), (1, 2)))
+
+
+def test_cocycle_rejects_float_values():
+    K, E = cyclic_group(2), elem_abelian_2(1)
+    with pytest.raises(errors.BadParams):
+        Cocycle(E, K, ((1, 1), (1, 2.0)))
 
 
 def test_trivial_extension_is_direct_product():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -129,6 +130,45 @@ def test_build_q9_rejects_bad_bits():
         build_q9((0, 1, 2, 0, 0, 0, 0, 0, 0))
 
 
+def test_build_q9_rejects_bool_bits():
+    # True == 1, and the table's name would read q9_TrueTrue...
+    with pytest.raises(errors.BadParams):
+        build_q9((True,) * 9)
+    with pytest.raises(errors.BadParams):
+        CMap(1, ((0,), (True,)))
+
+
+def test_build_q9_rejects_float_bits():
+    with pytest.raises(errors.BadParams):
+        build_q9((0.0,) * 9)
+    with pytest.raises(errors.BadParams):
+        CMap(1, ((0,), (1.0,)))
+
+
+def test_build_q9_matches_the_general_extension_route():
+    for bits in itertools.product((0, 1), repeat=9):
+        general = cocycle_loop(associated_cocycle(q9_cmap(bits)))
+        assert build_q9(bits).cells == general.cells, bits
+
+
+def test_enumerate_q9_equals_build_q9():
+    loops = enumerate_q9()
+    for Q, bits in zip(loops, itertools.product((0, 1), repeat=9), strict=True):
+        one = build_q9(bits)
+        assert (Q.name, Q.cells) == (one.name, one.cells)
+
+
+def test_enumerate_q9_builds_each_distinct_row_once():
+    loops = enumerate_q9()
+    rows = [row for Q in loops for row in Q.cells]
+    objects = {id(row) for row in rows}
+    # a row depends on (u, a, m_a) only: at most 2 * 8 * 8 of them
+    assert len(objects) <= 128
+    assert len(objects) == len(set(rows))  # no row value built twice
+    # the rows live only as long as one call
+    assert enumerate_q9()[0].cells[0] is not loops[0].cells[0]
+
+
 def test_enumerate_q9_order_and_tags():
     loops = enumerate_q9()
     assert len(loops) == 512
@@ -210,8 +250,6 @@ def test_free_parameter_count():
 
 def test_dim2_right_additive_exhaustive():
     # every dim-2 CMap yields a right-additive cocycle whose loop is left Bol
-    import itertools
-
     for bits in itertools.product((0, 1), repeat=6):
         rows = ((0, 0), bits[0:2], bits[2:4], bits[4:6])
         f = associated_cocycle(CMap(2, rows))
