@@ -11,6 +11,9 @@ follow function composition: "tau_a tau_b" means apply tau_b, then tau_a.
 
 tau and f both carry K and E, so the builders and the condition equations
 take (tau, f) alone; they raise BadParams when f and tau disagree on K or E.
+The condition equations share no code with ``build_extension``: they read
+products of K and E, tau_a and f(a,b) straight from ``K.cells``,
+``tau.assignment`` and ``f.values``, element x at index x - 1.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import chain, islice
 
 from .errors import BadParams, NotAssociative, TooLarge
 from .iso import _isomorphisms, _record, is_isomorphism
-from .loop_core import LoopTable, Permutation, check_order, identity_perm, inverse, mul
+from .loop_core import LoopTable, Permutation, check_order, identity_perm, inverse
 from .structure import ElementSet, check_identity, commutant, nuclei
 
 MAX_AUT_ORDER = 64
@@ -191,30 +194,27 @@ def bol_conditions(tau: TauMap, f: Cocycle) -> bool:
     built table.
     """
     K, E = _groups(tau, f)
-    ec = E.cells
+    kc, ec, ts, fv = K.cells, E.cells, tau.assignment, f.values
     ne, nk = E.order, K.order
-    for a in range(1, ne + 1):
-        ta = tau.at(a)
-        for b in range(1, ne + 1):
-            tb = tau.at(b)
-            ba = ec[b - 1][a - 1]
-            aba = ec[a - 1][ba - 1]
-            taba = tau.at(aba)
-            lead = mul(K, ta[f.at(b, a) - 1], f.at(a, ba))
+    for a in range(ne):
+        ta, fa = ts[a], fv[a]
+        for b in range(ne):
+            tb, fb = ts[b], fv[b]
+            ba = ec[b][a] - 1
+            aba = ec[a][ba] - 1
+            taba, faba = ts[aba], fv[aba]
+            lead = kc[ta[fb[a] - 1] - 1][fa[ba] - 1]
+            klead = kc[lead - 1]
             # w-quantified equation (c = 1)
-            for w in range(1, nk + 1):
-                if mul(K, lead, taba[w - 1]) != mul(K, ta[tb[ta[w - 1] - 1] - 1], lead):
+            for w in range(nk):
+                if klead[taba[w] - 1] != kc[ta[tb[ta[w] - 1] - 1] - 1][lead - 1]:
                     return False
             # c-quantified equation (w = 1)
-            for c in range(1, ne + 1):
-                ac = ec[a - 1][c - 1]
-                bac = ec[b - 1][ac - 1]
-                lhs = mul(K, lead, f.at(aba, c))
-                rhs = mul(
-                    K,
-                    mul(K, ta[tb[f.at(a, c) - 1] - 1], ta[f.at(b, ac) - 1]),
-                    f.at(a, bac),
-                )
+            for c in range(ne):
+                ac = ec[a][c] - 1
+                bac = ec[b][ac] - 1
+                lhs = klead[faba[c] - 1]
+                rhs = kc[kc[ta[tb[fa[c] - 1] - 1] - 1][ta[fb[ac] - 1] - 1] - 1][fa[bac] - 1]
                 if lhs != rhs:
                     return False
     return True
@@ -225,21 +225,22 @@ def group_conditions(tau: TauMap, f: Cocycle) -> bool:
     K, E = _groups(tau, f)
     if not check_identity(E, "associative"):
         return False
-    ec = E.cells
+    kc, ec, ts, fv = K.cells, E.cells, tau.assignment, f.values
     ne, nk = E.order, K.order
-    for a in range(1, ne + 1):
-        ta = tau.at(a)
-        for b in range(1, ne + 1):
-            tb = tau.at(b)
-            ab = ec[a - 1][b - 1]
-            tab = tau.at(ab)
-            fab = f.at(a, b)
-            for w in range(1, nk + 1):
-                if mul(K, ta[tb[w - 1] - 1], fab) != mul(K, fab, tab[w - 1]):
+    for a in range(ne):
+        ta, fa = ts[a], fv[a]
+        for b in range(ne):
+            tb, fb = ts[b], fv[b]
+            ab = ec[a][b] - 1
+            tab, f_ab = ts[ab], fv[ab]  # tau_{ab} and the row of f(ab, .)
+            fab = fa[b]
+            kfab = kc[fab - 1]
+            for w in range(nk):
+                if kc[ta[tb[w] - 1] - 1][fab - 1] != kfab[tab[w] - 1]:
                     return False
-            for c in range(1, ne + 1):
-                bc = ec[b - 1][c - 1]
-                if mul(K, ta[f.at(b, c) - 1], f.at(a, bc)) != mul(K, fab, f.at(ab, c)):
+            for c in range(ne):
+                bc = ec[b][c] - 1
+                if kc[ta[fb[c] - 1] - 1][fa[bc] - 1] != kfab[f_ab[c] - 1]:
                     return False
     return True
 
@@ -247,54 +248,43 @@ def group_conditions(tau: TauMap, f: Cocycle) -> bool:
 def right_nucleus_members(tau: TauMap, f: Cocycle) -> set[tuple[int, int]]:
     """Pairs (w, c) satisfying the right-nucleus condition equations."""
     K, E = _groups(tau, f)
-    ec = E.cells
+    kc, ec, ts, fv = K.cells, E.cells, tau.assignment, f.values
     ne, nk = E.order, K.order
-    rnuc_e = set(nuclei(E).right)
-    out: set[tuple[int, int]] = set()
-    for c in range(1, ne + 1):
-        if c not in rnuc_e:
-            continue
-        for w in range(1, nk + 1):
-            ok = True
-            for a in range(1, ne + 1):
-                ta = tau.at(a)
-                for b in range(1, ne + 1):
-                    ab = ec[a - 1][b - 1]
-                    bc = ec[b - 1][c - 1]
-                    lhs = mul(K, mul(K, f.at(a, b), tau.at(ab)[w - 1]), f.at(ab, c))
-                    rhs = mul(
-                        K, mul(K, ta[tau.at(b)[w - 1] - 1], ta[f.at(b, c) - 1]), f.at(a, bc)
-                    )
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.add((w, c))
-    return out
+
+    def holds(w: int, c: int) -> bool:
+        """The equations at (w + 1, c + 1), for all a, b in E."""
+        for a in range(ne):
+            ta, fa = ts[a], fv[a]
+            for b in range(ne):
+                ab = ec[a][b] - 1
+                bc = ec[b][c] - 1
+                lhs = kc[kc[fa[b] - 1][ts[ab][w] - 1] - 1][fv[ab][c] - 1]
+                rhs = kc[kc[ta[ts[b][w] - 1] - 1][ta[fv[b][c] - 1] - 1] - 1][fa[bc] - 1]
+                if lhs != rhs:
+                    return False
+        return True
+
+    rnuc_e = nuclei(E).right
+    return {(w + 1, c) for c in rnuc_e for w in range(nk) if holds(w, c - 1)}
 
 
 def commutant_members(tau: TauMap, f: Cocycle) -> set[tuple[int, int]]:
     """Pairs (u, a) satisfying the commutant condition equations."""
     K, E = _groups(tau, f)
+    kc, ts, fv = K.cells, tau.assignment, f.values
     ne, nk = E.order, K.order
-    com_e = set(commutant(E))
+    inv = [inverse(K, u) for u in K.elements()]
     out: set[tuple[int, int]] = set()
-    for a in range(1, ne + 1):
-        if a not in com_e:
-            continue
-        ta = tau.at(a)
-        for u in range(1, nk + 1):
-            uinv = inverse(K, u)
-            if any(ta[v - 1] != mul(K, mul(K, uinv, v), u) for v in range(1, nk + 1)):
+    for a in commutant(E):
+        ta, fa = ts[a - 1], fv[a - 1]
+        for u in range(nk):
+            ku, kuinv = kc[u], kc[inv[u] - 1]
+            if any(ta[v] != kc[kuinv[v] - 1][u] for v in range(nk)):
                 continue
             if all(
-                tau.at(b)[u - 1]
-                == mul(K, mul(K, u, f.at(a, b)), inverse(K, f.at(b, a)))
-                for b in range(1, ne + 1)
+                ts[b][u] == kc[ku[fa[b] - 1] - 1][inv[fv[b][a - 1] - 1] - 1] for b in range(ne)
             ):
-                out.add((u, a))
+                out.add((u + 1, a))
     return out
 
 

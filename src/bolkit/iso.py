@@ -286,14 +286,21 @@ def isomorphic(Q1: LoopTable, Q2: LoopTable) -> bool:
 
 
 def is_isomorphism(Q1: LoopTable, Q2: LoopTable, p: Permutation) -> bool:
-    """Whether p is an isomorphism Q1 -> Q2: a permutation of 1..n with
-    p(1) = 1 and Q2[p(a)][p(b)] = p(Q1[a][b]) for all a, b.
+    """Whether p is an isomorphism Q1 -> Q2: a permutation of 1..n, each
+    entry an exact int, with p(1) = 1 and Q2[p(a)][p(b)] = p(Q1[a][b])
+    for all a, b.
 
     One row gather per a: row p(a) of Q2 read at the p(b) is compared
     with row a of Q1 followed by p.  Shares no code with the search.
     """
     n = Q1.order
-    if Q2.order != n or len(p) != n or p[0] != 1 or sorted(p) != list(range(1, n + 1)):
+    if (
+        Q2.order != n
+        or len(p) != n
+        or not {int}.issuperset(map(type, p))  # True and 3.0 are not elements
+        or p[0] != 1
+        or sorted(p) != list(range(1, n + 1))
+    ):
         return False
     if n == 1:
         return True  # the one loop of order 1, and p is the identity

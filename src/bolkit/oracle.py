@@ -80,7 +80,10 @@ each table lies in the isomorphism class of the found table it is the
 image of, and every found table is a table, so the classes of the
 tables are the classes of the found tables, and a class holds as many
 tables as its found tables have listings in all.  At order 8,
-``classify`` thus runs on the 275 found tables, not on all 7,800.
+``classify`` thus runs on the 275 found tables, not on all 7,800.  So
+does the commutant check: whether the commutant is a subloop is kept by
+isomorphism, and the cover carries the answer of each found table to
+every table that is one of its images.
 
 Beyond the identity at element 1 and this relabeling inside the search,
 no symmetry is broken: the search lists every identity-normalized table,
@@ -413,7 +416,9 @@ def _witnesses_cover(search: WitnessedSearch) -> bool:
 
     Each image is built on its own from S[s(a)][s(b)] = s(T[a][b]), not
     by the search's row gathers, and struck off the cells of the tables
-    that no image has hit yet.
+    that no image has hit yet.  Row s(a) of the image depends on s and on
+    the content of row a alone, so each distinct row is relabeled once per
+    listing.
     """
     unhit = dict.fromkeys(Q.cells for Q in search.tables)  # half the size of a set
     if len(unhit) != len(search.tables):
@@ -422,10 +427,14 @@ def _witnesses_cover(search: WitnessedSearch) -> bool:
         for s in cls.listings:
             at = _inverse(s)  # at[s(b)] = b
             label = (0, *(v + 1 for v in s))  # label[x] = s(x), 1-based
+            images: dict[Row, Row] = {}  # each distinct row's image, once per listing
             for T in cls.found:
                 image: list[Row] = [()] * len(T)
                 for a, row in enumerate(T):
-                    image[s[a]] = tuple([label[row[b]] for b in at])
+                    img = images.get(row)
+                    if img is None:
+                        img = images[row] = tuple([label[row[b]] for b in at])
+                    image[s[a]] = img
                 try:
                     del unhit[tuple(image)]
                 except KeyError:  # not a table, or a table hit before
@@ -436,13 +445,17 @@ def _witnesses_cover(search: WitnessedSearch) -> bool:
 def summarize_order8(search: WitnessedSearch) -> Order8Report:
     """Summarize ``witnessed_search(8)``: every left Bol loop of order 8.
 
-    The commutant check runs on every table.  The classes come from the
-    tables found below the row-2 representatives alone: each table is an
-    image s(T) of one of them, and s(T) is isomorphic to T by s itself.
-    Once the images are checked to be distinct and to cover the tables
+    The commutant check and the classes come from the tables found below
+    the row-2 representatives alone: each table is an image s(T) of one
+    of them, and s(T) is isomorphic to T by s itself.  Once the images
+    are checked to be distinct and to cover the tables
     (``witnesses_cover_tables``), every table lies in the class of its T,
     every class of a found table occurs among the tables, and a class
-    holds as many tables as its found tables have listings in all.
+    holds as many tables as its found tables have listings in all.  An
+    isomorphism maps the commutant onto the commutant and subloops onto
+    subloops, so a table's commutant is a subloop exactly when its T's
+    is: while the cover holds, the found tables answer for all of them.
+    When it fails, the report fails on the witnesses anyway.
 
     ``orbit_stabilizer_total`` is the sum of 7!/|Aut(Q)| over the class
     representatives: the number of identity-normalized labelings the
@@ -450,8 +463,8 @@ def summarize_order8(search: WitnessedSearch) -> Order8Report:
     """
     tables = search.tables
     covered = _witnesses_cover(search)
-    all_sub = all(is_subloop(Q, commutant(Q)) for Q in tables)
     found = [LoopTable(len(T), T) for cls in search.classes for T in cls.found]
+    all_sub = all(is_subloop(Q, commutant(Q)) for Q in found)
     classes = classify(found)
     reps = [found[cls.representative] for cls in classes]
     assoc = sum(1 for Q in reps if check_identity(Q, "associative"))

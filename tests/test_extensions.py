@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from bolkit.extensions import (
 from bolkit.iso import is_isomorphism, isomorphic
 from bolkit.loop_core import MAX_ORDER, identity_perm, inverse, mul, parse_table
 from bolkit.structure import (
+    _predicates,
     check_identity,
     commutant,
     involution_count,
@@ -230,6 +232,55 @@ def test_condition_oracle_agreement_on_catalog():
         assert tuple(rn) == nuclei(Q).right
         cm = sorted(pair_index(K, u, a) for u, a in commutant_members(tau, f))
         assert tuple(cm) == commutant(Q)
+
+
+def test_condition_equations_agree_with_built_tables_on_random_inputs():
+    # 300 seeded (tau, f) over K, E in {Z2, Z3, Z4, Z2^2}, a third of them
+    # with the trivial cocycle so that a real share are left Bol; each
+    # condition function must agree with the predicates of the built table
+    rng = random.Random(5_200_026)  # not verify.RANDOM_SEED
+    small = [cyclic_group(2), cyclic_group(3), cyclic_group(4), elem_abelian_2(2)]
+    auts = [automorphism_group(G) for G in small]
+    involutions = [[x for x in range(2, G.order + 1) if mul(G, x, x) == 1] for G in small]
+    bol = skew_bol = 0
+    for t in range(300):
+        k = rng.randrange(len(small))
+        K, E = small[k], rng.choice(small)
+        rest = [rng.choice(auts[k]) for _ in range(E.order - 1)]
+        tau = TauMap(E, K, (identity_perm(K.order), *rest))
+        if t % 3 == 0:
+            f = trivial_cocycle(K, E)
+        elif t % 3 == 1 and E.name == "Z2^2" and involutions[k]:
+            # f(a, b) = z^beta(a, b), beta a GF(2) bilinear form on the masks
+            # with beta(e1, e2) = 1 != beta(e2, e1) and z an involution: a
+            # cocycle that is not symmetric, so that f(a, b) and f(b, a) are
+            # told apart in Bol extensions
+            z = rng.choice(involutions[k])
+            m = [rng.randrange(2), 1, 0, rng.randrange(2)]
+            pairs = [(i, j) for i in (0, 1) for j in (0, 1)]
+            beta = [
+                [sum(m[2 * i + j] & x >> i & y >> j for i, j in pairs) % 2 for y in range(4)]
+                for x in range(4)
+            ]
+            f = Cocycle(E, K, tuple(tuple(z if bit else 1 for bit in row) for row in beta))
+        else:
+            border = (1,) * E.order
+            inner = [
+                (1, *(rng.randrange(1, K.order + 1) for _ in range(E.order - 1)))
+                for _ in range(E.order - 1)
+            ]
+            f = Cocycle(E, K, (border, *inner))
+        com, nuc, flags = _predicates(build_extension(tau, f))
+        assert bol_conditions(tau, f) == flags["left_bol"]
+        assert group_conditions(tau, f) == flags["associative"]
+        rn = sorted(pair_index(K, w, c) for w, c in right_nucleus_members(tau, f))
+        assert tuple(rn) == nuc.right
+        cm = sorted(pair_index(K, u, a) for u, a in commutant_members(tau, f))
+        assert tuple(cm) == com
+        bol += flags["left_bol"]
+        skew_bol += flags["left_bol"] and f.values != tuple(zip(*f.values))
+    assert bol / 300 > 0.1
+    assert skew_bol > 0
 
 
 def test_right_nucleus_members_order12():

@@ -216,6 +216,11 @@ def test_is_isomorphism_rejects_what_is_not_one():
     assert not is_isomorphism(Z4, K4, (1, 2, 3, 4))
     assert not is_isomorphism(Z4, cyclic_group(5), (1, 2, 3, 4))
     assert is_isomorphism(cyclic_group(1), cyclic_group(1), (1,))
+    Z3 = cyclic_group(3)
+    assert is_isomorphism(Z3, Z3, (1, 3, 2))
+    assert not is_isomorphism(Z3, Z3, (True, 3, 2))  # entries must be exact ints
+    assert not is_isomorphism(Z3, Z3, (1, 3.0, 2))
+    assert not is_isomorphism(cyclic_group(1), cyclic_group(1), (True,))
 
 
 def test_is_isomorphism_agrees_with_brute_force_on_small_loops():

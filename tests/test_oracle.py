@@ -11,7 +11,7 @@ from bolkit.extensions import automorphism_group
 from bolkit.iso import classify
 from bolkit.loop_core import MAX_ORDER
 from bolkit.oracle import enumerate_all_loops, search_left_bol, witnessed_search
-from bolkit.structure import check_identity
+from bolkit.structure import check_identity, commutant
 from bolkit.verify import VerificationSuite
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_report.txt"
@@ -298,6 +298,13 @@ def test_order8_claim_fails_on_broken_witnesses(suite, mutate):
     assert report.failures() == ["relabeling witnesses"]
 
 
+def _recorded_order8_details():
+    """The details line of sec5-order8-oracle in the recorded report."""
+    lines = REFERENCE.read_text(encoding="utf-8").splitlines()
+    [recorded] = [d for h, d in zip(lines, lines[1:]) if h.startswith("claim sec5-order8-oracle:")]
+    return recorded
+
+
 def test_order8_claim_classifies_only_the_found_tables(suite, monkeypatch):
     # classify sees the 275 tables found below the row-2 representatives,
     # not the 7,800 tables, and the claim's text is the recorded one
@@ -309,8 +316,32 @@ def test_order8_claim_classifies_only_the_found_tables(suite, monkeypatch):
 
     monkeypatch.setattr(oracle, "classify", counted)
     (passed, details), report = _order8_claim(suite.order8_search)
-    lines = REFERENCE.read_text(encoding="utf-8").splitlines()
-    [recorded] = [d for h, d in zip(lines, lines[1:]) if h.startswith("claim sec5-order8-oracle:")]
     assert passed and report.failures() == []
-    assert "  " + details == recorded
+    assert "  " + details == _recorded_order8_details()
     assert 0 < sum(sizes) <= 275
+
+
+def test_order8_claim_checks_commutants_on_the_found_tables(suite, monkeypatch):
+    # the commutant check runs on the 275 found tables, not on the 7,800;
+    # the witness cover carries its answer to every table
+    calls = []
+
+    def counted(Q):
+        calls.append(Q)
+        return commutant(Q)
+
+    monkeypatch.setattr(oracle, "commutant", counted)
+    (passed, details), report = _order8_claim(suite.order8_search)
+    assert passed and report.failures() == []
+    assert "  " + details == _recorded_order8_details()
+    assert 0 < len(calls) <= 275
+
+
+def test_order8_claim_fails_on_a_non_subloop_commutant(suite, monkeypatch):
+    # one found table whose commutant is taken not to be a subloop fails the claim
+    victim = suite.order8_search.classes[1].found[0]
+    real = oracle.is_subloop
+    monkeypatch.setattr(oracle, "is_subloop", lambda Q, S: Q.cells != victim and real(Q, S))
+    (passed, _), report = _order8_claim(suite.order8_search)
+    assert not passed
+    assert report.failures() == ["commutants"]
