@@ -4,8 +4,11 @@ One search engine, ``_isomorphisms``, lists the isomorphisms between two
 tables in lexicographic image order.  It maps the least unmapped element
 to each candidate image (same element order and commuting-partner count)
 in increasing order and closes the partial map under products with
-``extend_partial_hom``.  ``find_isomorphism`` takes its first map, which
-is the lexicographically least; ``isomorphic`` asks whether a first map
+``extend_partial_hom``.  The closure holds every element it maps to the
+same rule: a branch ends at the first element whose image has another
+(order, count) pair.  An isomorphism preserves both, so this removes no
+map and changes no order.  ``find_isomorphism`` takes its first map,
+which is the lexicographically least; ``isomorphic`` asks whether a first map
 exists; ``classify`` keeps each member's first map onto its class
 representative as the class's witness; ``extensions.automorphism_group``
 takes all of them.  ``is_isomorphism`` checks a given map product by
@@ -162,17 +165,28 @@ _HomState = tuple[list[int], list[bool], list[int]]
 
 
 def extend_partial_hom(
-    Q1: LoopTable, Q2: LoopTable, state: _HomState, x: int, y: int
+    Q1: LoopTable,
+    Q2: LoopTable,
+    local1: tuple[tuple[int, int], ...],
+    local2: tuple[tuple[int, int], ...],
+    state: _HomState,
+    x: int,
+    y: int,
 ) -> _HomState | None:
     """Extend a partial homomorphism by x -> y and close it under products.
 
-    ``state`` is ``(img, used, known)``: the image list (index 0 unused, 0
-    for unmapped), the used-image flags of Q2, and the mapped elements of
-    Q1 in the order they were mapped, the identity first.  The state is
-    not modified.  Returns the extended state, or None when x is already
+    ``local1`` and ``local2`` are the ``local`` entries of the two
+    records, padded with one leading entry so that element a reads index
+    a; the caller picks y with the same entry as x.  ``state`` is
+    ``(img, used, known)``: the image list (index 0 unused, 0 for
+    unmapped), the used-image flags of Q2, and the mapped elements of Q1
+    in the order they were mapped, the identity first.  The state is not
+    modified.  Returns the extended state, or None when x is already
     mapped, y already used, or the closure stops being an injective
-    homomorphism.  Every product of two mapped elements is checked once,
-    when the later of the two is mapped, so a closure that covers Q1 is a
+    homomorphism or maps an element r to an image q whose (order,
+    commuting-partner count) differs from r's; no isomorphism does the
+    latter.  Every product of two mapped elements is checked once, when
+    the later of the two is mapped, so a closure that covers Q1 is a
     verified isomorphism.
     """
     img, used, known = state
@@ -194,7 +208,7 @@ def extend_partial_hom(
             if img[r]:
                 if img[r] != q:
                     return None
-            elif used[q]:
+            elif used[q] or local1[r] != local2[q]:
                 return None
             else:
                 img[r] = q
@@ -206,7 +220,7 @@ def extend_partial_hom(
             if img[r]:
                 if img[r] != q:
                     return None
-            elif used[q]:
+            elif used[q] or local1[r] != local2[q]:
                 return None
             else:
                 img[r] = q
@@ -225,14 +239,16 @@ def _isomorphisms(
     candidate image in increasing order and closes the map under products.
     Elements below the branch element are already mapped, so sibling
     subtrees differ first at that element and the maps come out sorted.
-    Candidates share the element's entry in ``local``; the two records
-    have equal keys.
+    Candidates share the element's entry in ``local``, and the closure
+    cuts a branch at the first element it maps onto a different entry;
+    the two records have equal keys.
     """
     n = Q1.order
     images: dict[tuple[int, int], list[int]] = {}
     for y in range(2, n + 1):
         images.setdefault(d2.local[y - 1], []).append(y)
     candidates = [images.get(v, []) for v in d1.local]
+    local1, local2 = ((0, 0), *d1.local), ((0, 0), *d2.local)
     img = [0] * (n + 1)
     img[1] = 1
     used = [False] * (n + 1)
@@ -247,7 +263,7 @@ def _isomorphisms(
             return
         for y in candidates[x - 1]:
             if not used[y]:
-                extended = extend_partial_hom(Q1, Q2, state, x, y)
+                extended = extend_partial_hom(Q1, Q2, local1, local2, state, x, y)
                 if extended is not None:
                     yield from search(extended, x + 1)
 

@@ -189,7 +189,8 @@ def _power_alternative(cells: Rows, g: list[Callable[[Row], Row]]) -> bool:
 
 
 def check_identity(Q: LoopTable, which: str) -> bool:
-    """Whether Q satisfies the identity named ``which``, one of ``IDENTITY_NAMES``.
+    """Whether Q satisfies the identity named ``which``, one of ``IDENTITY_NAMES``
+    (BadParams for any other name).
 
     left_bol:  x(y*xz) = (x*yx)z
     right_bol: ((zx)y)x = z((xy)x)
@@ -201,7 +202,7 @@ def check_identity(Q: LoopTable, which: str) -> bool:
     that needs more than one flag should call ``_predicates`` once.
     """
     if which not in IDENTITY_NAMES:
-        raise ValueError(f"unknown identity {which!r}")
+        raise BadParams(f"unknown identity {which!r}")
     return _predicates(Q).flags[which]
 
 
@@ -380,9 +381,9 @@ def nuclei(Q: LoopTable) -> Nuclei:
 
 
 def commutant_prime_part(Q: LoopTable, m: int) -> ElementSet:
-    """Commutant elements whose order is relatively prime to m."""
+    """Commutant elements whose order is relatively prime to m; BadParams unless m > 1."""
     if m <= 1:
-        raise ValueError("m must exceed 1")
+        raise BadParams("m must exceed 1")
     return _prime_part(Q, commutant(Q), m)
 
 

@@ -66,15 +66,25 @@ from .structure import (
 
 RANDOM_SEED = 20160813  # fixed seed for the randomized battery
 
-# the power-law grid a^i b^j (i, j < 9), flattened row by row: the 25
-# columns a^m b^n (m, n < 5), and for each corner (k, l) with k, l < 5 the
-# window a^(k+m) b^(l+n) that the row of a^k b^l must show at them
-_GRID_COLUMNS = [9 * m + n for m in range(5) for n in range(5)]
-_GRID_WINDOWS = [
-    (9 * k + l, itemgetter(*[9 * k + l + c for c in _GRID_COLUMNS]))
-    for k in range(5)
-    for l in range(5)
-]
+
+def _grid_plan(ka: int, kb: int) -> tuple[list[int], list[tuple[int, itemgetter]]]:
+    """Where the power law for a pair with boxes (ka, kb) reads the grid.
+
+    The grid holds a^i b^j (i, j < 9), flattened row by row.  The plan
+    lists the columns a^m b^n (m < ka, n < kb), and for each corner
+    (k, l) in the same box the window a^(k+m) b^(l+n) that the row of
+    a^k b^l must show at them.  With one column, itemgetter returns a
+    scalar on both sides of the comparison.
+    """
+    columns = [9 * m + n for m in range(ka) for n in range(kb)]
+    return columns, [
+        (9 * k + l, itemgetter(*[9 * k + l + c for c in columns]))
+        for k in range(ka)
+        for l in range(kb)
+    ]
+
+
+_GRID_PLANS = {(ka, kb): _grid_plan(ka, kb) for ka in range(1, 6) for kb in range(1, 6)}
 
 
 @dataclass(frozen=True)
@@ -312,9 +322,15 @@ class VerificationSuite:
         ``com`` and ``nuc`` are the commutant and the nuclei of Q.
 
         Power law: (a^k b^l)(a^m b^n) = a^(k+m) b^(l+n) for a, b in C and
-        0 <= k, l, m, n < 5.  With the grid G[i][j] = a^i b^j (i, j < 9),
-        the row of G[k][l] read at the 25 columns G[m][n] must equal the
-        window of the grid at offset (k, l).  The cube identities
+        0 <= k, l, m, n < 5.  ``power`` walks the permutation L_a from 1, so
+        a^k = a^(k mod p_a), where the period p_a is the least m >= 1 with
+        a^m = 1; each equation is therefore the one at its residues, and
+        only k, m < min(p_a, 5) and l, n < min(p_b, 5) are checked (p_a
+        counts as 9 when 1 does not recur among a^1..a^8).  Every reduced
+        equation is one of the original ones, and k + m stays below 9.
+        With the grid G[i][j] = a^i b^j (i, j < 9), the row of G[k][l]
+        read at the columns G[m][n] must equal the window of the grid at
+        offset (k, l).  The cube identities
         (xb)a^3 = (xa^3)b = x(a^3 b) and (x^3 a)b = x^3(ab) are compared as
         whole columns: row y - 1 of the opposite table ``op`` is the column
         x -> x*y, and ``g[y - 1]`` reads a column at x*y for every x.  Every
@@ -324,13 +340,15 @@ class VerificationSuite:
         cells = Q.cells
         lnuc, rnuc = set(nuc.left), set(nuc.right)
         pw = {a: [power(Q, a, m) for m in range(9)] for a in com}
+        box = {a: min(next((m for m in range(1, 9) if pw[a][m] == 1), 9), 5) for a in com}
         for a in com:
             rows = [cells[p - 1] for p in pw[a]]
             for b in com:
                 at_b = itemgetter(*[p - 1 for p in pw[b]])
                 grid = tuple(v for row in rows for v in at_b(row))
-                at_cols = itemgetter(*[grid[c] - 1 for c in _GRID_COLUMNS])
-                for corner, window in _GRID_WINDOWS:
+                columns, windows = _GRID_PLANS[box[a], box[b]]
+                at_cols = itemgetter(*[grid[c] - 1 for c in columns])
+                for corner, window in windows:
                     if at_cols(cells[grid[corner] - 1]) != window(grid):
                         return False
         for c in com:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 import sys
@@ -102,14 +103,15 @@ def test_find_isomorphism_returns_lex_least(order8_classes):
     # against the least map of an explicit enumeration of every isomorphism
     rng = random.Random(2006)
     loops = (
-        enumerate_all_loops(4)
-        + enumerate_all_loops(5)
+        [Q for n in range(1, 6) for Q in enumerate_all_loops(n)]
         + search_left_bol(6)
         + [cls[0] for cls in order8_classes]
     )
     answers = set()
     for Q in loops:
         phis = _all_isomorphisms(Q, Q)
+        # the search lists every automorphism, in the same order
+        assert automorphism_group(Q) == phis
         assert find_isomorphism(Q, Q) == min(phis) == identity_perm(Q.order)
         R = _random_relabel(Q, rng)
         phis = _all_isomorphisms(Q, R)
@@ -192,7 +194,15 @@ def test_classify_relabeled_catalog_batch():
             assert p == find_isomorphism(loops[m], R)
 
 
-def test_classify_witnesses_on_the_q9_family():
+def test_classify_witnesses_on_the_q9_family(monkeypatch):
+    attempts = []
+    original = iso.extend_partial_hom
+
+    def counted(*args):
+        attempts.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(iso, "extend_partial_hom", counted)
     loops = enumerate_q9()
     classes = classify(loops)
     assert len(classes) == 19
@@ -202,6 +212,15 @@ def test_classify_witnesses_on_the_q9_family():
         assert all(
             is_isomorphism(loops[m], R, p) for m, p in zip(c.members, c.maps, strict=True)
         )
+    # the closure ends a branch at the first element it maps onto one with
+    # another (order, commuting-partner count) pair: 5,220 attempts, where
+    # closing such branches to the end takes 8,164
+    assert len(attempts) <= 5300
+    # and it prunes no map: members, witnesses and class order are pinned
+    digest = hashlib.sha256(
+        repr([(c.representative, c.members, c.maps) for c in classes]).encode()
+    ).hexdigest()
+    assert digest == "e21fa86f6fe4c1ca8b999f60d2de42ca4c523e8f1e1f8e91738f5cb5f4c5de63"
 
 
 def test_is_isomorphism_rejects_what_is_not_one():

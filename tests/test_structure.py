@@ -100,7 +100,7 @@ def test_check_identity_is_one_predicate_pass(monkeypatch, catalog_loops):
             passes.clear()
             assert check_identity(Q, name) == flags[name]
             assert passes == [Q], name
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadParams):
             check_identity(Q, "bol")
 
 
@@ -143,7 +143,7 @@ def test_commutant_prime_part(T8):
     assert commutant_prime_part(q12, 2) == (1,)
     assert commutant_prime_part(q12, 3) == commutant(q12)
     assert len(commutant_prime_part(q12, 3)) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.BadParams):
         commutant_prime_part(T8, 1)
 
 

@@ -3,7 +3,11 @@
 ``reference_battery`` is the battery written with single ``mul`` calls,
 one product at a time, as the claim first stated it.  The suite's
 battery compares whole rows and columns; both must give the same answer
-(or raise the same error) on every table below, Bol or not.
+(or raise the same error) on every table below, Bol or not.  The battery
+checks each power-law equation once per period of the two elements;
+further tests give it tables whose verdict only the power law decides,
+check that each plan covers the residues of every equation, and check
+that it picks the plan of each pair's periods.
 
 Of the arms (x^3 a)b and (x^3 b)a, either one alone gives the same
 answer: a and b commute, so (x^3 b)a = x^3(ab) for the pair (a, b) is
@@ -14,12 +18,14 @@ and check each member's witness map; the tests at the end break a table
 or a map and require the claim to fail.
 """
 
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
 from bolkit import catalog, structure, verify
-from bolkit.extensions import Cocycle, TauMap, build_extension, cyclic_group
+from bolkit.extensions import Cocycle, TauMap, build_extension, cyclic_group, group_conditions
 from bolkit.gf2 import enumerate_q9
 from bolkit.loop_core import LoopTable, compose, identity_perm, mul, power
 from bolkit.oracle import enumerate_all_loops, search_left_bol
@@ -34,21 +40,33 @@ from bolkit.structure import (
 from bolkit.verify import VerificationSuite
 
 
+def reference_power_law(Q: LoopTable, a: int, b: int, bound: int = 5) -> bool:
+    """(a^k b^l)(a^m b^n) = a^(k+m) b^(l+n) for 0 <= k, l, m, n < bound."""
+    pa = [power(Q, a, m) for m in range(9)]
+    pb = [power(Q, b, m) for m in range(9)]
+    for k in range(bound):
+        for l in range(bound):
+            left = mul(Q, pa[k], pb[l])
+            for m in range(bound):
+                for nn in range(bound):
+                    rhs = mul(Q, pa[k + m], pb[l + nn])
+                    if mul(Q, left, mul(Q, pa[m], pb[nn])) != rhs:
+                        return False
+    return True
+
+
 def reference_battery(Q: LoopTable) -> bool:
+    com = commutant(Q)
+    if not all(reference_power_law(Q, a, b) for a in com for b in com):
+        return False
+    return reference_other_arms(Q)
+
+
+def reference_other_arms(Q: LoopTable) -> bool:
+    """The battery after the power law: squares, prime parts, cubes."""
     com = commutant(Q)
     nuc = nuclei(Q)
     lnuc, rnuc = set(nuc.left), set(nuc.right)
-    pw = {a: [power(Q, a, m) for m in range(9)] for a in com}
-    for a in com:
-        for b in com:
-            for k in range(5):
-                for l in range(5):
-                    left = mul(Q, pw[a][k], pw[b][l])
-                    for m in range(5):
-                        for nn in range(5):
-                            rhs = mul(Q, pw[a][k + m], pw[b][l + nn])
-                            if mul(Q, left, mul(Q, pw[a][m], pw[b][nn])) != rhs:
-                                return False
     for c in com:
         if (mul(Q, c, c) in lnuc) != (c in rnuc):
             return False
@@ -56,7 +74,7 @@ def reference_battery(Q: LoopTable) -> bool:
         if not is_subloop(Q, commutant_prime_part(Q, 2 * m)):
             return False
     for a in com:
-        a3 = pw[a][3]
+        a3 = power(Q, a, 3)
         for b in com:
             a3b = mul(Q, a3, b)
             ab = mul(Q, a, b)
@@ -135,6 +153,128 @@ def test_battery_matches_the_product_by_product_oracle():
     # both answers occur, so neither a constant True nor a constant False passes
     assert True in seen and False in seen
 
+
+def period(Q: LoopTable, a: int) -> int:
+    """The least m >= 1 with a^m = 1; L_a is a permutation, so the walk returns."""
+    m, x = 1, a
+    while x != 1:
+        m, x = m + 1, mul(Q, a, x)
+    return m
+
+
+def commutative_extensions(count: int) -> list[LoopTable]:
+    """Seeded Q(Z2, E, 1, f), E in Z3, Z4, Z5, f symmetric and not a cocycle.
+
+    Such a loop is commutative, so every element is in the commutant, and
+    not a group, so the power law can fail, among others through elements
+    of period 3 and 4.
+    """
+    rng = random.Random(2006)
+    K = cyclic_group(2)
+    tables = []
+    while len(tables) < count:
+        E = cyclic_group(rng.choice((3, 4, 5)))
+        values = [[1] * E.order for _ in range(E.order)]
+        for a in range(1, E.order):
+            for b in range(a, E.order):
+                values[a][b] = values[b][a] = rng.randrange(1, 3)
+        tau = TauMap(E, K, (identity_perm(2),) * E.order)
+        f = Cocycle(E, K, tuple(map(tuple, values)))
+        if not group_conditions(tau, f):
+            tables.append(build_extension(tau, f))
+    return tables
+
+
+def exponent_four_counterexample() -> LoopTable:
+    """Q(Z2, Z10, 1, f) whose power law fails only at an exponent 4.
+
+    In additive labels, f(x, y) is the involution of Z2 exactly when
+    x + y = 8 with 2 <= x <= 6, or when y = 9 with 2 <= x <= 8.  The first
+    set sends a^i a^(8-i) to the involution times a^8 for a = (0, 1), of
+    period 10, so a^4 a^4 != a^8 while every equation with all exponents
+    below 4 holds.  The second set breaks f(e, x) = f(x, e) for every e
+    outside {0, 1} (at x = 9, or at x = 2 for e = 9), so the commutant is
+    Z2 x {0, 1}.
+    """
+    K, E = cyclic_group(2), cyclic_group(10)
+    values = [[1] * 10 for _ in range(10)]
+    for x in range(2, 7):
+        values[x][8 - x] = 2
+    for x in range(2, 9):
+        values[x][9] = 2
+    return build_extension(
+        TauMap(E, K, (identity_perm(2),) * 10), Cocycle(E, K, tuple(map(tuple, values)))
+    )
+
+
+def test_battery_fails_the_power_law_where_the_oracle_does():
+    # none of battery_tables() fails the power law, so there a battery
+    # without it would pass; here the verdict often hangs on it alone
+    tables = commutative_extensions(40) + [exponent_four_counterexample()]
+    # per table whose False only the power law gives: the least
+    # max(p_a, p_b) over the pairs (a, b) that fail it
+    decided = []
+    for i, Q in enumerate(tables):
+        expected = outcome(reference_battery, Q)
+        assert outcome(suite_battery, Q) == expected, (i, Q.name)
+        com = commutant(Q)
+        failing = [(a, b) for a in com for b in com if not reference_power_law(Q, a, b)]
+        if failing and outcome(reference_other_arms, Q) is not False:
+            decided.append(min(max(period(Q, a), period(Q, b)) for a, b in failing))
+    # the rest of the battery raises or passes on these, so a battery
+    # without the power law answers otherwise; some fail through a pair
+    # whose periods are both below 5, where the reduced box applies
+    assert any(p < 5 for p in decided)
+    # the last table fails only at an exponent 4, on a commutant of 4
+    # elements, one of them of period 10
+    Q = tables[-1]
+    com = commutant(Q)
+    assert len(com) == 4 and max(period(Q, a) for a in com) == 10
+    assert not all(reference_power_law(Q, a, b) for a in com for b in com)
+    assert all(reference_power_law(Q, a, b, bound=4) for a in com for b in com)
+
+
+def test_power_law_plans_cover_every_equation_at_its_residues():
+    # a^k = a^(k mod p_a), so the equation (k, l, m, n) is the one at its
+    # residues; the plan for the two periods must hold exactly those
+    for pa in range(1, 10):
+        for pb in range(1, 10):
+            columns, windows = verify._GRID_PLANS[min(pa, 5), min(pb, 5)]
+            planned = {
+                (corner // 9, corner % 9, c // 9, c % 9) for corner, _ in windows for c in columns
+            }
+            residues = {
+                (k % pa, l % pb, m % pa, n % pb)
+                for k, l, m, n in itertools.product(range(5), repeat=4)
+            }
+            assert planned == residues, (pa, pb)
+            assert all(k + m <= 8 and l + n <= 8 for k, l, m, n in residues)
+            # each window reads the grid at corner + column
+            grid = tuple(range(81))
+            for corner, window in windows:
+                got = window(grid)
+                assert (got if len(columns) > 1 else (got,)) == tuple(corner + c for c in columns)
+
+
+def test_battery_reads_the_plan_of_each_pairs_periods(monkeypatch):
+    asked = []
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            asked.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(verify, "_GRID_PLANS", Recording(verify._GRID_PLANS))
+    seen = set()
+    for Q in catalog.property_catalog() + [cyclic_group(n) for n in (5, 7, 9, 10)]:
+        com, nuc, _ = _predicates(Q)
+        asked.clear()
+        assert VerificationSuite._commutant_property_battery(Q, com, nuc), Q.name
+        assert asked == [(min(period(Q, a), 5), min(period(Q, b), 5)) for a in com for b in com]
+        seen.update(asked)
+    # every box size, and pairs whose two boxes differ
+    assert {ka for ka, _ in seen} == {1, 2, 3, 4, 5}
+    assert any(ka != kb for ka, kb in seen)
 
 
 def test_commutant_claim_reads_the_commutant_it_is_handed(monkeypatch):
