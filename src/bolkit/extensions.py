@@ -23,7 +23,7 @@ from itertools import chain, islice
 
 from .errors import BadParams, NotAssociative, TooLarge
 from .iso import _isomorphisms, _record, is_isomorphism
-from .loop_core import LoopTable, Permutation, check_order, identity_perm, inverse
+from .loop_core import LoopTable, Permutation, check_order, compose, identity_perm, inverse
 from .structure import ElementSet, check_identity, commutant, nuclei
 
 MAX_AUT_ORDER = 64
@@ -294,23 +294,19 @@ def is_semihomomorphism(tau: TauMap) -> bool:
     for a in tau.E.elements():
         ta = tau.at(a)
         for b in tau.E.elements():
-            tb = tau.at(b)
             aba = ec[a - 1][ec[b - 1][a - 1] - 1]
-            comp = tuple(ta[tb[ta[w] - 1] - 1] for w in range(len(ta)))
-            if comp != tau.at(aba):
+            if compose(compose(ta, tau.at(b)), ta) != tau.at(aba):
                 return False
     return True
 
 
 def is_tau_homomorphism(tau: TauMap) -> bool:
-    """Whether tau_{a*b} = tau_a tau_b for all a, b in E."""
+    """Whether tau_{a*b} = tau_a tau_b (tau_b first) for all a, b in E."""
     ec = tau.E.cells
     for a in tau.E.elements():
         ta = tau.at(a)
         for b in tau.E.elements():
-            tb = tau.at(b)
-            comp = tuple(ta[tb[w] - 1] for w in range(len(ta)))
-            if comp != tau.at(ec[a - 1][b - 1]):
+            if compose(tau.at(b), ta) != tau.at(ec[a - 1][b - 1]):
                 return False
     return True
 

@@ -98,13 +98,14 @@ from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import BadParams, SearchBudgetExceeded
+from .errors import BadParams, SearchBudgetExceeded, TooLarge
 from .extensions import automorphism_group
 from .iso import classify
 from .loop_core import LoopTable, check_order
 from .structure import check_identity, commutant, is_subloop
 
 SEARCH_BUDGET = 20_000_000
+MAX_ENUMERATION_ORDER = 6
 
 
 Row = tuple[int, ...]
@@ -482,9 +483,12 @@ def summarize_order8(search: WitnessedSearch) -> Order8Report:
 def enumerate_all_loops(n: int) -> list[LoopTable]:
     """All identity-normalized loops of order n by plain Latin backtracking.
 
-    Intended for tiny n (the brute-force isomorphism oracle uses n <= 5).
+    Raises TooLarge above ``MAX_ENUMERATION_ORDER``: order 6 has 9,408
+    such loops, order 7 already 16,942,080.
     """
     _check_search_order(n)
+    if n > MAX_ENUMERATION_ORDER:
+        raise TooLarge(f"loop enumeration capped at order {MAX_ENUMERATION_ORDER}")
     cells = [[0] * n for _ in range(n)]
     cells[0] = list(range(n))
     for i in range(n):

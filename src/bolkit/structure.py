@@ -408,9 +408,9 @@ def generated_subloop(Q: LoopTable, S: ElementSet) -> ElementSet:
     members = {1}
     frontier = []
     for s in S:
+        if type(s) is not int or not 1 <= s <= n:
+            raise BadParams(f"element {s!r} is not in 1..{n}")
         if s not in members:
-            if type(s) is not int or not 1 < s <= n:
-                raise BadParams(f"element {s!r} is not in 1..{n}")
             members.add(s)
             frontier.append(s)
     _close(Q.cells, members, [], frontier)

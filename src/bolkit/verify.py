@@ -52,6 +52,8 @@ from .oracle import (
 from .structure import (
     ElementSet,
     Nuclei,
+    Row,
+    Rows,
     _gathers,
     _opposite,
     _predicates,
@@ -67,24 +69,38 @@ from .structure import (
 RANDOM_SEED = 20160813  # fixed seed for the randomized battery
 
 
-def _grid_plan(ka: int, kb: int) -> tuple[list[int], list[tuple[int, itemgetter]]]:
-    """Where the power law for a pair with boxes (ka, kb) reads the grid.
+def _powers(row: Row) -> list[int]:
+    """a^0..a^8, walking L_a from 1, for the element a whose row is ``row``."""
+    walk = [1]
+    for _ in range(8):
+        walk.append(row[walk[-1] - 1])
+    return walk
 
-    The grid holds a^i b^j (i, j < 9), flattened row by row.  The plan
-    lists the columns a^m b^n (m < ka, n < kb), and for each corner
-    (k, l) in the same box the window a^(k+m) b^(l+n) that the row of
-    a^k b^l must show at them.  With one column, itemgetter returns a
-    scalar on both sides of the comparison.
+
+def _power_law_holds(cells: Rows, pa: list[int], pb: list[int]) -> bool:
+    """(a^k b^l)(a^m b^n) = a^(k+m) b^(l+n) for 0 <= k, l, m, n < 5.
+
+    ``pa`` and ``pb`` are a^0..a^8 and b^0..b^8.  L_a is a permutation, so
+    a^k = a^(k mod p_a) for the period p_a, the least m >= 1 with a^m = 1:
+    each equation is the one at its residues, and only k, m < k_a =
+    min(p_a, 5) and l, n < k_b = min(p_b, 5) are checked.  With G[i][j] =
+    a^i b^j (i < 2k_a - 1, j < 2k_b - 1) stored row by row, the row of
+    G[k][l] read at the columns G[m][n] must equal G[k+m][l+n].
     """
-    columns = [9 * m + n for m in range(ka) for n in range(kb)]
-    return columns, [
-        (9 * k + l, itemgetter(*[9 * k + l + c for c in columns]))
-        for k in range(ka)
-        for l in range(kb)
-    ]
-
-
-_GRID_PLANS = {(ka, kb): _grid_plan(ka, kb) for ka in range(1, 6) for kb in range(1, 6)}
+    # k_a is the first m in 1..4 with a^m = 1, else 5
+    ka = (pa[1:5] + [1]).index(1) + 1
+    kb = (pb[1:5] + [1]).index(1) + 1
+    w = 2 * kb - 1
+    grid = [row[j - 1] for row in [cells[i - 1] for i in pa[: 2 * ka - 1]] for j in pb[:w]]
+    box = [m * w + n for m in range(ka) for n in range(kb)]
+    columns = [grid[c] - 1 for c in box]
+    for k in range(ka):
+        for l in range(kb):
+            corner = k * w + l
+            row = cells[grid[corner] - 1]
+            if [row[c] for c in columns] != [grid[corner + c] for c in box]:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -319,38 +335,21 @@ class VerificationSuite:
     def _commutant_property_battery(Q: LoopTable, com: ElementSet, nuc: Nuclei) -> bool:
         """The Section 2 commutant facts, checked on whole rows and columns.
 
-        ``com`` and ``nuc`` are the commutant and the nuclei of Q.
-
-        Power law: (a^k b^l)(a^m b^n) = a^(k+m) b^(l+n) for a, b in C and
-        0 <= k, l, m, n < 5.  ``power`` walks the permutation L_a from 1, so
-        a^k = a^(k mod p_a), where the period p_a is the least m >= 1 with
-        a^m = 1; each equation is therefore the one at its residues, and
-        only k, m < min(p_a, 5) and l, n < min(p_b, 5) are checked (p_a
-        counts as 9 when 1 does not recur among a^1..a^8).  Every reduced
-        equation is one of the original ones, and k + m stays below 9.
-        With the grid G[i][j] = a^i b^j (i, j < 9), the row of G[k][l]
-        read at the columns G[m][n] must equal the window of the grid at
-        offset (k, l).  The cube identities
-        (xb)a^3 = (xa^3)b = x(a^3 b) and (x^3 a)b = x^3(ab) are compared as
-        whole columns: row y - 1 of the opposite table ``op`` is the column
-        x -> x*y, and ``g[y - 1]`` reads a column at x*y for every x.  Every
-        ordered pair is checked and ab = ba, so (x^3 b)a = x^3(ab) is the
-        check made for the pair (b, a).
+        ``com`` and ``nuc`` are the commutant and the nuclei of Q.  The arms
+        run in this order, and the first that fails decides: the power law
+        (``_power_law_holds`` on every ordered pair of C), the square
+        criterion, the prime parts and the cube identities.  The cube
+        identities (xb)a^3 = (xa^3)b = x(a^3 b) and (x^3 a)b = x^3(ab) are
+        compared as whole columns: row y - 1 of the opposite table ``op`` is
+        the column x -> x*y, and ``g[y - 1]`` reads a column at x*y for every
+        x.  Every ordered pair is checked and ab = ba, so (x^3 b)a = x^3(ab)
+        is the check made for the pair (b, a).
         """
         cells = Q.cells
         lnuc, rnuc = set(nuc.left), set(nuc.right)
-        pw = {a: [power(Q, a, m) for m in range(9)] for a in com}
-        box = {a: min(next((m for m in range(1, 9) if pw[a][m] == 1), 9), 5) for a in com}
-        for a in com:
-            rows = [cells[p - 1] for p in pw[a]]
-            for b in com:
-                at_b = itemgetter(*[p - 1 for p in pw[b]])
-                grid = tuple(v for row in rows for v in at_b(row))
-                columns, windows = _GRID_PLANS[box[a], box[b]]
-                at_cols = itemgetter(*[grid[c] - 1 for c in columns])
-                for corner, window in windows:
-                    if at_cols(cells[grid[corner] - 1]) != window(grid):
-                        return False
+        pw = {a: _powers(cells[a - 1]) for a in com}
+        if not all(_power_law_holds(cells, pw[a], pw[b]) for a in com for b in com):
+            return False
         for c in com:
             if (mul(Q, c, c) in lnuc) != (c in rnuc):
                 return False

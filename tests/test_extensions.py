@@ -310,6 +310,38 @@ def test_semihomomorphism_cases():
     assert is_semihomomorphism(hom)
 
 
+def test_tau_homomorphism_composes_right_to_left():
+    # E = D3 acting on K = Z2^2, whose automorphism group is S3 too: the
+    # pointwise inverses of the isomorphisms E -> Aut(K) are
+    # anti-homomorphisms, so only the order tau_a tau_b = tau_a after tau_b
+    # tells them from homomorphisms
+    E, K = dihedral_group(3), elem_abelian_2(2)
+    ident = identity_perm(4)
+
+    def is_hom(t):
+        # tau_{a*b}(v) = tau_a(tau_b(v)) for every v in K
+        return all(
+            t[mul(E, a, b) - 1] == tuple(t[a - 1][v - 1] for v in t[b - 1])
+            for a in E.elements()
+            for b in E.elements()
+        )
+
+    homs = [
+        (ident,) + images
+        for images in itertools.product(automorphism_group(K), repeat=5)
+        if is_hom((ident,) + images)
+    ]
+    isos = [h for h in homs if len(set(h)) == 6]
+    assert (len(homs), len(isos)) == (10, 6)
+    inverses = [tuple(tuple(p.index(v) + 1 for v in K.elements()) for p in h) for h in isos]
+    verdicts = []
+    for assignment in homs + inverses:
+        tau = TauMap(E, K, assignment)
+        verdicts.append(is_tau_homomorphism(tau))
+        assert verdicts[-1] == check_identity(build_semidirect(tau), "associative")
+    assert verdicts == [True] * 10 + [False] * 6
+
+
 def test_semidirect_bol_iff_semihomomorphism():
     K = cyclic_group(3)
     E = elem_abelian_2(2)

@@ -26,6 +26,16 @@ def test_enumerate_all_loops_counts():
     assert len(enumerate_all_loops(5)) == 56
 
 
+def test_enumerate_all_loops_refuses_order_7_before_backtracking(monkeypatch):
+    # order 7 has 16,942,080 loops: the refusal must come before the first is built
+    def build(*args):
+        raise AssertionError("a table of order 7 was built")
+
+    monkeypatch.setattr(oracle, "LoopTable", build)
+    with pytest.raises(errors.TooLarge):
+        enumerate_all_loops(7)
+
+
 def test_search_agrees_with_filtered_enumeration():
     # the propagating search must find exactly the left Bol tables that a
     # plain enumerate-and-filter pass finds

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from typing import Callable
 
 import pytest
@@ -155,10 +156,11 @@ def test_generated_subloop(T8, X16):
 
 def test_subloop_functions_reject_elements_outside_the_loop():
     Z4 = cyclic_group(4)
-    for s in (0, -1, 5):
+    # equal to an element (True == 1, 2.0 == 2) is not enough: it must be an int
+    for S in ((2, 0), (2, -1), (2, 5), (True,), (1.0,), (2, 2.0)):
         for fn in (generated_subloop, is_subloop, subloop_table):
-            with pytest.raises(errors.BadParams, match=f"element {s} "):
-                fn(Z4, (2, s))
+            with pytest.raises(errors.BadParams, match=f"element {re.escape(repr(S[-1]))} "):
+                fn(Z4, S)
 
 
 @functools.cache

@@ -4,10 +4,11 @@
 one product at a time, as the claim first stated it.  The suite's
 battery compares whole rows and columns; both must give the same answer
 (or raise the same error) on every table below, Bol or not.  The battery
-checks each power-law equation once per period of the two elements;
-further tests give it tables whose verdict only the power law decides,
-check that each plan covers the residues of every equation, and check
-that it picks the plan of each pair's periods.
+checks the power law pair by pair, each equation at the residues of its
+exponents modulo the periods of the two elements; further tests give it
+tables whose verdict only the power law decides, and give the pair check
+pairs that fail only outside a box too small or taken from the wrong
+element.
 
 Of the arms (x^3 a)b and (x^3 b)a, either one alone gives the same
 answer: a and b commute, so (x^3 b)a = x^3(ab) for the pair (a, b) is
@@ -18,7 +19,6 @@ and check each member's witness map; the tests at the end break a table
 or a map and require the claim to fail.
 """
 
-import itertools
 import random
 from dataclasses import replace
 
@@ -40,15 +40,15 @@ from bolkit.structure import (
 from bolkit.verify import VerificationSuite
 
 
-def reference_power_law(Q: LoopTable, a: int, b: int, bound: int = 5) -> bool:
-    """(a^k b^l)(a^m b^n) = a^(k+m) b^(l+n) for 0 <= k, l, m, n < bound."""
+def reference_power_law(Q: LoopTable, a: int, b: int, box: tuple[int, int] = (5, 5)) -> bool:
+    """(a^k b^l)(a^m b^n) = a^(k+m) b^(l+n) for k, m < box[0] and l, n < box[1]."""
     pa = [power(Q, a, m) for m in range(9)]
     pb = [power(Q, b, m) for m in range(9)]
-    for k in range(bound):
-        for l in range(bound):
+    for k in range(box[0]):
+        for l in range(box[1]):
             left = mul(Q, pa[k], pb[l])
-            for m in range(bound):
-                for nn in range(bound):
+            for m in range(box[0]):
+                for nn in range(box[1]):
                     rhs = mul(Q, pa[k + m], pb[l + nn])
                     if mul(Q, left, mul(Q, pa[m], pb[nn])) != rhs:
                         return False
@@ -231,50 +231,29 @@ def test_battery_fails_the_power_law_where_the_oracle_does():
     com = commutant(Q)
     assert len(com) == 4 and max(period(Q, a) for a in com) == 10
     assert not all(reference_power_law(Q, a, b) for a in com for b in com)
-    assert all(reference_power_law(Q, a, b, bound=4) for a in com for b in com)
+    assert all(reference_power_law(Q, a, b, box=(4, 4)) for a in com for b in com)
 
 
-def test_power_law_plans_cover_every_equation_at_its_residues():
-    # a^k = a^(k mod p_a), so the equation (k, l, m, n) is the one at its
-    # residues; the plan for the two periods must hold exactly those
-    for pa in range(1, 10):
-        for pb in range(1, 10):
-            columns, windows = verify._GRID_PLANS[min(pa, 5), min(pb, 5)]
-            planned = {
-                (corner // 9, corner % 9, c // 9, c % 9) for corner, _ in windows for c in columns
-            }
-            residues = {
-                (k % pa, l % pb, m % pa, n % pb)
-                for k, l, m, n in itertools.product(range(5), repeat=4)
-            }
-            assert planned == residues, (pa, pb)
-            assert all(k + m <= 8 and l + n <= 8 for k, l, m, n in residues)
-            # each window reads the grid at corner + column
-            grid = tuple(range(81))
-            for corner, window in windows:
-                got = window(grid)
-                assert (got if len(columns) > 1 else (got,)) == tuple(corner + c for c in columns)
+def test_power_law_pair_uses_the_box_of_each_element():
+    # the commutant (1, 2, 3, 4) has periods 1, 2, 10, 10, and the power
+    # law fails only at an exponent 4 of an element of period 10
+    Q = exponent_four_counterexample()
+    pw = {a: [power(Q, a, m) for m in range(9)] for a in commutant(Q)}
+    assert [period(Q, a) for a in pw] == [1, 2, 10, 10]
+    for a, b in ((2, 3), (1, 3)):
+        assert not verify._power_law_holds(Q.cells, pw[a], pw[b]), (a, b)
+        # with a's box for b as well the pair would pass; the battery
+        # still fails Q then, through the pair (b, a)
+        ka = period(Q, a)
+        assert reference_power_law(Q, a, b, box=(ka, ka)), (a, b)
 
 
-def test_battery_reads_the_plan_of_each_pairs_periods(monkeypatch):
-    asked = []
-
-    class Recording(dict):
-        def __getitem__(self, key):
-            asked.append(key)
-            return super().__getitem__(key)
-
-    monkeypatch.setattr(verify, "_GRID_PLANS", Recording(verify._GRID_PLANS))
-    seen = set()
-    for Q in catalog.property_catalog() + [cyclic_group(n) for n in (5, 7, 9, 10)]:
-        com, nuc, _ = _predicates(Q)
-        asked.clear()
-        assert VerificationSuite._commutant_property_battery(Q, com, nuc), Q.name
-        assert asked == [(min(period(Q, a), 5), min(period(Q, b), 5)) for a in com for b in com]
-        seen.update(asked)
-    # every box size, and pairs whose two boxes differ
-    assert {ka for ka, _ in seen} == {1, 2, 3, 4, 5}
-    assert any(ka != kb for ka, kb in seen)
+def test_power_law_pair_checks_exponents_up_to_four():
+    Q = exponent_four_counterexample()
+    p3 = [power(Q, 3, m) for m in range(9)]
+    assert not verify._power_law_holds(Q.cells, p3, p3)
+    # boxes of k - 1 = 4 would pass the pair
+    assert reference_power_law(Q, 3, 3, box=(4, 4))
 
 
 def test_commutant_claim_reads_the_commutant_it_is_handed(monkeypatch):
