@@ -98,13 +98,19 @@ class LoopTable:
 
 
 def _check_latin(rows: tuple[tuple[int, ...], ...]) -> None:
+    """Raise NotLatin unless every row and column is a permutation of 1..n.
+
+    Rows are compared with the set 1..n.  Once every row passes, every
+    entry lies in 1..n, so a column of n entries is a permutation exactly
+    when its entries are distinct: columns need only a size test.
+    """
     n = len(rows)
     full = frozenset(range(1, n + 1))
     for row in rows:
         if frozenset(row) != full:
             raise NotLatin("a row repeats a value")
     for col in zip(*rows):
-        if frozenset(col) != full:
+        if len(set(col)) != n:
             raise NotLatin("a column repeats a value")
 
 
@@ -140,6 +146,13 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
     If the two-sided identity is not element 1, the elements are renumbered
     so the identity becomes 1 while all other elements keep their relative
     order; the applied relabeling is recorded in the returned name.
+
+    Entries are decoded through one dict from the canonical names "1".."n"
+    to ints, which checks digits and range in one pass and leaves one int
+    object per element.  A token it misses, such as "01" or an invalid one,
+    sends the whole body through ``decimal_ints`` and the range check
+    instead: that route still reads leading zeros, and raises the error for
+    a bad entry.
     """
     tokens: list[str] = []
     for line in text.splitlines():
@@ -158,10 +171,13 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
     body = tokens[1:]
     if len(body) != n * n:
         raise Malformed(f"expected {n * n} entries, got {len(body)}")
-    try:
-        entries = decimal_ints(body)
-    except ValueError:
-        raise Malformed("table entries must be decimal integers") from None
+    names = {str(v): v for v in range(1, n + 1)}
+    entries = list(map(names.get, body))
+    if not all(entries):  # a miss is None; 0 is no name
+        try:
+            entries = decimal_ints(body)
+        except ValueError:
+            raise Malformed("table entries must be decimal integers") from None
     rows = tuple(zip(*[iter(entries)] * n))  # n consecutive entries per row
     try:
         _check_latin(rows)
@@ -173,13 +189,12 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
     if e is None:
         raise NoIdentity("no two-sided identity element")
     if e != 1:
-        # order-preserving renumbering moving e to 1
-        relabel = {x: (1 if x == e else x + 1 if x < e else x) for x in range(1, n + 1)}
-        new = [[0] * n for _ in range(n)]
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                new[relabel[a] - 1][relabel[b] - 1] = relabel[rows[a - 1][b - 1]]
-        rows = tuple(tuple(r) for r in new)
+        # order-preserving renumbering moving e to 1: new element y is old
+        # element old[y-1], and old element x is new element rename[x]
+        old = (e, *range(1, e), *range(e + 1, n + 1))
+        rename = (0, *range(2, e + 1), 1, *range(e + 1, n + 1))
+        at_old = itemgetter(*[x - 1 for x in old])
+        rows = tuple(tuple(map(rename.__getitem__, at_old(rows[x - 1]))) for x in old)
         note = f"relabeled identity {e}->1"
         name = f"{name} ({note})" if name else note
     return LoopTable(n, rows, name)

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from bolkit import errors
 from bolkit.catalog import FIXTURE_ORDER8, load_fixture
 from bolkit.loop_core import (
+    MAX_ORDER,
     LoopTable,
     compose,
     decimal_ints,
@@ -278,3 +281,187 @@ def test_parse_relabels_identity_at_last_position():
 
     assert check_identity(Q, "associative")
     assert check_identity(Q, "commutative")
+
+
+# parse_table against a plain reference decoder ------------------------------
+
+
+def reference_parse(text, name=None):
+    """The ``.tbl`` rules decoded the plain way, as a reference for
+    ``parse_table``: a line loop that skips '#' lines, the ASCII-digit check
+    then ``int`` on each token, frozenset Latin checks on rows then columns,
+    the range check only after a Latin failure, and the renumbering formula
+    applied product by product."""
+    tokens = []
+    for line in text.splitlines():
+        if not line.lstrip().startswith("#"):
+            tokens.extend(line.split())
+    if not tokens:
+        raise errors.Malformed("no tokens")
+
+    def ints(ts):
+        joined = "".join(ts)
+        if not (joined.isascii() and joined.isdigit()):
+            raise ValueError(joined)
+        return [int(t) for t in ts]
+
+    try:
+        [n] = ints(tokens[:1])
+    except ValueError:
+        raise errors.Malformed(f"order token {tokens[0]!r} is not a decimal integer") from None
+    if n < 1:
+        raise errors.Malformed(f"order {n} must be positive")
+    if n > MAX_ORDER:
+        raise errors.TooLarge(f"order {n} exceeds supported maximum {MAX_ORDER}")
+    body = tokens[1:]
+    if len(body) != n * n:
+        raise errors.Malformed(f"expected {n * n} entries, got {len(body)}")
+    try:
+        entries = ints(body)
+    except ValueError:
+        raise errors.Malformed("table entries must be decimal integers") from None
+    rows = [entries[i : i + n] for i in range(0, n * n, n)]
+    full = frozenset(range(1, n + 1))
+    latin = None
+    if any(frozenset(row) != full for row in rows):
+        latin = "a row repeats a value"
+    elif any(frozenset(col) != full for col in zip(*rows)):
+        latin = "a column repeats a value"
+    if latin:
+        for v in entries:
+            if not 1 <= v <= n:
+                raise errors.Malformed(f"entry {v} out of range 1..{n}")
+        raise errors.NotLatin(latin)
+    identities = [
+        e for e in range(1, n + 1) if all(rows[e - 1][x - 1] == x == rows[x - 1][e - 1] for x in range(1, n + 1))
+    ]
+    if not identities:
+        raise errors.NoIdentity("no two-sided identity element")
+    e = identities[0]
+    if e != 1:
+        r = {x: (1 if x == e else x + 1 if x < e else x) for x in range(1, n + 1)}
+        new = [[0] * n for _ in range(n)]
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                new[r[a] - 1][r[b] - 1] = r[rows[a - 1][b - 1]]
+        rows = new
+        note = f"relabeled identity {e}->1"
+        name = f"{name} ({note})" if name else note
+    return n, tuple(map(tuple, rows)), name
+
+
+def parse_outcome(parse, text, name):
+    """(order, cells, name) of the parsed table, or (class, message) of the error."""
+    try:
+        result = parse(text, name)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, LoopTable):
+        return result.order, result.cells, result.name
+    return result
+
+
+# line breaks to ``str.splitlines`` (all whitespace to ``str.split``), then
+# separators inside a line
+LINE_BREAKS = ("\r\n", "\x0b", "\x0c", "\x1c", "\x85")
+SEPARATORS = LINE_BREAKS + ("\t", " ", "\xa0")
+BAD_TOKENS = ("+1", "\u0661", "\u00b2", "0", "n+1", "9" * 5000)
+
+
+def relabeled_tokens(cells, p):
+    """The tokens of a Latin square with element x renamed p[x-1]."""
+    n = len(cells)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[p[a] - 1][p[b] - 1] = p[cells[a][b] - 1]
+    return [str(n)] + [str(v) for row in out for v in row]
+
+
+def damage(tokens, rng):
+    """The tokens with one randomly chosen fault or unusual spelling."""
+    n = int(tokens[0])
+    body = tokens[1:]
+    kind = rng.randrange(8)
+    i = rng.randrange(len(body))
+    if kind == 1:  # leading zeros, the order token included
+        for j in rng.sample(range(len(tokens)), min(3, len(tokens))):
+            tokens[j] = rng.choice(("0", "00")) + tokens[j]
+        return tokens
+    if kind == 2:
+        bad = rng.choice(BAD_TOKENS)
+        body[i] = str(n + 1) if bad == "n+1" else bad
+    elif kind == 3:  # every entry of one value renamed out of range
+        v = body[i]
+        out = rng.choice(("0", str(n + 1)))
+        body = [out if t == v else t for t in body]
+    elif kind == 4 and n > 1:  # a duplicate in one row
+        r, c = divmod(i, n)
+        body[i] = body[r * n + (c + 1) % n]
+    elif kind == 5 and n > 1:  # two entries of a row swapped: a duplicate only in columns
+        r, c = divmod(i, n)
+        j = r * n + (c + 1) % n
+        body[i], body[j] = body[j], body[i]
+    elif kind == 6:  # '#' inside a data line
+        body[i] = rng.choice(("#", body[i] + "#", "#" + body[i]))
+    elif kind == 7:
+        del body[i]
+    return tokens[:1] + body
+
+
+def layout(tokens, rng):
+    """The tokens as text: random separators, rows split across lines, and
+    comment lines, some indented, that hold digits of their own."""
+    parts = []
+    if rng.random() < 0.3:
+        parts.append("# a table 1 2\n")
+    for t in tokens:
+        parts.append(t)
+        sep = rng.choice(SEPARATORS)
+        if sep in LINE_BREAKS and rng.random() < 0.3:
+            sep += rng.choice(("", " ", "\t", "\xa0")) + "# note 3 4" + rng.choice(LINE_BREAKS)
+        parts.append(sep)
+    return "".join(parts)
+
+
+def test_parse_table_matches_the_reference_decoder():
+    from bolkit.catalog import dihedral_group
+    from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
+
+    loops = [cyclic_group(1), cyclic_group(2), cyclic_group(5), elem_abelian_2(2), NPA5, dihedral_group(3)]
+    squares = [Q.cells for Q in loops] + [load_fixture(FIXTURE_ORDER8).cells]
+    squares.append(tuple(tuple((a - b) % 5 + 1 for b in range(5)) for a in range(5)))  # no identity
+    rng = random.Random(2006)
+    texts = ["", "# only\n", "0\n", "5000\n1", "9" * 5000 + "\n1", "\u0662\n1 2\n2 1", "2\n1 2\n2 1 #"]
+    for _ in range(1500):
+        cells = rng.choice(squares)
+        tokens = relabeled_tokens(cells, rng.sample(range(1, len(cells) + 1), len(cells)))
+        if rng.random() < 0.7:
+            tokens = damage(tokens, rng)
+        texts.append(layout(tokens, rng))
+    # order 64, not associative, with the identity written as 2 and as 64
+    Q64 = build_named_example("order4n", n=16)
+    for e in (2, 64):
+        p = [x for x in range(1, 65) if x != e]
+        rng.shuffle(p)
+        p.insert(0, e)
+        text = layout(relabeled_tokens(Q64.cells, p), rng)
+        texts.append(text)
+        assert parse_table(text).name == f"relabeled identity {e}->1"
+    kinds = set()
+    for text in texts:
+        name = rng.choice((None, "t"))
+        got = parse_outcome(parse_table, text, name)
+        assert got == parse_outcome(reference_parse, text, name), repr(text[:200])
+        kinds.add(got[0] if isinstance(got[0], type) else "relabeled" if "relabeled" in (got[2] or "") else "table")
+    # every route of the parser is reached
+    assert kinds >= {"table", "relabeled", errors.Malformed, errors.NotLatin, errors.NoIdentity, errors.TooLarge}
+
+
+def test_parse_holds_one_int_object_per_element():
+    from bolkit.extensions import cyclic_group
+
+    Z = cyclic_group(512)
+    Q = parse_table(render(Z))
+    assert Q == Z
+    assert len({id(v) for row in Q.cells for v in row}) == 512
