@@ -77,4 +77,35 @@ MUTANTS = (
         "            if compose(ta, tau.at(b)) != tau.at(ec[a - 1][b - 1]):\n",
         ("tests/test_extensions.py::test_tau_homomorphism_composes_right_to_left",),
     ),
+    Mutant(
+        "search-drops-LrLr-block",
+        "src/bolkit/oracle.py",
+        "        if p >= r:\n",
+        "        if False:\n",
+        ("tests/test_oracle.py::test_search_budget_is_exact",),
+    ),
+    Mutant(
+        "main-catches-nothing",
+        "src/bolkit/cli.py",
+        "    except (OSError, BolkitError) as exc:\n",
+        "    except () as exc:\n",
+        (
+            "tests/test_cli.py::test_check_missing_file",
+            "tests/test_cli.py::test_construct_into_missing_directory",
+        ),
+    ),
+    Mutant(
+        "bol-conditions-skip-e",
+        "src/bolkit/extensions.py",
+        '    if not check_identity(E, "left_bol"):\n',
+        "    if False:\n",
+        ("tests/test_extensions.py::test_bol_conditions_need_a_left_bol_e",),
+    ),
+    Mutant(
+        "tau-takes-any-k",
+        "src/bolkit/extensions.py",
+        "        if not isinstance(self.K, GroupTable):\n",
+        "        if False:\n",
+        ("tests/test_extensions.py::test_tau_needs_k_to_be_a_group_table",),
+    ),
 )

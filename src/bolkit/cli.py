@@ -7,7 +7,7 @@ bolkit construct SPEC -o FILE    build a table and write it out
 bolkit classify FILE...          isomorphism classes of the given tables
 bolkit enumerate-q9 [--classify] the 512-member nine-parameter family
 bolkit oracle order8             exhaustive order-8 left Bol search
-bolkit verify-paper [--timings | --json]  run the whole claim suite
+bolkit verify-paper [--json]     run the whole claim suite
 bolkit iso FILE1 FILE2           isomorphism between two tables
 
 Construction spec grammar (the SPEC argument of ``construct``):
@@ -55,12 +55,14 @@ from .structure import _predicates, involution_count, structure_report
 from .verify import VerificationSuite, report_json_lines, report_lines
 
 def _load(path: str) -> LoopTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise Malformed(f"not UTF-8 text: {exc}") from None
-    return parse_table(text, name=path)
+    """The table in the file at path; every error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_table(fh.read(), name=path)
+    except UnicodeDecodeError as exc:
+        raise Malformed(f"{path}: not UTF-8 text: {exc}") from None
+    except BolkitError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _spec_int(field: str, error: str) -> int:
@@ -160,43 +162,24 @@ def construct_from_spec(spec: str) -> LoopTable:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        Q = _load(args.file)
-    except (OSError, BolkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(structure_report(Q))
+    sys.stdout.write(structure_report(_load(args.file)))
     return 0
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        Q = construct_from_spec(args.spec)
-    except BolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    Q = construct_from_spec(args.spec)
     text = render(Q)
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
         print(f"wrote {Q.name or 'table'} ({Q.order}x{Q.order}) to {args.output}")
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    loops = []
-    for path in args.files:
-        try:
-            loops.append(_load(path))
-        except (OSError, BolkitError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
+    loops = [_load(path) for path in args.files]
     classes = classify(loops)
     sys.stdout.write(classification_report(loops, classes))
     print(f"{len(loops)} tables in {len(classes)} isomorphism classes")
@@ -221,9 +204,6 @@ def cmd_enumerate_q9(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.target != "order8":
-        print(f"error: unknown oracle target {args.target!r}", file=sys.stderr)
-        return 2
     try:
         rep = summarize_order8(witnessed_search(8))
     except BolkitError as exc:
@@ -244,22 +224,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     suite = VerificationSuite()
     results = suite.run()
-    if args.json:
-        lines = report_json_lines(results)
-    else:
-        lines = report_lines(results, timings=args.timings)
+    lines = report_json_lines(results) if args.json else report_lines(results)
     for line in lines:
         print(line)
     return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
-    try:
-        Q1, Q2 = _load(args.file1), _load(args.file2)
-    except (OSError, BolkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    phi = find_isomorphism(Q1, Q2)
+    phi = find_isomorphism(_load(args.file1), _load(args.file2))
     if phi is None:
         print("non-isomorphic")
         return 1
@@ -290,13 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_enumerate_q9)
 
     p = sub.add_parser("oracle", help="exhaustive searches")
-    p.add_argument("target")
+    p.add_argument("target", choices=["order8"])
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")
-    out = p.add_mutually_exclusive_group()
-    out.add_argument("--timings", action="store_true", help="append per-claim timings")
-    out.add_argument("--json", action="store_true", help="one JSON object per claim")
+    p.add_argument("--json", action="store_true", help="one JSON object per claim")
     p.set_defaults(fn=cmd_verify_paper)
 
     p = sub.add_parser("iso", help="find an isomorphism between two tables")
@@ -308,8 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; an unreadable file or a bad input is exit 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, BolkitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,6 +9,12 @@ cocycle (f(1,a) = f(a,1) = 1).  Pairs are encoded as table indices by
 so constructed tables are byte-reproducible.  Products of automorphisms
 follow function composition: "tau_a tau_b" means apply tau_b, then tau_a.
 
+Two preconditions of the paper are checked, not assumed.  K lies in the
+left and middle nuclei of Q, so it must be a group: ``TauMap`` takes K
+only as a ``GroupTable``.  Q/K is isomorphic to E, so Q is left Bol only
+if E is and a group only if E is: ``bol_conditions`` and
+``group_conditions`` return False otherwise.
+
 tau and f both carry K and E, so the builders and the condition equations
 take (tau, f) alone; they raise BadParams when f and tau disagree on K or E.
 The condition equations share no code with ``build_extension``: they read
@@ -90,6 +96,8 @@ class TauMap:
     assignment: tuple[Permutation, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.K, GroupTable):
+            raise BadParams(f"K must be a GroupTable, got {self.K!r}")
         if len(self.assignment) != self.E.order:
             raise BadParams("tau must assign one automorphism per element of E")
         # exact types: the check below skips repeats, and (1.0, 2.0) both
@@ -187,13 +195,16 @@ def build_semidirect(tau: TauMap, name: str | None = None) -> LoopTable:
 
 
 def bol_conditions(tau: TauMap, f: Cocycle) -> bool:
-    """Condition equations for Q(K,E,tau,f) to be left Bol (E itself left Bol).
+    """Condition equations for Q(K,E,tau,f) to be left Bol.
 
-    Two equations: one over a,b,c in E with w = 1, one over a,b in E and
-    all w in K; together they are equivalent to the Bol identity on the
+    False unless E is left Bol, since Q/K is isomorphic to E.  Then two
+    equations: one over a,b,c in E with w = 1, one over a,b in E and all
+    w in K; together they are equivalent to the Bol identity on the
     built table.
     """
     K, E = _groups(tau, f)
+    if not check_identity(E, "left_bol"):
+        return False
     kc, ec, ts, fv = K.cells, E.cells, tau.assignment, f.values
     ne, nk = E.order, K.order
     for a in range(ne):
@@ -221,7 +232,7 @@ def bol_conditions(tau: TauMap, f: Cocycle) -> bool:
 
 
 def group_conditions(tau: TauMap, f: Cocycle) -> bool:
-    """Condition equations for Q(K,E,tau,f) to be a group."""
+    """Condition equations for Q(K,E,tau,f) to be a group; False unless E is one."""
     K, E = _groups(tau, f)
     if not check_identity(E, "associative"):
         return False

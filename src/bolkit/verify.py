@@ -525,14 +525,13 @@ class VerificationSuite:
         return results
 
 
-def report_lines(results: list[ClaimResult], timings: bool = False) -> list[str]:
-    # timing is opt-in so that default output is byte-identical across runs
+def report_lines(results: list[ClaimResult]) -> list[str]:
+    # no timing, so that the text is byte-identical across runs; the JSON lines hold the times
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"claim {r.claim_id}: {status} ({r.citation})")
-        suffix = f" [{r.elapsed:.1f}s]" if timings else ""
-        lines.append(f"  {r.details}{suffix}")
+        lines.append(f"  {r.details}")
     total = sum(r.passed for r in results)
     lines.append(f"claims passed: {total}/{len(results)}")
     return lines

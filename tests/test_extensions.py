@@ -28,7 +28,8 @@ from bolkit.extensions import (
     trivial_tau,
 )
 from bolkit.iso import is_isomorphism, isomorphic
-from bolkit.loop_core import MAX_ORDER, identity_perm, inverse, mul, parse_table
+from bolkit.loop_core import MAX_ORDER, LoopTable, identity_perm, inverse, mul, parse_table
+from bolkit.oracle import enumerate_all_loops
 from bolkit.structure import (
     _predicates,
     check_identity,
@@ -112,6 +113,31 @@ def test_tau_and_cocycle_validation():
         TauMap(E, K, (identity_perm(3),) * 3 + ((1, 2, 3, 4),))  # not an Aut(K) member
     with pytest.raises(errors.BadParams):
         Cocycle(E, K, ((1, 2, 1, 1),) + ((1, 1, 1, 1),) * 3)  # bad border
+
+
+def _first_non_bol_loop_of_order_5():
+    return next(L for L in enumerate_all_loops(5) if not check_identity(L, "left_bol"))
+
+
+def test_bol_conditions_need_a_left_bol_e():
+    # Q/K is E, so Q is not left Bol when E is not, whatever tau and f are
+    K, E = cyclic_group(2), _first_non_bol_loop_of_order_5()
+    tau, f = trivial_tau(K, E), trivial_cocycle(K, E)
+    assert not check_identity(build_extension(tau, f), "left_bol")
+    assert not bol_conditions(tau, f)
+
+
+def test_tau_needs_k_to_be_a_group_table():
+    # K lies in the left and middle nuclei of Q, so it must be a group: over
+    # a plain loop K the condition equations would pass a table that is
+    # neither left Bol nor a group
+    K, E = _first_non_bol_loop_of_order_5(), cyclic_group(2)
+    with pytest.raises(errors.BadParams, match="GroupTable"):
+        trivial_tau(K, E)
+    z2 = LoopTable(2, E.cells)  # a group, but not checked as one
+    with pytest.raises(errors.BadParams, match="GroupTable"):
+        TauMap(E, z2, (identity_perm(2),) * 2)
+    assert trivial_tau(GroupTable.from_table(z2), E).K == z2
 
 
 def test_tau_checks_each_distinct_map_once(monkeypatch):

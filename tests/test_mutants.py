@@ -48,7 +48,10 @@ def test_snippet_occurs_once():
 """
 
 
-def test_runner_kills_only_by_tests_that_pass_unmutated(tmp_path):
+def test_runner_kills_only_by_tests_that_pass_unmutated(tmp_path, monkeypatch):
+    # the toy tree uses no hypothesis; loading its plugin in each of the
+    # six pytest children would take most of their start-up time
+    monkeypatch.setenv("PYTEST_ADDOPTS", "-p no:hypothesispytest")
     (tmp_path / "src").mkdir()
     (tmp_path / "tests").mkdir()
     (tmp_path / "src" / "toy.py").write_text("def double(x):\n    return 2 * x\n")
