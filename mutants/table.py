@@ -108,4 +108,29 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_extensions.py::test_tau_needs_k_to_be_a_group_table",),
     ),
+    Mutant(
+        "main-reports-broken-pipe",
+        "src/bolkit/cli.py",
+        "    except BrokenPipeError:\n",
+        "    except ():\n",
+        ("tests/test_cli.py::test_closed_stdout_ends_quietly",),
+    ),
+    # the oracles are gated too: the kernel tests compare against them.
+    # A left Bol check that skips the triples with x = y is no gate: in a
+    # loop the triples with x != y imply them (y = 1, y = x's left inverse,
+    # then x*x with that inverse give L_x^3 = L_{x(xx)})
+    Mutant(
+        "refcheck-bol-reads-moufang",
+        "refcheck/__init__.py",
+        "        return all(c[x][c[y][c[x][z]]] == c[c[x][c[y][x]]][z] for x, y, z in triples)\n",
+        "        return all(c[x][c[y][c[x][z]]] == c[c[c[x][y]][x]][z] for x, y, z in triples)\n",
+        ("tests/test_structure.py::test_kernel_matches_oracle_on_relabeled_catalog",),
+    ),
+    Mutant(
+        "refcheck-nucleus-is-left",
+        "refcheck/__init__.py",
+        "    nucleus = tuple(a for a in left if a in middle and a in right)\n",
+        "    nucleus = left\n",
+        ("tests/test_structure.py::test_kernel_matches_oracle_on_relabeled_catalog",),
+    ),
 )

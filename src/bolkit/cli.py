@@ -27,12 +27,15 @@ canonically sorted automorphism list of K (index 0 is the identity),
 one per element of E in element order, starting with 0 for element 1.
 
 Exit codes: 0 success, 1 verification/isomorphism failure, 2 input error.
+A reader that closes stdout early (``bolkit enumerate-q9 | head -1``)
+ends the command with exit 1 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import BadSpec, BolkitError, Malformed, TooLarge
@@ -281,7 +284,15 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; an unreadable file or a bad input is exit 2."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; Python flushes stdout again at exit, so
+        # point it at devnull, as the signal module's docs advise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (OSError, BolkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

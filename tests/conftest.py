@@ -1,13 +1,22 @@
 """Fixtures shared by the test modules.
 
 One verification suite serves the whole session, so the order-8 left Bol
-search runs once, however many tests and claims need its tables.
+search runs once, however many tests and claims need its tables.  The
+repository root goes on ``sys.path`` here, so that ``refcheck`` and
+``mutants`` import under a plain ``pytest`` run too.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
-from bolkit.loop_core import element_order
-from bolkit.verify import VerificationSuite
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+import refcheck  # noqa: E402
+from bolkit.verify import VerificationSuite  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +43,7 @@ def order8_classes(order8_tables):
     groups = {}
     for Q in order8_tables:
         c, n = Q.cells, Q.order
-        orders = [element_order(Q, a) for a in Q.elements()]
+        orders = [refcheck.order(c, a) for a in Q.elements()]
         key = tuple(
             sorted(
                 (

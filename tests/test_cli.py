@@ -1,5 +1,9 @@
 import argparse
+import fcntl
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -333,6 +337,25 @@ def test_enumerate_q9_classify_mode(capsys):
     assert out.splitlines()[-1] == "512 loops in 19 isomorphism classes"
     # representatives, members and class order of the family's tables
     assert hashlib.md5(out.encode()).hexdigest() == "36677e1cfc67cbc7d8358e8d15433f40"
+
+
+def test_closed_stdout_ends_quietly():
+    # `bolkit enumerate-q9 | head -1`: the reader closes the pipe after one
+    # line.  The pipe holds 4 KiB and the listing is about 25 KB, so most of
+    # it is still unwritten when the pipe closes, however the two processes
+    # are scheduled
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "bolkit.cli", "enumerate-q9"]
+    with subprocess.Popen(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env) as proc:
+        os.close(write_end)
+        with open(read_end, "rb", buffering=0) as out:
+            first = out.readline()
+        err = proc.stderr.read()
+    assert first.startswith(b"q9_000000000 ")
+    assert (err, proc.returncode) == (b"", 1)
 
 
 def test_construct_then_check_never_errors(tmp_path, capsys):

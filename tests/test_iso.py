@@ -8,9 +8,9 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import refcheck
 from bolkit import iso
 from bolkit.catalog import property_catalog, q9_representatives, twenty_one
-from bolkit.errors import NotPeriodicThroughIdentity
 from bolkit.extensions import automorphism_group, build_named_example, cyclic_group, elem_abelian_2
 from bolkit.gf2 import build_exceptional, build_q9, enumerate_q9
 from bolkit.iso import (
@@ -24,7 +24,7 @@ from bolkit.iso import (
     is_isomorphism,
     isomorphic,
 )
-from bolkit.loop_core import LoopTable, element_order, identity_perm, mul, parse_table
+from bolkit.loop_core import LoopTable, identity_perm, parse_table
 from bolkit.oracle import enumerate_all_loops, search_left_bol
 
 
@@ -53,50 +53,15 @@ def test_self_isomorphism_is_identity():
         assert find_isomorphism(Q, Q) == identity_perm(Q.order)
 
 
-def _relabel(Q, sigma):
-    n = Q.order
-    cells = [[0] * n for _ in range(n)]
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            cells[sigma[a - 1] - 1][sigma[b - 1] - 1] = sigma[mul(Q, a, b) - 1]
-    from bolkit.loop_core import LoopTable
-
-    return LoopTable.from_cells(cells)
-
-
 def test_isomorphism_soundness_and_symmetry():
     z6 = cyclic_group(6)
-    shuffled = _relabel(z6, (1, 4, 6, 2, 5, 3))
+    shuffled = LoopTable.from_cells(refcheck.relabel(z6.cells, (1, 4, 6, 2, 5, 3)))
     phi = find_isomorphism(z6, shuffled)
     assert phi is not None
-    for a in z6.elements():
-        for b in z6.elements():
-            assert phi[mul(z6, a, b) - 1] == mul(shuffled, phi[a - 1], phi[b - 1])
+    assert refcheck.relabel(z6.cells, phi) == shuffled.cells
     assert find_isomorphism(shuffled, z6) is not None
     # profiles of isomorphic loops agree
     assert invariant_profile(z6) == invariant_profile(shuffled)
-
-
-def _all_isomorphisms(A, B):
-    """Every isomorphism A -> B, by trying all bijections that fix 1."""
-    n = A.order
-    if B.order != n:
-        return []
-    return [
-        img
-        for img in ((1, *rest) for rest in itertools.permutations(range(2, n + 1)))
-        if all(
-            img[mul(A, x, y) - 1] == mul(B, img[x - 1], img[y - 1])
-            for x in A.elements()
-            for y in A.elements()
-        )
-    ]
-
-
-def _random_relabel(Q, rng):
-    rest = list(range(2, Q.order + 1))
-    rng.shuffle(rest)
-    return _relabel(Q, (1, *rest))
 
 
 def test_find_isomorphism_returns_lex_least(order8_classes):
@@ -109,21 +74,22 @@ def test_find_isomorphism_returns_lex_least(order8_classes):
     )
     answers = set()
     for Q in loops:
-        phis = _all_isomorphisms(Q, Q)
+        phis = refcheck.isomorphisms(Q.cells, Q.cells)
         # the search lists every automorphism, in the same order
         assert automorphism_group(Q) == phis
         assert find_isomorphism(Q, Q) == min(phis) == identity_perm(Q.order)
-        R = _random_relabel(Q, rng)
-        phis = _all_isomorphisms(Q, R)
+        R = LoopTable.from_cells(refcheck.shuffled(Q.cells, rng))
+        phis = refcheck.isomorphisms(Q.cells, R.cells)
         assert phis and find_isomorphism(Q, R) == min(phis)
         # a random loop of the same order: None exactly when no map exists
-        S = _random_relabel(rng.choice([P for P in loops if P.order == Q.order]), rng)
-        phis = _all_isomorphisms(Q, S)
+        P = rng.choice([P for P in loops if P.order == Q.order])
+        S = LoopTable.from_cells(refcheck.shuffled(P.cells, rng))
+        phis = refcheck.isomorphisms(Q.cells, S.cells)
         phi = find_isomorphism(Q, S)
         assert phi == (min(phis) if phis else None)
         answers.add(phi is None)
     assert answers == {True, False}
-    assert len(_all_isomorphisms(elem_abelian_2(2), elem_abelian_2(2))) == 6  # Aut((Z2)^2)
+    assert len(refcheck.isomorphisms(elem_abelian_2(2).cells, elem_abelian_2(2).cells)) == 6  # Aut((Z2)^2)
 
 
 def test_non_isomorphic():
@@ -172,9 +138,7 @@ def test_classify_relabeled_catalog_batch():
     batch = []
     for Q in property_catalog():
         for _ in range(2):
-            rest = list(range(2, Q.order + 1))
-            rng.shuffle(rest)
-            batch.append((_relabel(Q, (1, *rest)), same.get(Q.name, Q.name)))
+            batch.append((LoopTable.from_cells(refcheck.shuffled(Q.cells, rng)), same.get(Q.name, Q.name)))
     rng.shuffle(batch)
     expected: dict[str, list[int]] = {}
     for i, (_, key) in enumerate(batch):
@@ -265,10 +229,7 @@ def test_profile_invariant_under_relabeling():
 
     rng = random.Random(11)
     for Q in (cyclic_group(6), build_named_example("order12"), build_q9((1, 1, 0, 0, 1, 0, 1, 1, 0))):
-        rest = list(range(2, Q.order + 1))
-        rng.shuffle(rest)
-        sigma = (1, *rest)
-        shuffled = _relabel(Q, sigma)
+        shuffled = LoopTable.from_cells(refcheck.shuffled(Q.cells, rng))
         assert invariant_profile(shuffled) == invariant_profile(Q)
 
 
@@ -277,14 +238,10 @@ def test_find_isomorphism_on_relabeled_order16_loops():
 
     rng = random.Random(23)
     for Q in (build_q9((0,) * 9), build_exceptional()):
-        rest = list(range(2, 17))
-        rng.shuffle(rest)
-        shuffled = _relabel(Q, (1, *rest))
+        shuffled = LoopTable.from_cells(refcheck.shuffled(Q.cells, rng))
         phi = find_isomorphism(Q, shuffled)
         assert phi is not None
-        for a in Q.elements():
-            for b in Q.elements():
-                assert phi[mul(Q, a, b) - 1] == mul(shuffled, phi[a - 1], phi[b - 1])
+        assert refcheck.relabel(Q.cells, phi) == shuffled.cells
         assert len(classify([Q, shuffled])) == 1
 
 
@@ -306,18 +263,16 @@ def _catalog():
 @given(index=st.integers(0, len(_catalog()) - 1), seed=st.integers(0, 2**32 - 1))
 def test_element_data_follows_relabeling(index, seed):
     Q = _catalog()[index]
-    rest = list(range(2, Q.order + 1))
-    random.Random(seed).shuffle(rest)
-    sigma = (1, *rest)
-    R = _relabel(Q, sigma)
+    sigma = refcheck.fixing_one(Q.order, random.Random(seed))
+    R = LoopTable.from_cells(refcheck.relabel(Q.cells, sigma))
     d, e = _element_data(Q), _element_data(R)
     for a in Q.elements():
         assert e.local[sigma[a - 1] - 1] == d.local[a - 1]
     assert e.key == d.key
     # and the entries are what they claim: the element order, then the commuting partners
     for a in R.elements():
-        commuting = sum(mul(R, a, b) == mul(R, b, a) for b in R.elements())
-        assert e.local[a - 1] == (element_order(R, a), commuting)
+        commuting = sum(R.cells[a - 1][b - 1] == R.cells[b - 1][a - 1] for b in R.elements())
+        assert e.local[a - 1] == (refcheck.order(R.cells, a), commuting)
     assert e.key == (R.order, tuple(sorted(e.local)))
 
 
@@ -326,23 +281,16 @@ def test_element_data_follows_relabeling(index, seed):
 NPA_TEXT = "5\n1 2 3 4 5\n2 1 4 5 3\n3 4 5 1 2\n4 5 2 3 1\n5 3 1 2 4"
 
 
-def _safe_order(Q, a):
-    try:
-        return element_order(Q, a)
-    except NotPeriodicThroughIdentity:
-        return ORDER_UNDEFINED
-
-
 def test_element_data_derives_orders_as_one_walk_per_element_would():
     # the orders read off a's walk, in the record and in the profile's
-    # spectrum, must agree with an element_order call per element, also
-    # where some elements have no order
+    # spectrum, must agree with each element's order by its definition,
+    # also where some elements have no order
     loops = [*(Q for n in range(1, 6) for Q in enumerate_all_loops(n)), *_catalog()]
     loops.append(parse_table(NPA_TEXT))
     undefined = 0
     for Q in loops:
         orders = [order for order, _ in _element_data(Q).local]
-        expected = [_safe_order(Q, a) for a in Q.elements()]
+        expected = [refcheck.order(Q.cells, a) or ORDER_UNDEFINED for a in Q.elements()]
         assert orders == expected, Q.cells
         assert invariant_profile(Q).order_spectrum == tuple(sorted(expected)), Q.cells
         undefined += orders.count(ORDER_UNDEFINED)
@@ -381,7 +329,7 @@ def test_isomorphic_computes_profiles_only_for_equal_keys(monkeypatch):
     assert _element_data(Z).key != _element_data(P).key
     assert not isomorphic(Z, P) and not isomorphic(P, Z)
     assert profiled == []
-    R = _relabel(P, (1, *range(16, 1, -1)))
+    R = LoopTable.from_cells(refcheck.relabel(P.cells, (1, *range(16, 1, -1))))
     assert isomorphic(P, R)
     assert profiled == [P, R]
 
@@ -416,7 +364,7 @@ def test_repeated_queries_compute_each_record_and_profile_once(monkeypatch):
     records = _counting(monkeypatch, "_element_data")
     profiles = _counting(monkeypatch, "invariant_profile")
     P = build_q9((0,) * 9)
-    R = _relabel(P, (1, *range(16, 1, -1)))
+    R = LoopTable.from_cells(refcheck.relabel(P.cells, (1, *range(16, 1, -1))))
     for _ in range(3):
         assert isomorphic(P, R) and isomorphic(R, P)
         assert find_isomorphism(P, R) is not None
@@ -452,7 +400,7 @@ def test_threads_sharing_tables_fill_consistent_memos():
     # tables: every answer stays right and every memo equals a cold compute
     loops = property_catalog()[:8]
     expected = [[isomorphic(P, Q) for Q in loops] for P in loops]
-    left = [_relabel(Q, (1, *range(Q.order, 1, -1))) for Q in loops]
+    left = [LoopTable.from_cells(refcheck.relabel(Q.cells, (1, *range(Q.order, 1, -1)))) for Q in loops]
     right = [LoopTable.from_cells(Q.cells) for Q in loops]
     answers, errors = [], []
 

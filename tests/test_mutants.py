@@ -3,15 +3,12 @@ mutant its tests kill from one they miss.  The full mutant run is
 ``python3 -m mutants.run``, outside this suite."""
 
 import re
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
+from mutants.run import baseline, run_mutant
+from mutants.table import MUTANTS, Mutant
 
-from mutants.run import baseline, run_mutant  # noqa: E402
-from mutants.table import MUTANTS, Mutant  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_mutant_snippet_occurs_once_and_its_tests_exist():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import refcheck
 from bolkit import errors, structure
 from bolkit.catalog import (
     FIXTURE_ORDER8,
@@ -168,35 +169,6 @@ def _catalog() -> tuple[LoopTable, ...]:
     return tuple(property_catalog())
 
 
-def _relabeled(Q: LoopTable, seed: int) -> LoopTable:
-    """Q with its elements renamed by a seeded permutation fixing 1."""
-    rest = list(range(2, Q.order + 1))
-    random.Random(seed).shuffle(rest)
-    p = (1, *rest)
-    cells = [[0] * Q.order for _ in range(Q.order)]
-    for a in Q.elements():
-        for b in Q.elements():
-            cells[p[a - 1] - 1][p[b - 1] - 1] = p[mul(Q, a, b) - 1]
-    return LoopTable.from_cells(cells)
-
-
-def _brute_force_closure(Q: LoopTable, S: tuple[int, ...]) -> tuple[int, ...]:
-    r"""Fixed point of adding every a*b, a\b and b/a, divisions by search."""
-    cells = Q.cells
-    rng = range(1, Q.order + 1)
-    members = {1} | set(S)
-    while True:
-        grown = set(members)
-        for a in members:
-            for b in members:
-                grown.add(cells[a - 1][b - 1])
-                grown.update(x for x in rng if cells[a - 1][x - 1] == b)
-                grown.update(y for y in rng if cells[y - 1][a - 1] == b)
-        if grown == members:
-            return tuple(sorted(members))
-        members = grown
-
-
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     index=st.integers(0, len(_catalog()) - 1),
@@ -208,14 +180,14 @@ def _brute_force_closure(Q: LoopTable, S: tuple[int, ...]) -> tuple[int, ...]:
 @example(index=0, seed=0, picks=[], with_one=False, repeat=False)  # empty set
 @example(index=20, seed=1, picks=[4, 4], with_one=True, repeat=True)  # exceptional16
 def test_generated_subloop_matches_brute_force(index, seed, picks, with_one, repeat):
-    Q = _relabeled(_catalog()[index], seed)
+    Q = LoopTable.from_cells(refcheck.shuffled(_catalog()[index].cells, random.Random(seed)))
     S = [1 + v % Q.order for v in picks]
     if with_one:
         S.insert(len(S) // 2, 1)
     if repeat and S:
         S.append(S[0])
     S = tuple(S)
-    assert generated_subloop(Q, S) == _brute_force_closure(Q, S)
+    assert generated_subloop(Q, S) == refcheck.closure(Q.cells, S)
 
 
 def test_generated_subloop_every_pair_matches_brute_force():
@@ -223,75 +195,24 @@ def test_generated_subloop_every_pair_matches_brute_force():
     for index, Q in enumerate(_catalog()):
         if Q.order > 16:
             continue
-        R = _relabeled(Q, index)
+        R = LoopTable.from_cells(refcheck.shuffled(Q.cells, random.Random(index)))
         for S in itertools.combinations(R.elements(), 2):
-            assert generated_subloop(R, S) == _brute_force_closure(R, S), (Q.name, S)
-
-
-# the definitions, one product at a time: the oracle for the row kernel ------
-
-
-def _oracle_identity(Q: LoopTable, which: str) -> bool:
-    c = [[v - 1 for v in row] for row in Q.cells]  # c[a][b] = a*b on 0..n-1, 0 the identity
-    E = range(Q.order)
-    triples = itertools.product(E, E, E)
-    if which == "left_bol":
-        return all(c[x][c[y][c[x][z]]] == c[c[x][c[y][x]]][z] for x, y, z in triples)
-    if which == "right_bol":
-        return all(c[c[c[z][x]][y]][x] == c[z][c[c[x][y]][x]] for x, y, z in triples)
-    if which == "moufang":
-        return all(c[x][c[y][c[x][z]]] == c[c[c[x][y]][x]][z] for x, y, z in triples)
-    if which == "associative":
-        return all(c[c[x][y]][z] == c[x][c[y][z]] for x, y, z in triples)
-    if which == "commutative":
-        return all(c[x][y] == c[y][x] for x in E for y in E)
-    assert which == "left_power_alternative"
-    for x in E:
-        powers = [0]  # x^0 .. x^(k-1), x^j = x * x^(j-1)
-        while c[x][powers[-1]] != 0:
-            powers.append(c[x][powers[-1]])
-        k = len(powers)
-        if any(c[powers[i]][powers[j]] != powers[(i + j) % k] for i in range(k) for j in range(k)):
-            return False  # the powers of x are not a group, so x has no order
-        for z in E:
-            w = z  # x(x(...(xz))) with j factors x
-            for p in [*powers, 0]:
-                if w != c[p][z]:
-                    return False
-                w = c[x][w]
-    return True
-
-
-def _oracle_nuclei(Q: LoopTable) -> Nuclei:
-    c = [[v - 1 for v in row] for row in Q.cells]  # c[a][b] = a*b on 0..n-1
-    E = range(Q.order)
-    pairs = list(itertools.product(E, E))
-    left = tuple(a + 1 for a in E if all(c[c[a][x]][y] == c[a][c[x][y]] for x, y in pairs))
-    middle = tuple(a + 1 for a in E if all(c[c[x][a]][y] == c[x][c[a][y]] for x, y in pairs))
-    right = tuple(a + 1 for a in E if all(c[c[x][y]][a] == c[x][c[y][a]] for x, y in pairs))
-    nucleus = tuple(a for a in left if a in middle and a in right)
-    center = tuple(a for a in nucleus if all(c[a - 1][x] == c[x][a - 1] for x in E))
-    return Nuclei(left, middle, right, nucleus, center)
+            assert generated_subloop(R, S) == refcheck.closure(R.cells, S), (Q.name, S)
 
 
 def _assert_kernel_matches_oracle(Q: LoopTable, right_regular: bool = True) -> None:
-    expected = tuple(_oracle_identity(Q, name) for name in IDENTITY_NAMES)
+    expected = tuple(refcheck.holds(Q.cells, name) for name in IDENTITY_NAMES)
     assert tuple(check_identity(Q, name) for name in IDENTITY_NAMES) == expected, Q.cells
-    nuc = _oracle_nuclei(Q)
+    nuc = Nuclei(*refcheck.nuclei(Q.cells))
     assert nuclei(Q) == nuc, Q.cells
-    com = tuple(a for a in Q.elements() if all(mul(Q, a, x) == mul(Q, x, a) for x in Q.elements()))
+    com = refcheck.commutant(Q.cells)
     assert commutant(Q) == com, Q.cells
     assert _predicates(Q) == (com, nuc, dict(zip(IDENTITY_NAMES, expected))), Q.cells
     if not right_regular:
         return
     for s in Q.elements():
-        H = generated_subloop(Q, (s,))
-        hom = all(
-            mul(Q, mul(Q, b, a), t) == mul(Q, b, mul(Q, a, t))
-            for a in H
-            for t in H
-            for b in Q.elements()
-        )
+        H = refcheck.closure(Q.cells, (s,))
+        hom = refcheck.right_regular_is_homomorphism(Q.cells, H)
         assert right_regular_is_homomorphism(Q, H) == hom, (Q.cells, H)
 
 
@@ -367,11 +288,8 @@ def test_kernel_matches_oracle_on_all_small_loops():
 @given(index=st.integers(0, len(_catalog()) - 1), seed=st.integers(0, 2**32 - 1))
 @example(index=0, seed=0)  # order12: left and right nuclei differ
 def test_kernel_matches_oracle_on_relabeled_catalog(index, seed):
-    _assert_kernel_matches_oracle(_relabeled(_catalog()[index], seed))
-
-
-def _opposite_loop(Q: LoopTable) -> LoopTable:
-    return LoopTable.from_cells(_opposite(Q.cells))
+    rows = refcheck.shuffled(_catalog()[index].cells, random.Random(seed))
+    _assert_kernel_matches_oracle(LoopTable.from_cells(rows))
 
 
 WIDE_TABLES: dict[str, Callable[[], LoopTable]] = {
@@ -394,16 +312,18 @@ WIDE_TABLES: dict[str, Callable[[], LoopTable]] = {
     "Z2xexceptional": lambda: direct_product(cyclic_group(2), build_exceptional()),
     "Z3xexceptional": lambda: direct_product(cyclic_group(3), build_exceptional()),
     # right Bol but not left Bol: the opposites of two left Bol loops
-    "order4n:8^op": lambda: _opposite_loop(build_named_example("order4n", n=8)),
-    "Z2xq9_1^op": lambda: _opposite_loop(
-        direct_product(cyclic_group(2), q9_representatives()[1])
+    "order4n:8^op": lambda: LoopTable.from_cells(
+        refcheck.opposite(build_named_example("order4n", n=8).cells)
+    ),
+    "Z2xq9_1^op": lambda: LoopTable.from_cells(
+        refcheck.opposite(direct_product(cyclic_group(2), q9_representatives()[1]).cells)
     ),
 }
 
 
 @pytest.mark.parametrize("name", WIDE_TABLES)
 def test_kernel_matches_oracle_on_wide_tables(name):
-    Q = _relabeled(WIDE_TABLES[name](), 1)
+    Q = LoopTable.from_cells(refcheck.shuffled(WIDE_TABLES[name]().cells, random.Random(1)))
     _assert_kernel_matches_oracle(Q, right_regular=False)
 
 
@@ -411,7 +331,8 @@ def test_nucleus_closure_tests_only_outside_the_span():
     # a member found outside the span at least doubles it (N is a group here),
     # and a failure rules out its coset of the span, so on a group of order
     # 64 at most 6 members and about one element per coset of N are tested
-    for Q in (_relabeled(cyclic_group(64), 3), _relabeled(elem_abelian_2(6), 3)):
+    for G in (cyclic_group(64), elem_abelian_2(6)):
+        Q = LoopTable.from_cells(refcheck.shuffled(G.cells, random.Random(3)))
         for S in ((2,), (2, 3), tuple(Q.elements())):
             N = generated_subloop(Q, S)
             tested = []
@@ -454,16 +375,14 @@ def test_structure_report_scans_only_left_and_right_bol(monkeypatch):
     for Q in (cyclic_group(12), dihedral_group(4), elem_abelian_2(3)):
         structure_report(Q)
     assert scanned == [] and tested == []
-    left_only = [
-        load_fixture(FIXTURE_ORDER8),
-        _relabeled(build_named_example("order4n", n=8), 2),
-        _relabeled(direct_product(cyclic_group(2), q9_representatives()[1]), 2),
-    ]
+    left_only = [load_fixture(FIXTURE_ORDER8)]
+    for P in (build_named_example("order4n", n=8), direct_product(cyclic_group(2), q9_representatives()[1])):
+        left_only.append(LoopTable.from_cells(refcheck.shuffled(P.cells, random.Random(2))))
     for Q in (*left_only, _chein_loop(dihedral_group(3))):
         scanned.clear()
         tested.clear()
         report = structure_report(Q)
-        nuc = _oracle_nuclei(Q)
+        nuc = refcheck.nuclei(Q.cells)
         assert scanned == [(Q.cells, nuc.center), (_opposite(Q.cells), nuc.center)]
         own = {a for cells, a in tested if cells is Q.cells}
         assert own <= set(commutant(Q)) & set(nuc.middle), Q.cells
@@ -499,7 +418,8 @@ def test_right_nucleus_scan_tries_the_last_witness_first(monkeypatch, n):
 
     monkeypatch.setattr(structure, "_left_refuter", counting)
     base = build_named_example("order4n", n=n)
-    for Q in (base, *(_relabeled(base, seed) for seed in range(3))):
+    relabeled = [LoopTable.from_cells(refcheck.shuffled(base.cells, random.Random(seed))) for seed in range(3)]
+    for Q in (base, *relabeled):
         checks = 0
         assert "right_bol: false" in structure_report(Q)
         assert 3 * Q.order < checks <= 4 * Q.order, checks
@@ -527,7 +447,7 @@ def test_bol_closure_seeded_with_the_center_tests_few_elements(monkeypatch, name
 
     monkeypatch.setattr(structure, "_left_bol_at", counted)
     for seed in range(3):
-        Q = _relabeled(make(), seed)
+        Q = LoopTable.from_cells(refcheck.shuffled(make().cells, random.Random(seed)))
         tested.clear()
         assert "left_bol: true\nright_bol: false\n" in structure_report(Q)
         left = sum(cells is Q.cells for cells in tested)
