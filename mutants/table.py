@@ -24,22 +24,22 @@ MUTANTS = (
     Mutant(
         "parse-drops-fallback",
         "src/bolkit/loop_core.py",
-        "    if not all(entries):  # a miss is None; 0 is no name\n",
+        "    if not named:\n",
         "    if False:\n",
         (PARITY,),
     ),
     Mutant(
         "parse-always-falls-back",
         "src/bolkit/loop_core.py",
-        "    if not all(entries):  # a miss is None; 0 is no name\n",
+        "    if not named:\n",
         "    if True:\n",
         ("tests/test_loop_core.py::test_parse_holds_one_int_object_per_element",),
     ),
     Mutant(
         "latin-rows-by-set-size",
         "src/bolkit/loop_core.py",
-        "        if frozenset(row) != full:\n",
-        "        if len(set(row)) != n:\n",
+        "            if frozenset(row) != full:\n",
+        "            if len(set(row)) != n:\n",
         (PARITY, "tests/test_loop_core.py::test_from_cells_validation"),
     ),
     Mutant(
@@ -48,6 +48,27 @@ MUTANTS = (
         "        old = (e, *range(1, e), *range(e + 1, n + 1))\n",
         "        old = (e, *range(e + 1, n + 1), *range(1, e))\n",
         (PARITY,),
+    ),
+    Mutant(
+        "bol-closure-seeded-with-middle",
+        "src/bolkit/structure.py",
+        "    left_bol = _left_bol(cells, g, lm)\n",
+        "    left_bol = _left_bol(cells, g, middle)\n",
+        ("tests/test_structure.py::test_structure_report_scans_only_left_and_right_bol",),
+    ),
+    Mutant(
+        "lm-is-middle",
+        "src/bolkit/structure.py",
+        "    lm = _subloop_where(Q, lambda a, w: refute_left(a, w) if a + 1 in in_middle else w)\n",
+        "    lm = middle\n",
+        ("tests/test_structure.py::test_kernel_matches_oracle_on_all_small_loops",),
+    ),
+    Mutant(
+        "right-nucleus-seeded-with-commutant",
+        "src/bolkit/structure.py",
+        "    right = middle if right_bol else _subloop_where(Q, _left_refuter(op, gop), center)\n",
+        "    right = middle if right_bol else _subloop_where(Q, _left_refuter(op, gop), com)\n",
+        ("tests/test_structure.py::test_kernel_matches_oracle_on_all_small_loops",),
     ),
     Mutant(
         "moufang-is-left-bol",

@@ -88,6 +88,13 @@ def holds(rows: Rows, name: str) -> bool:
     return True
 
 
+def left_bol_elements(rows: Rows) -> set[int]:
+    """The x with x(y(xz)) = (x(yx))z for all y, z: L_x L_y L_x = L_{x(yx)}."""
+    c = _zero_based(rows)
+    E = range(len(c))
+    return {x + 1 for x in E if all(c[x][c[y][c[x][z]]] == c[c[x][c[y][x]]][z] for y in E for z in E)}
+
+
 class Nuclei(NamedTuple):
     left: tuple[int, ...]
     middle: tuple[int, ...]

@@ -97,18 +97,25 @@ class LoopTable:
         return f"<LoopTable order={self.order}{tag}>"
 
 
-def _check_latin(rows: tuple[tuple[int, ...], ...]) -> None:
+def _check_latin(rows: tuple[tuple[int, ...], ...], in_range: bool = False) -> None:
     """Raise NotLatin unless every row and column is a permutation of 1..n.
 
-    Rows are compared with the set 1..n.  Once every row passes, every
-    entry lies in 1..n, so a column of n entries is a permutation exactly
-    when its entries are distinct: columns need only a size test.
+    Rows are compared with the set 1..n, or, when ``in_range`` says every
+    entry is already known to lie in 1..n, given only a size test.  Once
+    every row passes, every entry lies in 1..n, so a column of n entries
+    is a permutation exactly when its entries are distinct: columns need
+    only a size test.
     """
     n = len(rows)
-    full = frozenset(range(1, n + 1))
-    for row in rows:
-        if frozenset(row) != full:
-            raise NotLatin("a row repeats a value")
+    if in_range:
+        for row in rows:
+            if len(set(row)) != n:
+                raise NotLatin("a row repeats a value")
+    else:
+        full = frozenset(range(1, n + 1))
+        for row in rows:
+            if frozenset(row) != full:
+                raise NotLatin("a row repeats a value")
     for col in zip(*rows):
         if len(set(col)) != n:
             raise NotLatin("a column repeats a value")
@@ -149,7 +156,8 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
 
     Entries are decoded through one dict from the canonical names "1".."n"
     to ints, which checks digits and range in one pass and leaves one int
-    object per element.  A token it misses, such as "01" or an invalid one,
+    object per element; the Latin check then tests each row by its size
+    alone.  A token it misses, such as "01" or an invalid one,
     sends the whole body through ``decimal_ints`` and the range check
     instead: that route still reads leading zeros, and raises the error for
     a bad entry.
@@ -173,14 +181,15 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
         raise Malformed(f"expected {n * n} entries, got {len(body)}")
     names = {str(v): v for v in range(1, n + 1)}
     entries = list(map(names.get, body))
-    if not all(entries):  # a miss is None; 0 is no name
+    named = all(entries)  # a miss is None; 0 is no name
+    if not named:
         try:
             entries = decimal_ints(body)
         except ValueError:
             raise Malformed("table entries must be decimal integers") from None
     rows = tuple(zip(*[iter(entries)] * n))  # n consecutive entries per row
     try:
-        _check_latin(rows)
+        _check_latin(rows, in_range=named)
     except NotLatin:
         _check_range(entries, n)
         raise

@@ -21,13 +21,15 @@ members found so far; a loop whose middle nucleus is all of Q is a group.
 A test tries first the x that refuted the last element ruled out, so an
 element outside the nucleus usually costs one row gather, not up to n.
 Left Bol is decided the same way (``_left_bol``): the elements x with
-L_x L_y L_x = L_{x*(y*x)} for every y are closed under (x, w) -> x*(w*x)
-and under multiplication by the center, so only elements outside the
-closure of the center and the elements found so far are tested, n row
-gathers each.  No measured Bol loop needed more than 9 tests; a loop
-that is not left Bol stops at its first failing element.  The
-left-power-alternative check walks one cycle per cyclic subloop, not one
-per element.
+L_x L_y L_x = L_{x*(y*x)} for every y contain N_lambda & N_mu and are
+closed under (x, w) -> x*(w*x) and under multiplication on either side by
+N_lambda & N_mu, so only elements outside the closure of N_lambda & N_mu
+and the elements found so far are tested, n row gathers each.  The Bol
+loops of the Section 4 construction have K in N_lambda & N_mu: on
+``order4n:n`` the closure needs 3 tests, and no measured Bol loop needs
+more than 9 (Z4 x the exceptional loop).  A loop that is not left Bol
+stops at its first failing element.  The left-power-alternative check
+walks one cycle per cyclic subloop, not one per element.
 
 ``_predicates`` is the one code path for the nuclei and the identity
 flags: ``nuclei`` and ``check_identity`` read its result, and every
@@ -49,10 +51,32 @@ the first two; products of translations act right to left):
   in all three, (x*y)*c = c*(x*y) = (c*x)*y = (x*c)*y = x*(c*y) =
   x*(y*c), so c is in N_rho too.
 
-So the middle nucleus is scanned first; the center is found by closure
-with the left-nucleus test run only on elements of C & N_mu; the Bol
-closures are seeded with it; and the left (right) nucleus is scanned
-only when Q is not left (right) Bol.
+The seed of the left Bol closure rests on one more fact, in any loop.
+Let S be the set of x with L_x L_y L_x = L_{x*(y*x)} for every y, and m
+in N_lambda & N_mu, so that L_{m*z} = L_m L_z and L_{z*m} = L_z L_m for
+every z.  Then for x in S and every y:
+
+- m is in S: L_m L_y L_m = L_m L_{y*m} = L_{m*(y*m)};
+- x*m is in S: L_{x*m} L_y L_{x*m} = L_x L_{m*y} L_x L_m =
+  L_{x*((m*y)*x)} L_m = L_{(x*((m*y)*x))*m};
+- m*x is in S: L_{m*x} L_y L_{m*x} = L_m L_x L_{y*m} L_x =
+  L_m L_{x*((y*m)*x)} = L_{m*(x*((y*m)*x))}.
+
+Each right-hand side is a left translation L_w, which is fixed by its
+value w at 1; the left-hand side L_z L_y L_z sends 1 to z*(y*z), so
+L_z L_y L_z = L_{z*(y*z)}.  Neither nucleus alone will do.  For m in
+N_mu, L_m L_y L_m = L_m L_{y*m}, and as y*m runs over Q this is
+L_{m*(y*m)} for every y only if m is in N_lambda.  For m in N_lambda,
+L_{m*(y*m)} = L_m L_{y*m}, which is L_m L_y L_m for every y only if m is
+in N_mu.  So an element of N_lambda or N_mu is in S exactly when it is
+in N_lambda & N_mu.
+
+So the middle nucleus is scanned first; N_lambda & N_mu is found by
+closure with the left-nucleus test run only on elements of N_mu, and the
+center is its intersection with C; the left Bol closure of Q is seeded
+with N_lambda & N_mu and that of the opposite loop with the center; and
+the left (right) nucleus is scanned only when Q is not left (right) Bol,
+by a closure that starts from N_lambda & N_mu (the center).
 
 What stays cubic: a left Bol loop whose closure grows slowly needs up to
 n tests of n^2 each.
@@ -113,25 +137,23 @@ def _left_bol_at(cells: Rows, g: list[Callable[[Row], Row]], x: int) -> bool:
     return True
 
 
-def _left_bol(cells: Rows, g: list[Callable[[Row], Row]], center: ElementSet) -> bool:
+def _left_bol(cells: Rows, g: list[Callable[[Row], Row]], seed: ElementSet) -> bool:
     """L_x L_y L_x = L_{x*(y*x)} for all x, y, decided by closure.
 
-    ``g`` is ``_gathers(cells)``.  ``center`` is the center of the loop,
-    which is also the center of its opposite.  The elements x that
-    pass for every y form a set S.  S contains the center and is closed
-    under (x, w) -> x*(w*x) (``oracle`` module docstring).  It is also
-    closed under x -> x*c for c central: c is nuclear and L_c commutes
-    with every L_y, so L_{xc} L_y L_{xc} = L_{x*(y*x)} L_{c*c} is a left
-    translation, which is L_{(xc)*(y*(xc))} at 1.  So elements are tested
-    in index order, and one in the closure of the members found so far
-    passes without a test; a passing element joins and the closure grows
-    by its products with the members, as in ``_close``; the first failing
-    element ends the check.
+    ``g`` is ``_gathers(cells)``.  ``seed`` is a subloop inside
+    N_lambda & N_mu of the loop of ``cells``.  The elements x that pass
+    for every y form a set S.  S contains the seed and is closed under
+    (x, w) -> x*(w*x) (``oracle`` module docstring) and under x -> x*m
+    and x -> m*x for m in the seed (module docstring).  So elements are
+    tested in index order, and one in the closure of the members found
+    so far passes without a test; a passing element joins and the
+    closure grows by its products with the members, as in ``_close``;
+    the first failing element ends the check.
     """
     n = len(cells)
-    members = set(center)
+    members = set(seed)
     known: list[int] = []  # members whose products with each other are formed
-    frontier = list(center)
+    frontier = list(seed)
     x = 1
     while len(members) < n:
         if not frontier:
@@ -156,8 +178,12 @@ def _left_bol(cells: Rows, g: list[Callable[[Row], Row]], center: ElementSet) ->
             if v not in members:
                 members.add(v)
                 frontier.append(v)
-        for c in center:
-            v = ra[c - 1]
+        for m in seed:
+            v = ra[m - 1]  # a*m
+            if v not in members:
+                members.add(v)
+                frontier.append(v)
+            v = cells[m - 1][a - 1]  # m*a
             if v not in members:
                 members.add(v)
                 frontier.append(v)
@@ -229,17 +255,18 @@ class Nuclei:
 Refuter = Callable[[int, int], int | None]
 
 
-def _subloop_where(Q: LoopTable, refute: Refuter) -> ElementSet:
+def _subloop_where(Q: LoopTable, refute: Refuter, seed: ElementSet = (1,)) -> ElementSet:
     """The elements a that ``refute(a - 1, w)`` does not refute, given that
-    they form a subloop N.
+    they form a subloop N and that ``seed``, a subloop of Q, lies in N.
 
-    The span of the members found so far lies in N, so an element of the
-    span is a member without a test; a member found outside it grows the
-    span to the subloop both generate.  The closure goes on from the
-    closed span, whose products are all known, so only products that
-    involve an element new to the span are formed.  On a group this tests
-    at most log2(n) members.  When a fails, no a*h with h in the span is
-    tested either: it is not in N, because a = (a*h)/h would be.
+    The span of the seed and the members found so far lies in N, so an
+    element of the span is a member without a test; a member found
+    outside it grows the span to the subloop both generate.  The closure
+    goes on from the closed span, whose products are all known, so only
+    products that involve an element new to the span are formed.  On a
+    group this tests at most log2(n) members.  When a fails, no a*h with
+    h in the span is tested either: it is not in N, because a = (a*h)/h
+    would be.
 
     The witness x that refuted the last failing element is tried first on
     the next one: an x that breaks the identity for one element outside N
@@ -249,9 +276,9 @@ def _subloop_where(Q: LoopTable, refute: Refuter) -> ElementSet:
     proves nothing, so the test then runs over every x.
     """
     cells = Q.cells
-    span = {1}
-    known: list[int] = []
-    decided = {1}
+    span = set(seed)
+    known = [h for h in seed if h != 1]  # the seed is closed
+    decided = set(seed)
     w = 0
     for a in range(2, Q.order + 1):
         if a in decided:
@@ -320,17 +347,23 @@ def _predicates(Q: LoopTable) -> _Predicates:
     nucleus is all of Q, and then every flag but ``commutative`` holds
     and every nucleus is Q.  Otherwise:
 
-    - the center is C & N_lambda & N_mu (C the commutant), a subloop found
-      by closure in which only elements of C & N_mu get the left-nucleus
-      test (module docstring);
-    - left and right Bol are closures (``_left_bol``) seeded with the
-      center, which is also the center of the opposite loop.  The seed
-      matters: in Z2 x q9_0, x*(w*x) = w for 7/8 of the pairs, and the
-      closure seeded with {1} alone needs about 21 tests, against 7 with
-      the center;
+    - LM = N_lambda & N_mu is a subloop found by closure in which only
+      elements of N_mu get the left-nucleus test, and the center is
+      C & LM (C the commutant; module docstring);
+    - left Bol is a closure (``_left_bol``) seeded with LM, and right Bol
+      the closure on the opposite table seeded with the center, which is
+      also the center of the opposite loop.  The seed matters: in
+      Z2 x q9_0, x*(w*x) = w for 7/8 of the pairs, and the closure seeded
+      with {1} alone needs about 21 tests, against 7 with the center; on
+      ``order4n:n``, where LM is larger than the center, 3 tests against
+      7 to 9.  Over the 88 tables of the perfbench ``analyze`` workload
+      (seed 1) the reports make 33,675 row gathers, and 40,608 with both
+      closures seeded with the center.  Seeding right Bol with
+      N_rho & N_mu as well makes 36,063: that scan costs more than it
+      saves;
     - a left Bol loop has N_lambda = N_mu and a right Bol loop N_rho = N_mu
       (module docstring), so the left or right nucleus is scanned only
-      when that Bol flag fails;
+      when that Bol flag fails, from the seed LM or the center;
     - a loop is Moufang iff it is left and right Bol (Robinson, 1966),
       and a left Bol loop is left power alternative (``oracle`` module
       docstring), so the cycle walk runs only on a loop that is not left
@@ -349,14 +382,15 @@ def _predicates(Q: LoopTable) -> _Predicates:
         flags["commutative"] = commutative
         return _Predicates(com, nuc, flags)
     refute_left = _left_refuter(cells, g)
-    # an element outside C & N_mu is refuted untested, keeping the witness
-    candidates = set(com).intersection(middle)
-    center = _subloop_where(Q, lambda a, w: refute_left(a, w) if a + 1 in candidates else w)
+    # an element outside N_mu is refuted untested, keeping the witness
+    in_middle = set(middle)
+    lm = _subloop_where(Q, lambda a, w: refute_left(a, w) if a + 1 in in_middle else w)
+    center = tuple(sorted(set(com).intersection(lm)))
     gop = _gathers(op)
-    left_bol = _left_bol(cells, g, center)
+    left_bol = _left_bol(cells, g, lm)
     right_bol = _left_bol(op, gop, center)
-    left = middle if left_bol else _subloop_where(Q, refute_left)
-    right = middle if right_bol else _subloop_where(Q, _left_refuter(op, gop))
+    left = middle if left_bol else _subloop_where(Q, refute_left, lm)
+    right = middle if right_bol else _subloop_where(Q, _left_refuter(op, gop), center)
     nucleus = tuple(sorted(set(left) & set(middle) & set(right)))
     flags = {
         "left_bol": left_bol,
