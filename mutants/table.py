@@ -19,6 +19,8 @@ class Mutant(NamedTuple):
 
 
 PARITY = "tests/test_loop_core.py::test_parse_table_matches_the_reference_decoder"
+CONDITIONS = "tests/test_extensions.py::test_condition_equations_agree_with_built_tables_on_random_inputs"
+W_EQ = "                if klead[taba[w] - 1] != kc[ta[tb[ta[w] - 1] - 1] - 1][lead - 1]:\n"
 
 MUTANTS = (
     Mutant(
@@ -135,6 +137,71 @@ MUTANTS = (
         "    except BrokenPipeError:\n",
         "    except ():\n",
         ("tests/test_cli.py::test_closed_stdout_ends_quietly",),
+    ),
+    # one-term breaks of the Section 4 condition equations
+    Mutant(
+        "bol-w-equation-taba-is-ta",
+        "src/bolkit/extensions.py",
+        W_EQ,
+        "                if klead[ta[w] - 1] != kc[ta[tb[ta[w] - 1] - 1] - 1][lead - 1]:\n",
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "bol-w-equation-tb-is-ta",
+        "src/bolkit/extensions.py",
+        W_EQ,
+        "                if klead[taba[w] - 1] != kc[ta[ta[ta[w] - 1] - 1] - 1][lead - 1]:\n",
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "bol-lead-reads-f-ab",
+        "src/bolkit/extensions.py",
+        "            lead = kc[ta[fb[a] - 1] - 1][fa[ba] - 1]\n",
+        "            lead = kc[ta[fa[b] - 1] - 1][fa[ba] - 1]\n",
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "group-tau-ab-is-tau-a",
+        "src/bolkit/extensions.py",
+        "                if kc[ta[tb[w] - 1] - 1][fab - 1] != kfab[tab[w] - 1]:\n",
+        "                if kc[ta[tb[w] - 1] - 1][fab - 1] != kfab[ta[w] - 1]:\n",
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "group-f-ab-c-is-f-b-c",
+        "src/bolkit/extensions.py",
+        "                if kc[ta[fb[c] - 1] - 1][fa[bc] - 1] != kfab[f_ab[c] - 1]:\n",
+        "                if kc[ta[fb[c] - 1] - 1][fa[bc] - 1] != kfab[fb[c] - 1]:\n",
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "rnuc-tau-ab-is-tau-b",
+        "src/bolkit/extensions.py",
+        "                lhs = kc[kc[fa[b] - 1][ts[ab][w] - 1] - 1][fv[ab][c] - 1]\n",
+        "                lhs = kc[kc[fa[b] - 1][ts[b][w] - 1] - 1][fv[ab][c] - 1]\n",
+        (CONDITIONS,),
+    ),
+    # the non-isomorphism claims read the classifications
+    Mutant(
+        "noniso-allows-pairs",
+        "src/bolkit/verify.py",
+        "        pairwise = all(c <= 1 for c in per_class)\n",
+        "        pairwise = all(c <= 2 for c in per_class)\n",
+        ("tests/test_verify.py::test_noniso_claim_fails_when_two_listed_tuples_share_a_class",),
+    ),
+    Mutant(
+        "exceptional-reads-first-class",
+        "src/bolkit/verify.py",
+        "            and self.twenty_one_classes[-1].members == (len(self.twenty_one) - 1,)\n",
+        "            and self.twenty_one_classes[0].members == (len(self.twenty_one) - 1,)\n",
+        ("tests/test_acceptance.py::test_criterion_05_exceptional",),
+    ),
+    Mutant(
+        "total-counts-every-class-as-order-16",
+        "src/bolkit/verify.py",
+        "        order16 = sum(loops[cls.representative].order == 16 for cls in classes)\n",
+        "        order16 = len(classes)\n",
+        ("tests/test_verify.py::test_21_claims_fail_when_the_exceptional_loop_joins_a_q9_class",),
     ),
     # the oracles are gated too: the kernel tests compare against them.
     # A left Bol check that skips the triples with x = y is no gate: in a

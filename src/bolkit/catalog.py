@@ -113,16 +113,15 @@ def property_catalog() -> list[LoopTable]:
 
     In order: ``twenty_one()`` (the order-12 loop, the 19 Q9
     representatives, the exceptional loop), ``direct_products()``, then
-    ``order4n_family()``.  The slices below read the first three families
-    out of it.
+    ``order4n_family()``.  The slices below read ``twenty_one()`` and its
+    20 loops of order 16 out of it.
     """
     return twenty_one() + direct_products() + order4n_family()
 
 
-# slices of property_catalog(): twenty_one(), order16_twenty(), q9_representatives()
+# slices of property_catalog(): twenty_one(), order16_twenty()
 TWENTY_ONE = slice(0, 21)
 ORDER16_TWENTY = slice(1, 21)
-Q9_REPRESENTATIVES = slice(1, 20)
 
 
 @dataclass(frozen=True)

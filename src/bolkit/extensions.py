@@ -66,10 +66,6 @@ def elem_abelian_2(m: int) -> GroupTable:
     return GroupTable(n, tuple(tuple(r) for r in cells), f"Z2^{m}")
 
 
-def is_automorphism(K: LoopTable, p: Permutation) -> bool:
-    return is_isomorphism(K, K, p)
-
-
 def automorphism_group(K: LoopTable) -> list[Permutation]:
     """All automorphisms of the loop K, canonically sorted (identity first).
 
@@ -109,7 +105,7 @@ class TauMap:
         if self.assignment[0] != identity_perm(self.K.order):
             raise BadParams("tau_1 must be the identity automorphism")
         for p in dict.fromkeys(self.assignment):  # each distinct map once, in order
-            if not is_automorphism(self.K, p):
+            if not is_isomorphism(self.K, self.K, p):
                 raise BadParams(f"{p} is not an automorphism of K")
 
     def at(self, a: int) -> Permutation:

@@ -143,13 +143,14 @@ class VerificationSuite:
     def twenty_one(self) -> list[LoopTable]:
         return self.property_catalog[catalog.TWENTY_ONE]
 
+    @cached_property
+    def twenty_one_classes(self) -> list[IsoClass]:
+        """``classify(twenty_one)``: the classes of the 21, by first member."""
+        return classify(self.twenty_one)
+
     @property
     def order16_twenty(self) -> list[LoopTable]:
         return self.property_catalog[catalog.ORDER16_TWENTY]
-
-    @property
-    def q9_reps(self) -> list[LoopTable]:
-        return self.property_catalog[catalog.Q9_REPRESENTATIVES]
 
     @property
     def exceptional(self) -> LoopTable:
@@ -158,11 +159,6 @@ class VerificationSuite:
     @cached_property
     def order8_search(self) -> WitnessedSearch:
         return witnessed_search(8)
-
-    @property
-    def order8_tables(self) -> list[LoopTable]:
-        """``search_left_bol(8)``: the sorted tables of the order-8 search."""
-        return self.order8_search.tables
 
     @cached_property
     def order8_report(self) -> Order8Report:
@@ -257,27 +253,27 @@ class VerificationSuite:
 
     def claim_sec6_19_noniso(self) -> tuple[bool, str]:
         """The 19 listed tuples are pairwise non-isomorphic, and the classes
-        of ``q9_classes`` hold one listed tuple each."""
-        reps = self.q9_reps
-        pairwise = all(
-            not isomorphic(reps[i], reps[j])
-            for i in range(len(reps))
-            for j in range(i + 1, len(reps))
-        )
+        of ``q9_classes`` hold one listed tuple each.
+
+        Both facts are read off ``q9_classes``: the listed tuples are
+        pairwise non-isomorphic exactly when no class holds two of them.
+        """
         classes = self.q9_classes
-        # enumerate_q9 is lexicographic, so a tuple's position is its binary value;
-        # each class must contain exactly one of the 19 listed tuples
+        # enumerate_q9 is lexicographic, so a tuple's position is its binary value
         listed_positions = {
             int("".join(map(str, t)), 2) for t in catalog.Q9_REPRESENTATIVE_TUPLES
         }
         per_class = [
             sum(1 for m in cls.members if m in listed_positions) for cls in classes
         ]
+        pairwise = all(c <= 1 for c in per_class)
         matched = len(classes) == 19 and all(c == 1 for c in per_class)
         ok = pairwise and matched
         return ok, f"pairwise non-isomorphic={pairwise}, classes={len(classes)}, one listed tuple per class={all(c == 1 for c in per_class)}"
 
     def claim_sec6_exceptional(self) -> tuple[bool, str]:
+        """The exceptional loop has the stated structure, is isomorphic to
+        the printed fixture, and is alone in its class of ``twenty_one_classes``."""
         X = self.exceptional
         com, nuc, flags = _predicates(X)
         rnuc_tbl = subloop_table(X, nuc.right)
@@ -295,15 +291,18 @@ class VerificationSuite:
             and com == (1, 2, 5, 7)
             and generated_subloop(X, com) == nuc.right
             and isomorphic(X, self.fixture16)
-            and not any(isomorphic(X, R) for R in self.q9_reps)
+            # X is the last of the 21, so its class is the last, and alone there
+            and self.twenty_one_classes[-1].members == (len(self.twenty_one) - 1,)
         )
         return ok, "involutory, LNuc=Z={1}, RNuc elem-abelian of order 8 = <C>, C={1,2,5,7}, matches fixture, new class"
 
     def claim_sec5_21_total(self) -> tuple[bool, str]:
-        twenty = classify(self.order16_twenty)
-        all21 = classify(self.twenty_one)
-        ok = len(twenty) == 20 and len(all21) == 21
-        return ok, f"order-16 classes={len(twenty)}, with order-12 loop total={len(all21)}"
+        """The classes of the 21 number 21, and 20 of them are of order 16."""
+        classes = self.twenty_one_classes
+        loops = self.twenty_one
+        order16 = sum(loops[cls.representative].order == 16 for cls in classes)
+        ok = order16 == 20 and len(classes) == 21
+        return ok, f"order-16 classes={order16}, with order-12 loop total={len(classes)}"
 
     def claim_sec3_coprime3_order16(self) -> tuple[bool, str]:
         bad = []

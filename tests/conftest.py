@@ -1,22 +1,13 @@
 """Fixtures shared by the test modules.
 
 One verification suite serves the whole session, so the order-8 left Bol
-search runs once, however many tests and claims need its tables.  The
-repository root goes on ``sys.path`` here, so that ``refcheck`` and
-``mutants`` import under a plain ``pytest`` run too.
+search runs once, however many tests and claims need its tables.
 """
-
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = str(Path(__file__).resolve().parents[1])
-if ROOT not in sys.path:
-    sys.path.insert(0, ROOT)
-
-import refcheck  # noqa: E402
-from bolkit.verify import VerificationSuite  # noqa: E402
+import refcheck
+from bolkit.verify import VerificationSuite
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +19,7 @@ def suite():
 @pytest.fixture(scope="session")
 def order8_tables(suite):
     """Every identity-normalized left Bol loop of order 8, in search order."""
-    return tuple(suite.order8_tables)
+    return tuple(suite.order8_search.tables)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,9 @@ answer: a and b commute, so (x^3 b)a = x^3(ab) for the pair (a, b) is
 
 The q9 claims run the predicates on the 19 class representatives only
 and check each member's witness map; the tests at the end break a table
-or a map and require the claim to fail.
+or a map and require the claim to fail.  The non-isomorphism claims read
+``q9_classes`` and ``twenty_one_classes``; the last tests merge classes
+there and require those claims to fail.
 """
 
 import random
@@ -30,6 +32,7 @@ from bolkit import catalog, structure, verify
 from bolkit.errors import NotPeriodicThroughIdentity
 from bolkit.extensions import Cocycle, TauMap, build_extension, cyclic_group, group_conditions
 from bolkit.gf2 import enumerate_q9
+from bolkit.iso import IsoClass
 from bolkit.loop_core import LoopTable, compose, identity_perm, power
 from bolkit.oracle import enumerate_all_loops, search_left_bol
 from bolkit.structure import _opposite, _predicates, commutant
@@ -259,3 +262,33 @@ def test_q9_claims_classify_once_and_check_representatives_only(q9_all, monkeypa
     assert calls["_predicates"] <= 19
     assert fresh.claim_sec6_19_noniso()[0]
     assert calls["classify"] == 1
+
+
+def merged(a: IsoClass, b: IsoClass) -> IsoClass:
+    """One class holding the members of a and b; its maps are not read."""
+    return IsoClass(a.representative, tuple(sorted(a.members + b.members)))
+
+
+def test_noniso_claim_fails_when_two_listed_tuples_share_a_class(suite):
+    classes = suite.q9_classes
+    fresh = VerificationSuite()
+    fresh.q9_classes = [merged(classes[0], classes[1]), *classes[2:]]
+    assert fresh.claim_sec6_19_noniso() == (
+        False,
+        "pairwise non-isomorphic=False, classes=18, one listed tuple per class=False",
+    )
+
+
+def test_21_claims_fail_when_the_exceptional_loop_joins_a_q9_class(suite):
+    # the 21 are in catalog order, each its own class: the order-12 loop,
+    # the 19 q9 representatives, then the exceptional loop
+    classes = suite.twenty_one_classes
+    assert [c.members for c in classes] == [(i,) for i in range(21)]
+    fresh = VerificationSuite()
+    fresh.property_catalog = suite.property_catalog
+    fresh.twenty_one_classes = [classes[0], merged(classes[1], classes[20]), *classes[2:20]]
+    assert not fresh.claim_sec6_exceptional()[0]
+    assert fresh.claim_sec5_21_total() == (
+        False,
+        "order-16 classes=19, with order-12 loop total=20",
+    )
