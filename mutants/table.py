@@ -21,6 +21,15 @@ class Mutant(NamedTuple):
 PARITY = "tests/test_loop_core.py::test_parse_table_matches_the_reference_decoder"
 CONDITIONS = "tests/test_extensions.py::test_condition_equations_agree_with_built_tables_on_random_inputs"
 W_EQ = "                if klead[taba[w] - 1] != kc[ta[tb[ta[w] - 1] - 1] - 1][lead - 1]:\n"
+WITNESSES = "tests/test_oracle.py::test_witnesses_relabel_onto_the_search_output"
+# the p*z block of extend_partial_hom, up to its record check
+HOM_CHECK = (
+    "            r, q = row1[z - 1], row2[fz - 1]\n"
+    "            if img[r]:\n"
+    "                if img[r] != q:\n"
+    "                    return None\n"
+    "            elif used[q] or local1[r] != local2[q]:\n"
+)
 
 MUTANTS = (
     Mutant(
@@ -180,6 +189,58 @@ MUTANTS = (
         "                lhs = kc[kc[fa[b] - 1][ts[ab][w] - 1] - 1][fv[ab][c] - 1]\n",
         "                lhs = kc[kc[fa[b] - 1][ts[b][w] - 1] - 1][fv[ab][c] - 1]\n",
         (CONDITIONS,),
+    ),
+    # the left-Bol search's relabeling, and the order-8 claim's checks of it
+    Mutant(
+        "search-pulls-by-sigma",
+        "src/bolkit/oracle.py",
+        "            pull = itemgetter(*_inverse(sigma))\n",
+        "            pull = itemgetter(*sigma)\n",
+        ("tests/test_oracle.py::test_search_agrees_with_filtered_enumeration",),
+    ),
+    Mutant(
+        "cover-places-by-s",
+        "src/bolkit/oracle.py",
+        "            at = gather(inverse)  # at(t)[s(b)] = t[b]\n",
+        "            at = gather(s)  # at(t)[s(b)] = t[b]\n",
+        (WITNESSES,),
+    ),
+    Mutant(
+        "cover-images-shared-across-listings",
+        "src/bolkit/oracle.py",
+        "            images = [at(b.translate(label)) for b in rows]\n",
+        "            images = [at(b.translate(label)) for b in rows]"
+        " if s is cls.listings[0] else images\n",
+        (WITNESSES,),
+    ),
+    Mutant(
+        "order8-commutants-unchecked",
+        "src/bolkit/oracle.py",
+        "    all_sub = all(is_subloop(Q, commutant(Q)) for Q in found)\n",
+        "    all_sub = True\n",
+        ("tests/test_oracle.py::test_order8_claim_fails_on_a_non_subloop_commutant",),
+    ),
+    # the record check that cuts isomorphism branches
+    Mutant(
+        "hom-check-on-wrong-side",
+        "src/bolkit/iso.py",
+        HOM_CHECK,
+        HOM_CHECK.replace("local1[r] != local2[q]", "local1[q] != local2[r]"),
+        ("tests/test_iso.py::test_find_isomorphism_returns_lex_least",),
+    ),
+    Mutant(
+        "hom-check-reads-q1-twice",
+        "src/bolkit/iso.py",
+        HOM_CHECK,
+        HOM_CHECK.replace("local1[r] != local2[q]", "local1[r] != local1[q]"),
+        ("tests/test_iso.py::test_classify_witnesses_on_the_q9_family",),
+    ),
+    Mutant(
+        "hom-check-dropped",
+        "src/bolkit/iso.py",
+        HOM_CHECK,
+        HOM_CHECK.replace(" or local1[r] != local2[q]", ""),
+        ("tests/test_iso.py::test_classify_witnesses_on_the_q9_family",),
     ),
     # the non-isomorphism claims read the classifications
     Mutant(

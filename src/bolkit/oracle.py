@@ -67,14 +67,18 @@ table found below the representative, and it has no duplicates, because
 tables with different rows 2 differ and each relabeling is one-to-one.
 The tables are then sorted, so the output is the list the search on
 every candidate returns.  Candidates reaching propagation number 471 at
-order 8, 29 at order 9 and 5,196 at order 10; relabeling the tables
-takes most of the remaining time.  ``SEARCH_BUDGET`` bounds the
-candidates that reach propagation in one search, far above all three.
+order 8, 29 at order 9 and 5,196 at order 10.  The relabeling works on
+the distinct rows found below the representative, held as bytes: under
+each listing a row's image is one byte translation and one gather, and
+a table is one gather of its rows' images and one more.  It still takes
+about half of the search at order 8 and most of it at orders 9 and 10.
+``SEARCH_BUDGET`` bounds the candidates that reach propagation in one
+search, far above all three.
 
 The relabelings also classify the tables.  ``witnessed_search`` returns,
 with the tables, each class's found tables and listings; s(T) is
 isomorphic to T, by s.  ``summarize_order8`` rebuilds every image s(T)
-from S[s(a)][s(b)] = s(T[a][b]), without the search's row gathers, and
+from S[s(a)][s(b)] = s(T[a][b]), with code of its own, and
 checks that the images are distinct and are exactly the tables.  Then
 each table lies in the isomorphism class of the found table it is the
 image of, and every found table is a table, so the classes of the
@@ -106,9 +110,11 @@ from .structure import check_identity, commutant, is_subloop
 
 SEARCH_BUDGET = 20_000_000
 MAX_ENUMERATION_ORDER = 6
+MAX_SEARCH_ORDER = 255  # the search relabels rows as bytes of their 1-based values
 
 
 Row = tuple[int, ...]
+_SUCCESSOR = bytes(range(1, 256)) + bytes(1)  # v -> v + 1, as a translation table
 
 
 def _inverse(row: Row) -> Row:
@@ -310,6 +316,8 @@ def search_left_bol(n: int) -> list[LoopTable]:
     the only row 2 searched (see the module docstring), and every
     candidate for a later row.  The other row-2 members, whose tables are
     relabeled, are not counted.  One more raises SearchBudgetExceeded.
+    The search takes order ≤ 255 (``MAX_SEARCH_ORDER``), whose relabeled
+    rows fit in bytes, and raises TooLarge above it before it searches.
     """
     return witnessed_search(n).tables
 
@@ -317,6 +325,8 @@ def search_left_bol(n: int) -> list[LoopTable]:
 def witnessed_search(n: int) -> WitnessedSearch:
     """``search_left_bol(n)``, with the tables found below each row-2 representative."""
     _check_search_order(n)
+    if n > MAX_SEARCH_ORDER:
+        raise TooLarge(f"left-Bol search capped at order {MAX_SEARCH_ORDER}")
     if n == 1:
         # no row 2: the one table is its own image under the identity
         return WitnessedSearch([LoopTable(1, ((1,),))], [RowTwoClass([((1,),)], [(0,)])])
@@ -365,20 +375,22 @@ def witnessed_search(n: int) -> WitnessedSearch:
         found.clear()
         branch(rows0, gathers0, col_used0, (1,), rep)
         start = len(tables)
-        # the found tables as indices into their distinct rows; the identity
-        # row, row 1 of every table, is index 0 and is its own image
+        # the found tables as gathers over their distinct rows, held as bytes;
+        # the identity row, row 1 of every table, is index 0 and is its own image
         index: dict[Row, int] = {rows0[0]: 0}
-        coded = [tuple(index.setdefault(row, len(index)) for row in T) for T in found]
-        composers = [itemgetter(*row) for row in list(index)[1:]]
+        places = [itemgetter(*[index.setdefault(row, len(index)) for row in T]) for T in found]
+        distinct = list(map(bytes, index))[1:]
         for sigma in listings:
             # sigma fixes 0 and 1 and conjugates rep to this member.  Row
-            # sigma(a) of the relabeled table is sigma o T[a] o sigma^-1: row b
-            # is T[sigma^-1(b)] labelled by sigma (1-based), then read at sigma^-1
-            label = tuple(map((1).__add__, sigma))
-            pull = itemgetter(*sorted(range(n), key=sigma.__getitem__))
-            image = [pull(compose(label)) for compose in composers]
+            # sigma(a) of the relabeled table is sigma o T[a] o sigma^-1, so
+            # row b is T[sigma^-1(b)]: each distinct row is translated by
+            # sigma (1-based) and read at sigma^-1, and each table gathers
+            # those images, row a's at a, and is read at sigma^-1 in turn
+            label = bytes(sigma).translate(_SUCCESSOR).ljust(256, bytes(1))
+            pull = itemgetter(*_inverse(sigma))
+            image = [pull(row.translate(label)) for row in distinct]
             image = [ident, *map(shared.setdefault, image, image)]
-            tables += [tuple(map(image.__getitem__, pull(T))) for T in coded]
+            tables += [pull(place(image)) for place in places]
         # the first listing, the identity, relabeled the found tables to themselves
         classes.append(RowTwoClass(tables[start : start + len(found)], listings))
     tables.sort()
@@ -416,28 +428,35 @@ def _witnesses_cover(search: WitnessedSearch) -> bool:
     """True if the images s(T) of the found tables are the tables, each hit once.
 
     Each image is built on its own from S[s(a)][s(b)] = s(T[a][b]), not
-    by the search's row gathers, and struck off the cells of the tables
-    that no image has hit yet.  Row s(a) of the image depends on s and on
-    the content of row a alone, so each distinct row is relabeled once per
-    listing.
+    by the search's code, and struck off the cells of the tables that no
+    image has hit yet.  Row s(a) of the image depends on s and on the
+    content of row a alone, so each distinct found row, held as bytes, is
+    relabeled once per listing: one byte translation by s, then one gather
+    that reads it at s^-1.  Each image is then one gather of those rows,
+    and a second one that puts row a at s(a).
     """
+
+    def gather(indices: list[int]) -> Callable[..., tuple]:
+        # itemgetter with one index returns a scalar, not a 1-tuple
+        return itemgetter(*indices) if len(indices) > 1 else tuple
+
     unhit = dict.fromkeys(Q.cells for Q in search.tables)  # half the size of a set
     if len(unhit) != len(search.tables):
         return False
     for cls in search.classes:
+        index: dict[Row, int] = {}  # each distinct found row's position in rows
+        places = [gather([index.setdefault(row, len(index)) for row in T]) for T in cls.found]
+        rows = list(map(bytes, index))
         for s in cls.listings:
-            at = _inverse(s)  # at[s(b)] = b
-            label = (0, *(v + 1 for v in s))  # label[x] = s(x), 1-based
-            images: dict[Row, Row] = {}  # each distinct row's image, once per listing
-            for T in cls.found:
-                image: list[Row] = [()] * len(T)
-                for a, row in enumerate(T):
-                    img = images.get(row)
-                    if img is None:
-                        img = images[row] = tuple([label[row[b]] for b in at])
-                    image[s[a]] = img
+            inverse = [0] * len(s)
+            for b, v in enumerate(s):
+                inverse[v] = b
+            at = gather(inverse)  # at(t)[s(b)] = t[b]
+            label = bytes([0, *[v + 1 for v in s]]).ljust(256, bytes(1))  # label[x] = s(x), 1-based
+            images = [at(b.translate(label)) for b in rows]
+            for place in places:
                 try:
-                    del unhit[tuple(image)]
+                    del unhit[at(place(images))]
                 except KeyError:  # not a table, or a table hit before
                     return False
     return not unhit

@@ -10,7 +10,7 @@ import refcheck
 from bolkit import errors, oracle
 from bolkit.extensions import automorphism_group
 from bolkit.iso import classify
-from bolkit.loop_core import MAX_ORDER
+from bolkit.loop_core import MAX_ORDER, LoopTable
 from bolkit.oracle import enumerate_all_loops, search_left_bol, witnessed_search
 from bolkit.structure import commutant
 from bolkit.verify import VerificationSuite
@@ -79,7 +79,13 @@ def test_search_budget_is_exact(monkeypatch):
 
 @pytest.mark.parametrize("search", [search_left_bol, enumerate_all_loops])
 @pytest.mark.parametrize(
-    "n, error", [(0, errors.BadParams), (-3, errors.BadParams), (MAX_ORDER + 1, errors.TooLarge)]
+    "n, error",
+    [
+        (0, errors.BadParams),
+        (-3, errors.BadParams),
+        (256, errors.TooLarge),
+        (MAX_ORDER + 1, errors.TooLarge),
+    ],
 )
 def test_searches_reject_orders_out_of_range(search, n, error):
     with pytest.raises(error):
@@ -223,6 +229,13 @@ def test_search_order10_groups_only():
     )
 
 
+def test_search_holds_one_object_per_distinct_row(order8_tables):
+    # tables share the object of each distinct row, which keeps the output small
+    for tables, distinct in ((order8_tables, 6406), (search_left_bol(9), 42561)):
+        rows = [row for Q in tables for row in Q.cells]
+        assert len(set(rows)) == len(set(map(id, rows))) == distinct
+
+
 def test_search_is_closed_under_moving_element_2(order8_tables):
     # the search relabels only by maps that fix 1 and 2, so a transposition
     # (2 k) tests a symmetry it does not use: the found set is closed under it
@@ -295,6 +308,21 @@ def _order8_claim(search):
 def test_order8_claim_fails_on_broken_witnesses(suite, mutate):
     (passed, _), report = _order8_claim(mutate(suite.order8_search))
     # the witness check alone catches each of these
+    assert not passed
+    assert report.failures() == ["relabeling witnesses"]
+
+
+def test_order8_claim_fails_on_a_broken_output_table(suite):
+    # one output table replaced by its transpose, which is no table of the
+    # search: the witnesses are intact, but their images no longer cover the tables
+    search = suite.order8_search
+    cells = {Q.cells for Q in search.tables}
+    tables = list(search.tables)
+    k, Q = next((k, Q) for k, Q in enumerate(tables) if tuple(zip(*Q.cells)) not in cells)
+    tables[k] = LoopTable(8, tuple(zip(*Q.cells)))
+    broken = search._replace(tables=tables)
+    assert not oracle._witnesses_cover(broken)
+    (passed, _), report = _order8_claim(broken)
     assert not passed
     assert report.failures() == ["relabeling witnesses"]
 
