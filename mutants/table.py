@@ -21,6 +21,11 @@ class Mutant(NamedTuple):
 PARITY = "tests/test_loop_core.py::test_parse_table_matches_the_reference_decoder"
 CONDITIONS = "tests/test_extensions.py::test_condition_equations_agree_with_built_tables_on_random_inputs"
 W_EQ = "                if klead[taba[w] - 1] != kc[ta[tb[ta[w] - 1] - 1] - 1][lead - 1]:\n"
+BOL_RHS = "                rhs = kc[kc[ta[tb[fa[c] - 1] - 1] - 1][ta[fb[ac] - 1] - 1] - 1][fa[bac] - 1]\n"
+GROUP_C_EQ = "                if kc[ta[fb[c] - 1] - 1][fa[bc] - 1] != kfab[f_ab[c] - 1]:\n"
+RNUC_LHS = "                lhs = kc[kc[fa[b] - 1][ts[ab][w] - 1] - 1][fv[ab][c] - 1]\n"
+RNUC_RHS = "                rhs = kc[kc[ta[ts[b][w] - 1] - 1][ta[fv[b][c] - 1] - 1] - 1][fa[bc] - 1]\n"
+COMMUTANT_B = "                ts[b][u] == kc[ku[fa[b] - 1] - 1][inv[fv[b][a - 1] - 1] - 1] for b in range(ne)\n"
 WITNESSES = "tests/test_oracle.py::test_witnesses_relabel_onto_the_search_output"
 # the p*z block of extend_partial_hom, up to its record check
 HOM_CHECK = (
@@ -63,8 +68,8 @@ MUTANTS = (
     Mutant(
         "bol-closure-seeded-with-middle",
         "src/bolkit/structure.py",
-        "    left_bol = _left_bol(cells, g, lm)\n",
-        "    left_bol = _left_bol(cells, g, middle)\n",
+        "    left_bol = _left_bol(rows, tabs, lm)\n",
+        "    left_bol = _left_bol(rows, tabs, middle)\n",
         ("tests/test_structure.py::test_structure_report_scans_only_left_and_right_bol",),
     ),
     Mutant(
@@ -77,9 +82,33 @@ MUTANTS = (
     Mutant(
         "right-nucleus-seeded-with-commutant",
         "src/bolkit/structure.py",
-        "    right = middle if right_bol else _subloop_where(Q, _left_refuter(op, gop), center)\n",
-        "    right = middle if right_bol else _subloop_where(Q, _left_refuter(op, gop), com)\n",
+        "    right = middle if right_bol else _subloop_where(Q, _left_refuter(op_rows, op_tabs), center)\n",
+        "    right = middle if right_bol else _subloop_where(Q, _left_refuter(op_rows, op_tabs), com)\n",
         ("tests/test_structure.py::test_kernel_matches_oracle_on_all_small_loops",),
+    ),
+    # the row-composition kernel: composition order on either encoding
+    Mutant(
+        "left-bol-translates-swapped",
+        "src/bolkit/structure.py",
+        "        if rx.translate(ty).translate(tx) != rows[rx[ry[x]]]:\n",
+        "        if rx.translate(tx).translate(ty) != rows[rx[ry[x]]]:\n",
+        ("tests/test_structure.py::test_kernel_matches_oracle_on_all_small_loops",),
+    ),
+    Mutant(
+        "wide-row-composes-backwards",
+        "src/bolkit/structure.py",
+        "_WideRow(itemgetter(*self[:])(table))",
+        "_WideRow(itemgetter(*table)(self))",
+        ("tests/test_structure.py::test_kernel_on_products_across_the_byte_limit",),
+    ),
+    # R_{p(a)} of Q2 in place of L_{p(a)}: the same on the abelian groups
+    # that TauMap checks, so the tree still imports
+    Mutant(
+        "is-isomorphism-translates-on-the-right",
+        "src/bolkit/iso.py",
+        "row_p.translate(tabs2[row_p[a]])",
+        "row_p.translate(_kernel(_opposite(Q2.cells))[1][row_p[a]])",
+        ("tests/test_iso.py::test_is_isomorphism_rejects_what_is_not_one",),
     ),
     Mutant(
         "moufang-is-left-bol",
@@ -179,15 +208,78 @@ MUTANTS = (
     Mutant(
         "group-f-ab-c-is-f-b-c",
         "src/bolkit/extensions.py",
-        "                if kc[ta[fb[c] - 1] - 1][fa[bc] - 1] != kfab[f_ab[c] - 1]:\n",
-        "                if kc[ta[fb[c] - 1] - 1][fa[bc] - 1] != kfab[fb[c] - 1]:\n",
+        GROUP_C_EQ,
+        GROUP_C_EQ.replace("kfab[f_ab[c] - 1]", "kfab[fb[c] - 1]"),
         (CONDITIONS,),
     ),
     Mutant(
         "rnuc-tau-ab-is-tau-b",
         "src/bolkit/extensions.py",
-        "                lhs = kc[kc[fa[b] - 1][ts[ab][w] - 1] - 1][fv[ab][c] - 1]\n",
-        "                lhs = kc[kc[fa[b] - 1][ts[b][w] - 1] - 1][fv[ab][c] - 1]\n",
+        RNUC_LHS,
+        RNUC_LHS.replace("[ts[ab][w] - 1]", "[ts[b][w] - 1]"),
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "bol-c-equation-f-aba-c-is-f-a-c",
+        "src/bolkit/extensions.py",
+        "                lhs = klead[faba[c] - 1]\n",
+        "                lhs = klead[fa[c] - 1]\n",
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "bol-c-equation-f-a-bac-is-f-a-ac",
+        "src/bolkit/extensions.py",
+        BOL_RHS,
+        BOL_RHS.replace("[fa[bac] - 1]", "[fa[ac] - 1]"),
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "group-f-a-bc-is-f-a-c",
+        "src/bolkit/extensions.py",
+        GROUP_C_EQ,
+        GROUP_C_EQ.replace("[fa[bc] - 1]", "[fa[c] - 1]"),
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "rnuc-f-ab-c-is-f-b-c",
+        "src/bolkit/extensions.py",
+        RNUC_LHS,
+        RNUC_LHS.replace("[fv[ab][c] - 1]", "[fv[b][c] - 1]"),
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "rnuc-drops-tau-a-on-f-b-c",
+        "src/bolkit/extensions.py",
+        RNUC_RHS,
+        RNUC_RHS.replace("[ta[fv[b][c] - 1] - 1]", "[fv[b][c] - 1]"),
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "rnuc-f-a-bc-is-f-a-c",
+        "src/bolkit/extensions.py",
+        RNUC_RHS,
+        RNUC_RHS.replace("[fa[bc] - 1]", "[fa[c] - 1]"),
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "commutant-u-inverse-is-u",
+        "src/bolkit/extensions.py",
+        "            if any(ta[v] != kc[kuinv[v] - 1][u] for v in range(nk)):\n",
+        "            if any(ta[v] != kc[ku[v] - 1][u] for v in range(nk)):\n",
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "commutant-drops-inverse-of-f-b-a",
+        "src/bolkit/extensions.py",
+        COMMUTANT_B,
+        COMMUTANT_B.replace("[inv[fv[b][a - 1] - 1] - 1]", "[fv[b][a - 1] - 1]"),
+        (CONDITIONS,),
+    ),
+    Mutant(
+        "commutant-f-a-b-is-f-b-a",
+        "src/bolkit/extensions.py",
+        COMMUTANT_B,
+        COMMUTANT_B.replace("ku[fa[b] - 1]", "ku[fv[b][a - 1] - 1]"),
         (CONDITIONS,),
     ),
     # the left-Bol search's relabeling, and the order-8 claim's checks of it

@@ -12,9 +12,9 @@ which is the lexicographically least; ``isomorphic`` asks whether a first map
 exists; ``classify`` keeps each member's first map onto its class
 representative as the class's witness; ``extensions.automorphism_group``
 takes all of them.  ``is_isomorphism`` checks a given map product by
-product, one row gather at a time, and shares no code with the search,
-so a caller can check a witness without trusting the engine that found
-it.
+product, a whole row at a time on the ``structure`` row kernel, and
+shares no code with the search, so a caller can check a witness without
+trusting the engine that found it.
 
 Each table gets one record, ``_element_data``: per element its order and
 its number of commuting partners, and the table's key, its order and the
@@ -52,12 +52,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import eq, itemgetter
+from operator import eq
 from typing import Iterator, NamedTuple
 
 from .errors import NotPeriodicThroughIdentity
 from .loop_core import LoopTable, Permutation, element_order, identity_perm
-from .structure import IDENTITY_NAMES, _gathers, _opposite, _predicates, involution_count
+from .structure import IDENTITY_NAMES, _kernel, _opposite, _predicates, involution_count
 
 # order_spectrum sentinel for elements whose powers do not form a group
 ORDER_UNDEFINED = 0
@@ -306,8 +306,9 @@ def is_isomorphism(Q1: LoopTable, Q2: LoopTable, p: Permutation) -> bool:
     entry an exact int, with p(1) = 1 and Q2[p(a)][p(b)] = p(Q1[a][b])
     for all a, b.
 
-    One row gather per a: row p(a) of Q2 read at the p(b) is compared
-    with row a of Q1 followed by p.  Shares no code with the search.
+    Two row compositions per a, on the ``structure`` kernel: p then
+    L_{p(a)} of Q2 is compared with L_a of Q1 then p.  Shares no code
+    with the search.
     """
     n = Q1.order
     if (
@@ -318,12 +319,10 @@ def is_isomorphism(Q1: LoopTable, Q2: LoopTable, p: Permutation) -> bool:
         or sorted(p) != list(range(1, n + 1))
     ):
         return False
-    if n == 1:
-        return True  # the one loop of order 1, and p is the identity
-    at_p = itemgetter(*[v - 1 for v in p])  # t -> (t[p(1)], ..., t[p(n)])
-    then_p = _gathers(Q1.cells)  # then_p[a](p) is row a of Q1 followed by p
-    c2 = Q2.cells
-    return all(at_p(c2[p[a] - 1]) == then_p[a](p) for a in range(n))
+    rows1, _ = _kernel(Q1.cells)
+    _, tabs2 = _kernel(Q2.cells)
+    (row_p,), (tab_p,) = _kernel((p,))
+    return all(row_p.translate(tabs2[row_p[a]]) == rows1[a].translate(tab_p) for a in range(n))
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,18 @@ homomorphism test for restricted right translations.  Element sets are
 returned as sorted tuples.  All functions are pure.
 
 The row predicates (the identity checks, the nuclei and the
-right-regular homomorphism test) share one kernel: per call, each row
-becomes an ``operator.itemgetter`` gather, and an identity becomes a
-comparison of whole rows per pair (x, y).  Right-hand notions come from
-the opposite table (the transpose): right Bol is left Bol of the opposite
-loop, the right nucleus is its left nucleus.  This module caches
-nothing on the table, so each call pays O(n^2) to build its gathers;
-the one memo a table carries, ``LoopTable._iso``, belongs to
+right-regular homomorphism test) share one kernel, ``_kernel``, and so do
+``iso.is_isomorphism`` and the cube checks of ``verify``.  It holds each
+row with 0-based values, and ``rows[x].translate(tabs[y])`` is the row
+of L_y L_x, so an identity becomes a comparison of whole rows per pair
+(x, y).  Up to order 255 a row is ``bytes`` and its table the row padded
+to 256 bytes, so a composition is one C-level ``bytes.translate``; above
+that a row is a tuple whose ``translate`` builds an ``operator.itemgetter``
+over the row and applies it.  Right-hand notions come from the opposite
+table (the transpose): right Bol is left Bol of the opposite loop, the
+right nucleus is its left nucleus.  This module caches nothing on the
+table, so each call pays O(n^2) to encode its rows, one C-level pass per
+row; the one memo a table carries, ``LoopTable._iso``, belongs to
 ``bolkit.iso``, which keeps there each table's iso record and the
 invariant profile it builds from ``_predicates``.
 
@@ -19,12 +24,12 @@ Closures keep most predicates below n^3.  Each nucleus is a subloop and
 is found by closure, testing only elements outside the span of the
 members found so far; a loop whose middle nucleus is all of Q is a group.
 A test tries first the x that refuted the last element ruled out, so an
-element outside the nucleus usually costs one row gather, not up to n.
+element outside the nucleus usually costs one row composition, not up to n.
 Left Bol is decided the same way (``_left_bol``): the elements x with
 L_x L_y L_x = L_{x*(y*x)} for every y contain N_lambda & N_mu and are
 closed under (x, w) -> x*(w*x) and under multiplication on either side by
 N_lambda & N_mu, so only elements outside the closure of N_lambda & N_mu
-and the elements found so far are tested, n row gathers each.  The Bol
+and the elements found so far are tested, n row compositions each.  The Bol
 loops of the Section 4 construction have K in N_lambda & N_mu: on
 ``order4n:n`` the closure needs 3 tests, and no measured Bol loop needs
 more than 9 (Z4 x the exceptional loop).  A loop that is not left Bol
@@ -87,7 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import BadParams, NotSubloop
 from .loop_core import LoopTable, element_order, mul
@@ -115,82 +120,111 @@ def _opposite(cells: Rows) -> Rows:
     return tuple(zip(*cells))
 
 
-def _gathers(cells: Rows) -> list[Callable[[Row], Row]]:
-    """One C-level gather per row: ``g[x](t) == compose(cells[x], t)``.
+class _WideRow(tuple):
+    """A 0-based row of a table above order 255, too wide for bytes.
 
-    ``g[x](t)`` is the row of L_x followed by t (apply L_x first), so
-    ``g[x](g[y](t))`` is L_x, then L_y, then t.
+    ``r.translate(t)`` reads t at the entries of r, as ``bytes.translate``
+    does, through an itemgetter built per call, which takes next to no
+    time; the two copies of the row (unpacking, wrapping the result) cost
+    more, about a quarter of a composition at order 256.
     """
-    if len(cells) == 1:
-        # itemgetter with one index returns a scalar, not a 1-tuple
-        return [tuple]
-    return [itemgetter(*[v - 1 for v in row]) for row in cells]
+
+    __slots__ = ()
+
+    def translate(self, table: Sequence[int]) -> _WideRow:
+        return _WideRow(itemgetter(*self[:])(table))  # a plain tuple unpacks faster than a subclass
 
 
-def _left_bol_at(cells: Rows, g: list[Callable[[Row], Row]], x: int) -> bool:
-    """L_x L_y L_x = L_{x*(y*x)} for every y (x 0-based): one gather per y."""
-    rx = cells[x]
-    gx = g[x]
-    for y, ry in enumerate(cells):
-        if gx(g[y](rx)) != cells[rx[ry[x] - 1] - 1]:
+KRow = bytes | _WideRow  # a kernel row: 0-based values, composed by ``translate``
+_PREDECESSOR = bytes(1) + bytes(range(255))  # v -> v - 1, as a translation table
+
+
+def _kernel(cells: Rows) -> tuple[list[KRow], list[Sequence[int]]]:
+    """The row-composition kernel of a table: ``(rows, tabs)``.
+
+    ``rows[x]`` is row x + 1 of ``cells`` with 0-based values, and
+    ``rows[x].translate(tabs[y])`` is the row of L_y L_x (apply L_x
+    first).  For rows of length n <= 255 the rows are ``bytes`` and the
+    tables the rows padded to 256 bytes, so a composition is one
+    ``bytes.translate``; above that the rows are ``_WideRow`` tuples,
+    which serve as their own tables, their values shared int objects.
+    ``cells`` may be any list of rows of equal length n with values in
+    1..n, such as the one row of a permutation.
+    """
+    n = len(cells[0])
+    if n <= 255:
+        rows: list[KRow] = [bytes(row).translate(_PREDECESSOR) for row in cells]
+        return rows, [row.ljust(256, bytes(1)) for row in rows]
+    shift = tuple(range(-1, n))  # v -> v - 1
+    wide: list[KRow] = [_WideRow(itemgetter(*row)(shift)) for row in cells]
+    return wide, wide
+
+
+def _left_bol_at(rows: list[KRow], tabs: list[Sequence[int]], x: int) -> bool:
+    """L_x L_y L_x = L_{x*(y*x)} for every y (x 0-based): two translates per y."""
+    rx, tx = rows[x], tabs[x]
+    for ty, ry in zip(tabs, rows):
+        if rx.translate(ty).translate(tx) != rows[rx[ry[x]]]:
             return False
     return True
 
 
-def _left_bol(cells: Rows, g: list[Callable[[Row], Row]], seed: ElementSet) -> bool:
+def _left_bol(rows: list[KRow], tabs: list[Sequence[int]], seed: ElementSet) -> bool:
     """L_x L_y L_x = L_{x*(y*x)} for all x, y, decided by closure.
 
-    ``g`` is ``_gathers(cells)``.  ``seed`` is a subloop inside
-    N_lambda & N_mu of the loop of ``cells``.  The elements x that pass
-    for every y form a set S.  S contains the seed and is closed under
-    (x, w) -> x*(w*x) (``oracle`` module docstring) and under x -> x*m
-    and x -> m*x for m in the seed (module docstring).  So elements are
-    tested in index order, and one in the closure of the members found
-    so far passes without a test; a passing element joins and the
-    closure grows by its products with the members, as in ``_close``;
-    the first failing element ends the check.
+    ``rows, tabs`` is the ``_kernel`` of a table.  ``seed`` is a subloop
+    (1-based) inside N_lambda & N_mu of its loop.  The elements x that
+    pass for every y form a set S.  S contains the seed and is closed
+    under (x, w) -> x*(w*x) (``oracle`` module docstring) and under
+    x -> x*m and x -> m*x for m in the seed (module docstring).  So
+    elements are tested in index order, and one in the closure of the
+    members found so far passes without a test; a passing element joins
+    and the closure grows by its products with the members, as in
+    ``_close``; the first failing element ends the check.  Elements are
+    0-based here.
     """
-    n = len(cells)
-    members = set(seed)
+    n = len(rows)
+    base = [m - 1 for m in seed]
+    members = set(base)
     known: list[int] = []  # members whose products with each other are formed
-    frontier = list(seed)
-    x = 1
+    frontier = list(base)
+    x = 0
     while len(members) < n:
         if not frontier:
             x += 1
             while x in members:
                 x += 1
-            if not _left_bol_at(cells, g, x - 1):
+            if not _left_bol_at(rows, tabs, x):
                 return False
             members.add(x)
             frontier.append(x)
             continue
         a = frontier.pop()
         known.append(a)
-        ra = cells[a - 1]
+        ra = rows[a]
         for b in known:
-            rb = cells[b - 1]
-            v = ra[rb[a - 1] - 1]  # a*(b*a)
+            rb = rows[b]
+            v = ra[rb[a]]  # a*(b*a)
             if v not in members:
                 members.add(v)
                 frontier.append(v)
-            v = rb[ra[b - 1] - 1]  # b*(a*b)
+            v = rb[ra[b]]  # b*(a*b)
             if v not in members:
                 members.add(v)
                 frontier.append(v)
-        for m in seed:
-            v = ra[m - 1]  # a*m
+        for m in base:
+            v = ra[m]  # a*m
             if v not in members:
                 members.add(v)
                 frontier.append(v)
-            v = cells[m - 1][a - 1]  # m*a
+            v = rows[m][a]  # m*a
             if v not in members:
                 members.add(v)
                 frontier.append(v)
     return True
 
 
-def _power_alternative(cells: Rows, g: list[Callable[[Row], Row]]) -> bool:
+def _power_alternative(rows: list[KRow], tabs: list[Sequence[int]]) -> bool:
     """L_x^k = L_{x^k} for 0 <= k <= order(x), for every x.
 
     By induction: L_{x^k} then L_x is L_{x*x^k}, walking the cycle x^0 = 1,
@@ -198,17 +232,17 @@ def _power_alternative(cells: Rows, g: list[Callable[[Row], Row]]) -> bool:
     powers form a cyclic group, so x has order m, and every power y = x^j
     passes too (L_y^k = L_x^(jk) = L_{y^k}), so it is not walked again.
     """
-    walked = [False] * len(cells)
-    for x, rx in enumerate(cells):
+    walked = [False] * len(rows)
+    for x, (rx, tx) in enumerate(zip(rows, tabs)):
         if walked[x]:
             continue
-        p = 1
+        p = 0
         while True:
-            xp = rx[p - 1]
-            if g[p - 1](rx) != cells[xp - 1]:
+            xp = rx[p]
+            if rows[p].translate(tx) != rows[xp]:
                 return False
-            walked[p - 1] = True
-            if xp == 1:
+            walked[p] = True
+            if xp == 0:
                 break
             p = xp
     return True
@@ -271,7 +305,7 @@ def _subloop_where(Q: LoopTable, refute: Refuter, seed: ElementSet = (1,)) -> El
     The witness x that refuted the last failing element is tried first on
     the next one: an x that breaks the identity for one element outside N
     tends to break it for the others.  On ``order4n:128`` the right
-    nucleus scan tests 255 elements with 34,044 row gathers when x runs
+    nucleus scan tests 255 elements with 34,044 row compositions when x runs
     in index order, and with 1,920 this way.  A pass at the witness
     proves nothing, so the test then runs over every x.
     """
@@ -295,38 +329,36 @@ def _subloop_where(Q: LoopTable, refute: Refuter, seed: ElementSet = (1,)) -> El
     return tuple(sorted(span))
 
 
-def _left_refuter(cells: Rows, g: list[Callable[[Row], Row]]) -> Refuter:
+def _left_refuter(rows: list[KRow], tabs: list[Sequence[int]]) -> Refuter:
     """Refutes a outside the left nucleus, (ax)y = a(xy): L_x then L_a is
-    L_{a*x} for every x.  ``g`` is ``_gathers(cells)``.
+    L_{a*x} for every x.  ``rows, tabs`` is the ``_kernel`` of a table.
 
-    ``cells`` is Q's table or its opposite, whose left nucleus is Q's right
+    The table is Q's or its opposite's, whose left nucleus is Q's right
     nucleus; either way the members form a subloop of Q.
     """
-    rng = range(len(cells))
 
     def refute(a: int, w: int) -> int | None:
-        ra = cells[a]
-        if g[w](ra) != cells[ra[w] - 1]:
+        ra, ta = rows[a], tabs[a]
+        if rows[w].translate(ta) != rows[ra[w]]:
             return w
-        for x in rng:
-            if g[x](ra) != cells[ra[x] - 1]:
+        for x, rx in enumerate(rows):
+            if rx.translate(ta) != rows[ra[x]]:
                 return x
         return None
 
     return refute
 
 
-def _middle_refuter(cells: Rows, g: list[Callable[[Row], Row]]) -> Refuter:
+def _middle_refuter(rows: list[KRow], tabs: list[Sequence[int]]) -> Refuter:
     """Refutes a outside the middle nucleus, (xa)y = x(ay): L_a then L_x is
-    L_{x*a} for every x.  ``g`` is ``_gathers(cells)``."""
+    L_{x*a} for every x.  ``rows, tabs`` is the ``_kernel`` of a table."""
 
     def refute(a: int, w: int) -> int | None:
-        ga = g[a]
-        rw = cells[w]
-        if ga(rw) != cells[rw[a] - 1]:
+        ra = rows[a]
+        if ra.translate(tabs[w]) != rows[rows[w][a]]:
             return w
-        for x, rx in enumerate(cells):
-            if ga(rx) != cells[rx[a] - 1]:
+        for x, (rx, tx) in enumerate(zip(rows, tabs)):
+            if ra.translate(tx) != rows[rx[a]]:
                 return x
         return None
 
@@ -342,7 +374,7 @@ class _Predicates(NamedTuple):
 def _predicates(Q: LoopTable) -> _Predicates:
     """The commutant, the nuclei and the identity flags of Q in one pass.
 
-    The opposite table and the gathers of Q and of its opposite are built
+    The opposite table and the kernels of Q and of its opposite are built
     once and shared by every scan.  Q is associative iff its middle
     nucleus is all of Q, and then every flag but ``commutative`` holds
     and every nucleus is Q.  Otherwise:
@@ -357,7 +389,7 @@ def _predicates(Q: LoopTable) -> _Predicates:
       with {1} alone needs about 21 tests, against 7 with the center; on
       ``order4n:n``, where LM is larger than the center, 3 tests against
       7 to 9.  Over the 88 tables of the perfbench ``analyze`` workload
-      (seed 1) the reports make 33,675 row gathers, and 40,608 with both
+      (seed 1) the reports make 33,675 row compositions, and 40,608 with both
       closures seeded with the center.  Seeding right Bol with
       N_rho & N_mu as well makes 36,063: that scan costs more than it
       saves;
@@ -374,23 +406,23 @@ def _predicates(Q: LoopTable) -> _Predicates:
     op = _opposite(cells)
     com = _commutant(cells, op)
     commutative = len(com) == n
-    g = _gathers(cells)
-    middle = _subloop_where(Q, _middle_refuter(cells, g))
+    rows, tabs = _kernel(cells)
+    middle = _subloop_where(Q, _middle_refuter(rows, tabs))
     if len(middle) == n:
         nuc = Nuclei(middle, middle, middle, middle, com)
         flags = dict.fromkeys(IDENTITY_NAMES, True)
         flags["commutative"] = commutative
         return _Predicates(com, nuc, flags)
-    refute_left = _left_refuter(cells, g)
+    refute_left = _left_refuter(rows, tabs)
     # an element outside N_mu is refuted untested, keeping the witness
     in_middle = set(middle)
     lm = _subloop_where(Q, lambda a, w: refute_left(a, w) if a + 1 in in_middle else w)
     center = tuple(sorted(set(com).intersection(lm)))
-    gop = _gathers(op)
-    left_bol = _left_bol(cells, g, lm)
-    right_bol = _left_bol(op, gop, center)
+    op_rows, op_tabs = _kernel(op)
+    left_bol = _left_bol(rows, tabs, lm)
+    right_bol = _left_bol(op_rows, op_tabs, center)
     left = middle if left_bol else _subloop_where(Q, refute_left, lm)
-    right = middle if right_bol else _subloop_where(Q, _left_refuter(op, gop), center)
+    right = middle if right_bol else _subloop_where(Q, _left_refuter(op_rows, op_tabs), center)
     nucleus = tuple(sorted(set(left) & set(middle) & set(right)))
     flags = {
         "left_bol": left_bol,
@@ -398,7 +430,7 @@ def _predicates(Q: LoopTable) -> _Predicates:
         "moufang": left_bol and right_bol,
         "associative": False,
         "commutative": commutative,
-        "left_power_alternative": left_bol or _power_alternative(cells, g),
+        "left_power_alternative": left_bol or _power_alternative(rows, tabs),
     }
     return _Predicates(com, Nuclei(left, middle, right, nucleus, center), flags)
 
@@ -491,9 +523,8 @@ def right_regular_is_homomorphism(Q: LoopTable, S: ElementSet) -> bool:
     """
     if not is_subloop(Q, S):
         raise NotSubloop(f"{S} is not a subloop")
-    op = _opposite(Q.cells)
-    g = _gathers(op)
-    return all(g[s - 1](op[t - 1]) == op[mul(Q, s, t) - 1] for s in S for t in S)
+    rows, tabs = _kernel(_opposite(Q.cells))
+    return all(rows[s - 1].translate(tabs[t - 1]) == rows[mul(Q, s, t) - 1] for s in S for t in S)
 
 
 def involution_count(Q: LoopTable) -> int:

@@ -12,7 +12,6 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable
 
 from . import catalog
@@ -54,7 +53,7 @@ from .structure import (
     Nuclei,
     Row,
     Rows,
-    _gathers,
+    _kernel,
     _opposite,
     _predicates,
     _prime_part,
@@ -339,10 +338,12 @@ class VerificationSuite:
         (``_power_law_holds`` on every ordered pair of C), the square
         criterion, the prime parts and the cube identities.  The cube
         identities (xb)a^3 = (xa^3)b = x(a^3 b) and (x^3 a)b = x^3(ab) are
-        compared as whole columns: row y - 1 of the opposite table ``op`` is
-        the column x -> x*y, and ``g[y - 1]`` reads a column at x*y for every
-        x.  Every ordered pair is checked and ab = ba, so (x^3 b)a = x^3(ab)
-        is the check made for the pair (b, a).
+        compared as whole columns on the ``structure`` kernel of the
+        opposite table: ``rows[y - 1]`` is the column x -> x*y, and
+        ``col.translate(tabs[y - 1])`` is the column x -> col(x)*y; the row
+        of cubes x -> x^3 starts the second identity.  Every ordered pair is
+        checked and ab = ba, so (x^3 b)a = x^3(ab) is the check made for the
+        pair (b, a).
         """
         cells = Q.cells
         lnuc, rnuc = set(nuc.left), set(nuc.right)
@@ -355,17 +356,19 @@ class VerificationSuite:
         for m in (1, 2, 3):
             if not is_subloop(Q, _prime_part(Q, com, 2 * m)):
                 return False
-        op = _opposite(cells)
-        g = _gathers(op)
-        at_cubes = itemgetter(*[power(Q, x, 3) - 1 for x in Q.elements()])
+        rows, tabs = _kernel(_opposite(cells))
+        (cubes,), _ = _kernel(([power(Q, x, 3) for x in Q.elements()],))
         for a in com:
             a3 = pw[a][3]
             for b in com:
                 if not (
-                    g[b - 1](op[a3 - 1]) == g[a3 - 1](op[b - 1]) == op[mul(Q, a3, b) - 1]
+                    rows[b - 1].translate(tabs[a3 - 1])
+                    == rows[a3 - 1].translate(tabs[b - 1])
+                    == rows[mul(Q, a3, b) - 1]
                 ):
                     return False
-                if at_cubes(g[a - 1](op[b - 1])) != at_cubes(op[mul(Q, a, b) - 1]):
+                ab = mul(Q, a, b)
+                if cubes.translate(tabs[a - 1]).translate(tabs[b - 1]) != cubes.translate(tabs[ab - 1]):
                     return False
         return True
 

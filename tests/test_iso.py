@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import refcheck
 from bolkit import iso
-from bolkit.catalog import property_catalog, q9_representatives, twenty_one
+from bolkit.catalog import dihedral_group, property_catalog, q9_representatives, twenty_one
 from bolkit.extensions import automorphism_group, build_named_example, cyclic_group, elem_abelian_2
 from bolkit.gf2 import build_exceptional, build_q9, enumerate_q9
 from bolkit.iso import (
@@ -24,7 +24,7 @@ from bolkit.iso import (
     is_isomorphism,
     isomorphic,
 )
-from bolkit.loop_core import LoopTable, identity_perm, parse_table
+from bolkit.loop_core import LoopTable, identity_perm, inverse, mul, parse_table
 from bolkit.oracle import enumerate_all_loops, search_left_bol
 
 
@@ -204,6 +204,13 @@ def test_is_isomorphism_rejects_what_is_not_one():
     assert not is_isomorphism(Z3, Z3, (True, 3, 2))  # entries must be exact ints
     assert not is_isomorphism(Z3, Z3, (1, 3.0, 2))
     assert not is_isomorphism(cyclic_group(1), cyclic_group(1), (True,))
+    # on a nonabelian group x -> x^-1 reverses products: an anti-automorphism,
+    # not an automorphism; a conjugation is an automorphism
+    D3 = dihedral_group(3)
+    assert not is_isomorphism(D3, D3, tuple(inverse(D3, x) for x in D3.elements()))
+    g = 4  # a reflection: g^-1 = g
+    assert inverse(D3, g) == g and mul(D3, g, 2) != mul(D3, 2, g)
+    assert is_isomorphism(D3, D3, tuple(mul(D3, mul(D3, g, x), g) for x in D3.elements()))
 
 
 def test_is_isomorphism_agrees_with_brute_force_on_small_loops():

@@ -20,8 +20,20 @@ from bolkit.catalog import (
     property_catalog,
     q9_representatives,
 )
-from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
+from bolkit.extensions import (
+    bol_conditions,
+    build_extension,
+    build_named_example,
+    commutant_members,
+    cyclic_group,
+    elem_abelian_2,
+    group_conditions,
+    named_extension,
+    pair_index,
+    right_nucleus_members,
+)
 from bolkit.gf2 import build_exceptional
+from bolkit.iso import is_isomorphism
 from bolkit.loop_core import LoopTable, compose, inverse, mul, parse_table
 from bolkit.oracle import enumerate_all_loops
 from bolkit.structure import (
@@ -327,6 +339,79 @@ def test_kernel_matches_oracle_on_wide_tables(name):
     _assert_kernel_matches_oracle(Q, right_regular=False)
 
 
+def _relabeled(P: LoopTable, seed: int) -> tuple[LoopTable, tuple[int, ...]]:
+    """P relabeled by ``refcheck.fixing_one``, and the map p: P -> the copy."""
+    p = refcheck.fixing_one(P.order, random.Random(seed))
+    return LoopTable.from_cells(refcheck.relabel(P.cells, p)), p
+
+
+def _image(p, S) -> tuple[int, ...]:
+    return tuple(sorted(p[s - 1] for s in S))
+
+
+# Z_k x B across the 255/256 split of the structure kernel: rows of up to
+# 255 elements are bytes, longer ones tuples composed by itemgetter
+WIDE_PRODUCTS = {
+    "Z15xq9_1": (15, lambda: q9_representatives()[1]),  # 240
+    "Z17xq9_1": (17, lambda: q9_representatives()[1]),  # 272
+    "Z31xorder8": (31, lambda: load_fixture(FIXTURE_ORDER8)),  # 248
+    "Z32xorder8": (32, lambda: load_fixture(FIXTURE_ORDER8)),  # 256
+}
+
+
+@pytest.mark.parametrize("name", WIDE_PRODUCTS)
+def test_kernel_on_products_across_the_byte_limit(name):
+    # Z_k is an abelian group, so the identities hold in Z_k x B exactly
+    # when they hold in B, and each nucleus and the commutant of Z_k x B is
+    # Z_k times that of B: the expected values come from refcheck on B.
+    # B is not associative, so a composition taken in the wrong order
+    # breaks some nucleus
+    k, make = WIDE_PRODUCTS[name]
+    B = make()
+    P = direct_product(cyclic_group(k), B)
+    Q, p = _relabeled(P, k)
+
+    def times_zk(S):  # Z_k x S in the pair encoding of direct_product, relabeled by p
+        return _image(p, [u + k * (a - 1) for a in S for u in range(1, k + 1)])
+
+    flags = {ident: refcheck.holds(B.cells, ident) for ident in IDENTITY_NAMES}
+    assert not flags["associative"]
+    nuc = Nuclei(*map(times_zk, refcheck.nuclei(B.cells)))
+    assert _predicates(Q) == (times_zk(refcheck.commutant(B.cells)), nuc, flags)
+    for S in (nuc.right, times_zk(B.elements()), _image(p, [1 + k * (a - 1) for a in B.elements()])):
+        assert right_regular_is_homomorphism(Q, S) == refcheck.right_regular_is_homomorphism(Q.cells, S)
+    assert is_isomorphism(P, Q, p)
+    assert not is_isomorphism(P, Q, (1, p[2], p[1], *p[3:]))
+
+
+def test_kernel_on_order4n_64_above_the_byte_limit():
+    # order4n:64, of order 256, is left Bol but not right Bol.  left Bol,
+    # associativity, the right nucleus and the commutant come from the
+    # Section 4 condition equations, the rest from refcheck; a left Bol
+    # loop is left power alternative (oracle module docstring) and a
+    # Moufang loop is right Bol
+    tau, f = named_extension("order4n", n=64)
+    Q, p = _relabeled(build_extension(tau, f), 4)
+    assert Q.order == 256
+    left_bol = bol_conditions(tau, f)
+    right_bol = refcheck.holds(Q.cells, "right_bol")
+    flags = {
+        "left_bol": left_bol,
+        "right_bol": right_bol,
+        "moufang": left_bol and right_bol,
+        "associative": group_conditions(tau, f),
+        "commutative": refcheck.holds(Q.cells, "commutative"),
+        "left_power_alternative": left_bol,
+    }
+    assert flags == {**dict.fromkeys(IDENTITY_NAMES, False), "left_bol": True, "left_power_alternative": True}
+    K = tau.K
+    com = _image(p, [pair_index(K, u, a) for u, a in commutant_members(tau, f)])
+    rnuc = _image(p, [pair_index(K, w, c) for w, c in right_nucleus_members(tau, f)])
+    nuc = refcheck.nuclei(Q.cells)
+    assert (nuc.right, refcheck.commutant(Q.cells)) == (rnuc, com)
+    assert _predicates(Q) == (com, Nuclei(*nuc), flags)
+
+
 def test_nucleus_closure_tests_only_outside_the_span():
     # a member found outside the span at least doubles it (N is a group here),
     # and a failure rules out its coset of the span, so on a group of order
@@ -345,6 +430,30 @@ def test_nucleus_closure_tests_only_outside_the_span():
             assert len(tested) == len(set(tested)) <= 6 + Q.order // len(N)
 
 
+class _KernelSides:
+    """Names the table each ``structure._kernel`` was built from, by the
+    identity of its rows: "Q" for ``Q.cells``, "op" for Q's opposite.  A
+    commutative Q and its opposite have equal rows, so values cannot tell
+    them apart."""
+
+    def __init__(self, monkeypatch):
+        self.Q: LoopTable | None = None
+        self.built: dict[int, tuple[list, str]] = {}  # keeps the rows alive, so ids stay unique
+        kernel = structure._kernel
+
+        def tagging(cells):
+            rows, tabs = kernel(cells)
+            op = refcheck.opposite(self.Q.cells)
+            side = "Q" if cells is self.Q.cells else "op" if cells == op else "?"
+            self.built[id(rows)] = (rows, side)
+            return rows, tabs
+
+        monkeypatch.setattr(structure, "_kernel", tagging)
+
+    def __call__(self, rows) -> str:
+        return self.built[id(rows)][1]
+
+
 def test_structure_report_scans_only_left_and_right_bol(monkeypatch):
     # every other identity flag is derived: none on a group, and on a
     # nonassociative loop one left Bol closure of Q, seeded with
@@ -353,21 +462,22 @@ def test_structure_report_scans_only_left_and_right_bol(monkeypatch):
     # Q's own table runs only for N_lambda & N_mu, on elements of N_mu.
     # The loop of MIDDLE3_TEXT is neither left nor right Bol, and its
     # N_lambda & N_mu = {1} is smaller than N_mu = {1,3,5}
+    side = _KernelSides(monkeypatch)
     scanned = []
     left_bol = structure._left_bol
 
-    def counted(cells, g, seed):
-        scanned.append((cells, seed))
-        return left_bol(cells, g, seed)
+    def counted(rows, tabs, seed):
+        scanned.append((side(rows), seed))
+        return left_bol(rows, tabs, seed)
 
     tested = []
     left_refuter = structure._left_refuter
 
-    def recording(cells, g):
-        refute = left_refuter(cells, g)
+    def recording(rows, tabs):
+        refute = left_refuter(rows, tabs)
 
         def counted_refute(a, w):
-            tested.append((cells, a + 1))
+            tested.append((side(rows), a + 1))
             return refute(a, w)
 
         return counted_refute
@@ -375,6 +485,7 @@ def test_structure_report_scans_only_left_and_right_bol(monkeypatch):
     monkeypatch.setattr(structure, "_left_bol", counted)
     monkeypatch.setattr(structure, "_left_refuter", recording)
     for Q in (cyclic_group(12), dihedral_group(4), elem_abelian_2(3)):
+        side.Q = Q
         structure_report(Q)
     assert scanned == [] and tested == []
     left_only = [load_fixture(FIXTURE_ORDER8)]
@@ -384,49 +495,52 @@ def test_structure_report_scans_only_left_and_right_bol(monkeypatch):
     for Q in (*left_only, chein, middle3):
         scanned.clear()
         tested.clear()
+        side.Q = Q
         report = structure_report(Q)
         nuc = refcheck.nuclei(Q.cells)
         lm = tuple(a for a in nuc.left if a in nuc.middle)
-        assert scanned == [(Q.cells, lm), (_opposite(Q.cells), nuc.center)]
-        own = {a for cells, a in tested if cells is Q.cells}
+        assert scanned == [("Q", lm), ("op", nuc.center)]
+        own = {a for scan, a in tested if scan == "Q"}
         if Q is not middle3:
             assert own <= set(nuc.middle), Q.cells
         # the right nucleus is scanned exactly when Q is not right Bol
         not_right_bol = Q is not chein
         assert ("right_bol: false" in report) == not_right_bol
-        assert any(cells is not Q.cells for cells, _ in tested) == not_right_bol
+        assert any(scan == "op" for scan, _ in tested) == not_right_bol
+        assert all(scan in ("Q", "op") for scan, _ in tested)
 
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_right_nucleus_scan_tries_the_last_witness_first(monkeypatch, n):
     # order4n:n (order 4n) is left Bol but not right Bol, so its report
     # scans the right nucleus, seeded with the center: two members at about
-    # n row gathers each, and about one gather per refuted element when the
-    # x that refuted the last one is tried first.  Measured: 2.2 to 2.62 *
-    # order (3.3 to 3.75 * order from the seed {1}).  In index order,
+    # n row compositions each, and about one composition per refuted element
+    # when the x that refuted the last one is tried first.  Measured: 2.2 to
+    # 2.62 * order (3.3 to 3.75 * order from the seed {1}).  In index order,
     # without the witness, the unrelabeled tables take 699 and 2427 from {1}.
+    # Each composition is one ``translate`` of a kernel row, counted here
+    side = _KernelSides(monkeypatch)
     checks = 0
     left_refuter = structure._left_refuter
 
-    def counting(cells, g):
-        if cells is Q.cells:  # the test for N_lambda & N_mu, not the right nucleus
-            return left_refuter(cells, g)
+    class Counted(bytes):
+        def translate(self, table):
+            nonlocal checks
+            checks += 1
+            return bytes.translate(self, table)
 
-        def counted(gather):
-            def run(t):
-                nonlocal checks
-                checks += 1
-                return gather(t)
-
-            return run
-
-        return left_refuter(cells, [counted(gather) for gather in g])
+    def counting(rows, tabs):
+        if side(rows) == "Q":  # the test for N_lambda & N_mu, not the right nucleus
+            return left_refuter(rows, tabs)
+        assert side(rows) == "op"
+        return left_refuter([Counted(row) for row in rows], tabs)
 
     monkeypatch.setattr(structure, "_left_refuter", counting)
     base = build_named_example("order4n", n=n)
     relabeled = [LoopTable.from_cells(refcheck.shuffled(base.cells, random.Random(seed))) for seed in range(3)]
     for Q in (base, *relabeled):
         checks = 0
+        side.Q = Q
         assert "right_bol: false" in structure_report(Q)
         assert 2 * Q.order < checks <= 3 * Q.order, checks
 
@@ -449,19 +563,21 @@ def test_bol_closure_seeded_with_lm_tests_few_elements(monkeypatch, name, make, 
     # relabelings: 7, 7 to 9, and 3 tests; seeded with the center,
     # order4n:16 needed 7 to 9.  Seeded with {1} alone, Z2xq9_0 needs about
     # 21 tests: x*(w*x) = w for 7/8 of its pairs
+    side = _KernelSides(monkeypatch)
     tested = []
     at = structure._left_bol_at
 
-    def counted(cells, g, x):
-        tested.append(cells)
-        return at(cells, g, x)
+    def counted(rows, tabs, x):
+        tested.append(side(rows))
+        return at(rows, tabs, x)
 
     monkeypatch.setattr(structure, "_left_bol_at", counted)
     for seed in range(3):
         Q = LoopTable.from_cells(refcheck.shuffled(make().cells, random.Random(seed)))
         tested.clear()
+        side.Q = Q
         assert "left_bol: true\nright_bol: false\n" in structure_report(Q)
-        left = sum(cells is Q.cells for cells in tested)
+        left = tested.count("Q")
         assert 1 <= left <= most and len(tested) - left == 1, (name, seed, len(tested))
 
 
