@@ -100,21 +100,43 @@ class LoopTable:
 def _check_latin(rows: tuple[tuple[int, ...], ...], in_range: bool = False) -> None:
     """Raise NotLatin unless every row and column is a permutation of 1..n.
 
-    Rows are compared with the set 1..n, or, when ``in_range`` says every
-    entry is already known to lie in 1..n, given only a size test.  Once
-    every row passes, every entry lies in 1..n, so a column of n entries
-    is a permutation exactly when its entries are distinct: columns need
-    only a size test.
+    Up to order 255 the rows are encoded once as one flat ``bytes`` of n^2
+    bytes, row i the slice ``flat[i*n:(i+1)*n]`` and column j the slice
+    ``flat[j::n]``.  A slice of n bytes that holds each of 1..n is a
+    permutation of them, which is the case exactly when deleting its bytes
+    from ``bytes(range(1, n + 1))`` leaves nothing: one C-level
+    ``translate`` per row and per column.  An entry outside 0..255, which
+    ``bytes`` refuses, lies outside 1..n, so the table is not Latin.
+
+    Above order 255 rows are compared with the set 1..n, or, when
+    ``in_range`` says every entry is already known to lie in 1..n, given
+    only a size test.  Once every row passes, every entry lies in 1..n, so
+    a column of n entries is a permutation exactly when its entries are
+    distinct: columns need only a size test.  Rows are checked before
+    columns on either route.
     """
     n = len(rows)
+    if n <= 255:
+        try:
+            flat = b"".join(map(bytes, rows))
+        except ValueError:
+            raise NotLatin("a row repeats a value") from None
+        full = bytes(range(1, n + 1))
+        for i in range(0, n * n, n):
+            if full.translate(None, flat[i : i + n]):
+                raise NotLatin("a row repeats a value")
+        for j in range(n):
+            if full.translate(None, flat[j::n]):
+                raise NotLatin("a column repeats a value")
+        return
     if in_range:
         for row in rows:
             if len(set(row)) != n:
                 raise NotLatin("a row repeats a value")
     else:
-        full = frozenset(range(1, n + 1))
+        full_set = frozenset(range(1, n + 1))
         for row in rows:
-            if frozenset(row) != full:
+            if frozenset(row) != full_set:
                 raise NotLatin("a row repeats a value")
     for col in zip(*rows):
         if len(set(col)) != n:
@@ -154,19 +176,25 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
     so the identity becomes 1 while all other elements keep their relative
     order; the applied relabeling is recorded in the returned name.
 
-    Entries are decoded through one dict from the canonical names "1".."n"
-    to ints, which checks digits and range in one pass and leaves one int
-    object per element; the Latin check then tests each row by its size
-    alone.  A token it misses, such as "01" or an invalid one,
-    sends the whole body through ``decimal_ints`` and the range check
-    instead: that route still reads leading zeros, and raises the error for
-    a bad entry.
+    A text with no '#' has no comment line, and every line boundary of
+    ``str.splitlines`` is whitespace to ``str.split``, so it is split into
+    tokens by one ``str.split``; any other text line by line.  Entries are
+    decoded through one dict from the canonical names "1".."n" to ints, by
+    one ``itemgetter`` call, which checks digits and range in one pass and
+    leaves one int object per element; above order 255 the Latin check
+    then tests each row by its size alone.  A token it misses, such as
+    "01" or an invalid one, sends the whole body through ``decimal_ints``
+    and the range check instead: that route still reads leading zeros, and
+    raises the error for a bad entry.
     """
-    tokens: list[str] = []
-    for line in text.splitlines():
-        if line.lstrip().startswith("#"):
-            continue
-        tokens.extend(line.split())
+    if "#" in text:
+        tokens: list[str] = []
+        for line in text.splitlines():
+            if line.lstrip().startswith("#"):
+                continue
+            tokens.extend(line.split())
+    else:
+        tokens = text.split()
     if not tokens:
         raise Malformed("no tokens")
     try:
@@ -176,17 +204,20 @@ def parse_table(text: str, name: str | None = None) -> LoopTable:
     if n < 1:
         raise Malformed(f"order {n} must be positive")
     check_order(n)
-    body = tokens[1:]
-    if len(body) != n * n:
-        raise Malformed(f"expected {n * n} entries, got {len(body)}")
+    if len(tokens) - 1 != n * n:
+        raise Malformed(f"expected {n * n} entries, got {len(tokens) - 1}")
     names = {str(v): v for v in range(1, n + 1)}
-    entries = list(map(names.get, body))
-    named = all(entries)  # a miss is None; 0 is no name
-    if not named:
+    named = True
+    try:
+        entries = itemgetter(*tokens[1:])(names)
+    except KeyError:
+        named = False
         try:
-            entries = decimal_ints(body)
+            entries = decimal_ints(tokens[1:])
         except ValueError:
             raise Malformed("table entries must be decimal integers") from None
+    if n == 1 and named:
+        entries = (entries,)  # of one key, itemgetter returns the bare value
     rows = tuple(zip(*[iter(entries)] * n))  # n consecutive entries per row
     try:
         _check_latin(rows, in_range=named)

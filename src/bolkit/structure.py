@@ -5,20 +5,27 @@ homomorphism test for restricted right translations.  Element sets are
 returned as sorted tuples.  All functions are pure.
 
 The row predicates (the identity checks, the nuclei and the
-right-regular homomorphism test) share one kernel, ``_kernel``, and so do
+right-regular homomorphism test) share one kernel, and so do
 ``iso.is_isomorphism`` and the cube checks of ``verify``.  It holds each
 row with 0-based values, and ``rows[x].translate(tabs[y])`` is the row
 of L_y L_x, so an identity becomes a comparison of whole rows per pair
-(x, y).  Up to order 255 a row is ``bytes`` and its table the row padded
-to 256 bytes, so a composition is one C-level ``bytes.translate``; above
-that a row is a tuple whose ``translate`` builds an ``operator.itemgetter``
-over the row and applies it.  Right-hand notions come from the opposite
-table (the transpose): right Bol is left Bol of the opposite loop, the
-right nucleus is its left nucleus.  This module caches nothing on the
-table, so each call pays O(n^2) to encode its rows, one C-level pass per
-row; the one memo a table carries, ``LoopTable._iso``, belongs to
-``bolkit.iso``, which keeps there each table's iso record and the
-invariant profile it builds from ``_predicates``.
+(x, y).  Right-hand notions come from the opposite table (the
+transpose): right Bol is left Bol of the opposite loop, the right
+nucleus is its left nucleus.  Up to order 255 a table is encoded as one
+flat row-major ``bytes`` of n^2 bytes, translated to 0-based values in
+one C-level pass; its rows are the slices ``flat[x*n:(x+1)*n]``, the rows
+of its opposite the strided slices ``flat[y::n]`` (``_kernel_rows``), the
+table of a row is the row padded to 256 bytes (``_tables``), and a
+composition is one C-level ``bytes.translate``.  Above that a row is a
+``_WideRow`` tuple whose ``translate`` builds an ``operator.itemgetter``
+over the row and applies it, returning a plain tuple.  No kernel user
+translates a result again: ``_left_bol_at`` compares L_y L_x with
+L_x^-1 L_{x*(y*x)}.  This module caches nothing on the table, so each
+call pays for one encoding of the table, O(n^2) in C up to order 255,
+and for the tables of the sides it composes on; the one memo a table
+carries, ``LoopTable._iso``, belongs to ``bolkit.iso``, which keeps there
+each table's iso record and the invariant profile it builds from
+``_predicates``.
 
 Closures keep most predicates below n^3.  Each nucleus is a subloop and
 is found by closure, testing only elements outside the span of the
@@ -125,48 +132,106 @@ class _WideRow(tuple):
 
     ``r.translate(t)`` reads t at the entries of r, as ``bytes.translate``
     does, through an itemgetter built per call, which takes next to no
-    time; the two copies of the row (unpacking, wrapping the result) cost
-    more, about a quarter of a composition at order 256.
+    time (``_composer`` builds it once for a row composed with many
+    tables).  The result is a plain tuple, which compares equal to a row and
+    serves as a table, but has no ``translate`` of its own: no kernel user
+    translates a result again.
     """
 
     __slots__ = ()
 
-    def translate(self, table: Sequence[int]) -> _WideRow:
-        return _WideRow(itemgetter(*self[:])(table))  # a plain tuple unpacks faster than a subclass
+    def translate(self, table: Sequence[int]) -> tuple[int, ...]:
+        return itemgetter(*self[:])(table)  # a plain tuple unpacks faster than a subclass
 
 
 KRow = bytes | _WideRow  # a kernel row: 0-based values, composed by ``translate``
+Kernel = tuple[list[KRow], list[Sequence[int]]]  # (rows, tabs), see ``_kernel``
 _PREDECESSOR = bytes(1) + bytes(range(255))  # v -> v - 1, as a translation table
+_IDENTITY = bytes(range(256))
 
 
-def _kernel(cells: Rows) -> tuple[list[KRow], list[Sequence[int]]]:
-    """The row-composition kernel of a table: ``(rows, tabs)``.
+def _kernel(cells: Sequence[Sequence[int]]) -> Kernel:
+    """The row-composition kernel of a list of rows: ``(rows, tabs)``.
 
     ``rows[x]`` is row x + 1 of ``cells`` with 0-based values, and
     ``rows[x].translate(tabs[y])`` is the row of L_y L_x (apply L_x
-    first).  For rows of length n <= 255 the rows are ``bytes`` and the
-    tables the rows padded to 256 bytes, so a composition is one
+    first).  ``cells`` may be any list of rows of equal length n with
+    values in 1..n, such as the one row of a permutation.  For n <= 255
+    the rows are slices of one flat ``bytes`` (``_encode``) and the tables
+    the rows padded to 256 bytes, so a composition is one
     ``bytes.translate``; above that the rows are ``_WideRow`` tuples,
     which serve as their own tables, their values shared int objects.
-    ``cells`` may be any list of rows of equal length n with values in
-    1..n, such as the one row of a permutation.
     """
     n = len(cells[0])
     if n <= 255:
-        rows: list[KRow] = [bytes(row).translate(_PREDECESSOR) for row in cells]
-        return rows, [row.ljust(256, bytes(1)) for row in rows]
-    shift = tuple(range(-1, n))  # v -> v - 1
-    wide: list[KRow] = [_WideRow(itemgetter(*row)(shift)) for row in cells]
-    return wide, wide
+        flat = _encode(cells)
+        rows: list[KRow] = [flat[i : i + n] for i in range(0, len(flat), n)]
+    else:
+        rows = _wide_rows(cells)
+    return rows, _tables(rows)
+
+
+def _kernel_rows(cells: Rows) -> tuple[list[KRow], list[KRow]]:
+    """The kernel rows of a table and of its opposite loop, from one encoding.
+
+    Up to order 255 the table is encoded once as a flat row-major
+    ``bytes`` of 0-based values: row x of the table is the slice
+    ``flat[x*n:(x+1)*n]`` and row y of the opposite, the column of y, is
+    ``flat[y::n]``.  Above that the opposite's rows are the columns of the
+    table's ``_WideRow`` rows, which share their int objects.  ``_tables``
+    gives either side its tables, so a caller pays for the tables of a
+    side only when it composes on that side.
+    """
+    n = len(cells)
+    if n <= 255:
+        flat = _encode(cells)
+        return [flat[i : i + n] for i in range(0, n * n, n)], [flat[j::n] for j in range(n)]
+    rows = _wide_rows(cells)
+    return rows, [_WideRow(col) for col in zip(*rows)]
+
+
+def _tables(rows: list[KRow]) -> list[Sequence[int]]:
+    """The translation tables of kernel rows: a byte row padded to 256
+    bytes, and a ``_WideRow`` itself."""
+    if isinstance(rows[0], bytes):
+        return [row.ljust(256, bytes(1)) for row in rows]
+    return rows
+
+
+def _encode(cells: Sequence[Sequence[int]]) -> bytes:
+    """The rows of ``cells``, of values 1..255, as one flat ``bytes`` of 0-based values."""
+    return b"".join(map(bytes, cells)).translate(_PREDECESSOR)
+
+
+def _wide_rows(cells: Sequence[Sequence[int]]) -> list[KRow]:
+    shift = tuple(range(-1, len(cells[0])))  # v -> v - 1
+    return [_WideRow(itemgetter(*row)(shift)) for row in cells]
 
 
 def _left_bol_at(rows: list[KRow], tabs: list[Sequence[int]], x: int) -> bool:
-    """L_x L_y L_x = L_{x*(y*x)} for every y (x 0-based): two translates per y."""
-    rx, tx = rows[x], tabs[x]
+    """L_x L_y L_x = L_{x*(y*x)} for every y (x 0-based), read as
+    L_y L_x = L_x^-1 L_{x*(y*x)}: two compositions per y, and neither
+    result is composed again."""
+    rx = rows[x]
+    compose, undo = _composer(rx), _inverse_table(rx)
     for ty, ry in zip(tabs, rows):
-        if rx.translate(ty).translate(tx) != rows[rx[ry[x]]]:
+        if compose(ty) != rows[rx[ry[x]]].translate(undo):
             return False
     return True
+
+
+def _composer(row: KRow) -> Callable[[Sequence[int]], Sequence[int]]:
+    """``row.translate`` as one callable, for a row composed with many
+    tables: a ``_WideRow``'s itemgetter is built once, not per table."""
+    return row.translate if isinstance(row, bytes) else itemgetter(*row[:])
+
+
+def _inverse_table(row: KRow) -> Sequence[int]:
+    """The translation table of the inverse of a kernel row, a permutation
+    of 0..n-1: it sends row[i] to i."""
+    if isinstance(row, bytes):
+        return bytes.maketrans(row, _IDENTITY[: len(row)])
+    return tuple(sorted(range(len(row)), key=row.__getitem__))
 
 
 def _left_bol(rows: list[KRow], tabs: list[Sequence[int]], seed: ElementSet) -> bool:
@@ -271,8 +336,9 @@ def commutant(Q: LoopTable) -> ElementSet:
     return _commutant(Q.cells, _opposite(Q.cells))
 
 
-def _commutant(cells: Rows, op: Rows) -> ElementSet:
-    return tuple(c + 1 for c in range(len(cells)) if cells[c] == op[c])
+def _commutant(rows: Sequence[Sequence[int]], op_rows: Sequence[Sequence[int]]) -> ElementSet:
+    """The c whose row equals its row in the opposite table, as 1-based elements."""
+    return tuple(c + 1 for c in range(len(rows)) if rows[c] == op_rows[c])
 
 
 @dataclass(frozen=True)
@@ -355,10 +421,11 @@ def _middle_refuter(rows: list[KRow], tabs: list[Sequence[int]]) -> Refuter:
 
     def refute(a: int, w: int) -> int | None:
         ra = rows[a]
-        if ra.translate(tabs[w]) != rows[rows[w][a]]:
+        compose = _composer(ra)
+        if compose(tabs[w]) != rows[rows[w][a]]:
             return w
         for x, (rx, tx) in enumerate(zip(rows, tabs)):
-            if ra.translate(tx) != rows[rx[a]]:
+            if compose(tx) != rows[rx[a]]:
                 return x
         return None
 
@@ -374,10 +441,12 @@ class _Predicates(NamedTuple):
 def _predicates(Q: LoopTable) -> _Predicates:
     """The commutant, the nuclei and the identity flags of Q in one pass.
 
-    The opposite table and the kernels of Q and of its opposite are built
-    once and shared by every scan.  Q is associative iff its middle
-    nucleus is all of Q, and then every flag but ``commutative`` holds
-    and every nucleus is Q.  Otherwise:
+    The kernel rows of Q and of its opposite come from one encoding of the
+    table (``_kernel_rows``) and are shared by every scan; the commutant is
+    read off them, as the c whose rows agree, and the opposite's tables
+    are built only for a loop that is not a group.  Q is associative iff
+    its middle nucleus is all of Q, and then every flag but
+    ``commutative`` holds and every nucleus is Q.  Otherwise:
 
     - LM = N_lambda & N_mu is a subloop found by closure in which only
       elements of N_mu get the left-nucleus test, and the center is
@@ -401,12 +470,11 @@ def _predicates(Q: LoopTable) -> _Predicates:
       docstring), so the cycle walk runs only on a loop that is not left
       Bol.
     """
-    cells = Q.cells
     n = Q.order
-    op = _opposite(cells)
-    com = _commutant(cells, op)
+    rows, op_rows = _kernel_rows(Q.cells)
+    com = _commutant(rows, op_rows)
     commutative = len(com) == n
-    rows, tabs = _kernel(cells)
+    tabs = _tables(rows)
     middle = _subloop_where(Q, _middle_refuter(rows, tabs))
     if len(middle) == n:
         nuc = Nuclei(middle, middle, middle, middle, com)
@@ -418,7 +486,7 @@ def _predicates(Q: LoopTable) -> _Predicates:
     in_middle = set(middle)
     lm = _subloop_where(Q, lambda a, w: refute_left(a, w) if a + 1 in in_middle else w)
     center = tuple(sorted(set(com).intersection(lm)))
-    op_rows, op_tabs = _kernel(op)
+    op_tabs = _tables(op_rows)
     left_bol = _left_bol(rows, tabs, lm)
     right_bol = _left_bol(op_rows, op_tabs, center)
     left = middle if left_bol else _subloop_where(Q, refute_left, lm)
@@ -523,7 +591,8 @@ def right_regular_is_homomorphism(Q: LoopTable, S: ElementSet) -> bool:
     """
     if not is_subloop(Q, S):
         raise NotSubloop(f"{S} is not a subloop")
-    rows, tabs = _kernel(_opposite(Q.cells))
+    _, rows = _kernel_rows(Q.cells)
+    tabs = _tables(rows)
     return all(rows[s - 1].translate(tabs[t - 1]) == rows[mul(Q, s, t) - 1] for s in S for t in S)
 
 

@@ -54,7 +54,8 @@ from .structure import (
     Row,
     Rows,
     _kernel,
-    _opposite,
+    _kernel_rows,
+    _tables,
     _predicates,
     _prime_part,
     commutant,
@@ -339,11 +340,12 @@ class VerificationSuite:
         criterion, the prime parts and the cube identities.  The cube
         identities (xb)a^3 = (xa^3)b = x(a^3 b) and (x^3 a)b = x^3(ab) are
         compared as whole columns on the ``structure`` kernel of the
-        opposite table: ``rows[y - 1]`` is the column x -> x*y, and
-        ``col.translate(tabs[y - 1])`` is the column x -> col(x)*y; the row
-        of cubes x -> x^3 starts the second identity.  Every ordered pair is
-        checked and ab = ba, so (x^3 b)a = x^3(ab) is the check made for the
-        pair (b, a).
+        opposite table (``_kernel_rows``): ``rows[y - 1]`` is the column
+        x -> x*y, and ``col.translate(tabs[y - 1])`` is the column
+        x -> col(x)*y; the row of cubes x -> x^3 starts the second
+        identity, read through the table of R_a then R_b.  Every ordered
+        pair is checked and ab = ba, so (x^3 b)a = x^3(ab) is the check
+        made for the pair (b, a).
         """
         cells = Q.cells
         lnuc, rnuc = set(nuc.left), set(nuc.right)
@@ -356,7 +358,8 @@ class VerificationSuite:
         for m in (1, 2, 3):
             if not is_subloop(Q, _prime_part(Q, com, 2 * m)):
                 return False
-        rows, tabs = _kernel(_opposite(cells))
+        _, rows = _kernel_rows(cells)
+        tabs = _tables(rows)
         (cubes,), _ = _kernel(([power(Q, x, 3) for x in Q.elements()],))
         for a in com:
             a3 = pw[a][3]
@@ -368,7 +371,7 @@ class VerificationSuite:
                 ):
                     return False
                 ab = mul(Q, a, b)
-                if cubes.translate(tabs[a - 1]).translate(tabs[b - 1]) != cubes.translate(tabs[ab - 1]):
+                if cubes.translate(tabs[a - 1].translate(tabs[b - 1])) != cubes.translate(tabs[ab - 1]):
                     return False
         return True
 

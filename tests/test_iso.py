@@ -187,6 +187,45 @@ def test_classify_witnesses_on_the_q9_family(monkeypatch):
     assert digest == "e21fa86f6fe4c1ca8b999f60d2de42ca4c523e8f1e1f8e91738f5cb5f4c5de63"
 
 
+def test_extend_partial_hom_cuts_an_image_with_another_record():
+    """The documented contract of one call: None once the closure maps an
+    element onto an image with another (order, commuting-partner count)
+    record, even when the closure is an injective homomorphism.
+
+    No search can pin this cut, nor the injectivity test that shares its
+    ``elif``: with both tests weakened to "used and another record", every
+    search yields the same maps in the same order.  A non-injective loop
+    homomorphism sends some k != 1 to the identity (phi(a\\b) = 1 when
+    phi(a) = phi(b)), and no other element has the identity's record
+    (1, n), so its closure is still cut there.  A closure that keeps a
+    wrong record only grows maps that can never be completed: a bijective
+    homomorphism is an isomorphism, which keeps every record.  So the
+    contract is tested on this call from the search of q9_000000000 onto
+    itself, one of those where the weakened test returns a state.
+    """
+    Q = q9_representatives()[0]
+    assert Q.name == "q9_000000000"
+    local = ((0, 0), *_element_data(Q).local)
+    # 2 -> 3, 3 -> 2, 4 -> 4 is an automorphism of the subloop {1, 2, 3, 4}
+    img = [0, 1, 3, 2, 4] + [0] * 12
+    used = [v in (1, 2, 3, 4) for v in range(17)]
+    state = (img, used, [1, 2, 3, 4])
+    assert iso.extend_partial_hom(Q, Q, local, local, state, 5, 5) is None
+    assert state == (img, used, [1, 2, 3, 4])  # the state is not modified
+    # its extension by 5 -> 5 closes to an injective homomorphism of the
+    # subloop {1..8}, found here by brute force; it sends 6 to 7, whose
+    # records differ
+    H = refcheck.closure(Q.cells, (2, 3, 4, 5))
+    phi = {1: 1, 2: 3, 3: 2, 4: 4, 5: 5, 6: 7, 7: 6, 8: 8}
+    assert H == tuple(phi) and sorted(phi.values()) == list(H)
+    assert all(phi[mul(Q, a, b)] == mul(Q, phi[a], phi[b]) for a in H for b in H)
+    assert [a for a in H if local[a] != local[phi[a]]] == [6, 7]
+    # without the wrong record the same closure is kept: 2 -> 2, 3 -> 3 on {1..4}
+    identity = ([0, 1, 2, 3, 4] + [0] * 12, used, [1, 2, 3, 4])
+    kept = iso.extend_partial_hom(Q, Q, local, local, identity, 5, 5)
+    assert kept is not None and kept[0][1:9] == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
 def test_is_isomorphism_rejects_what_is_not_one():
     Z4, K4 = cyclic_group(4), elem_abelian_2(2)
     assert is_isomorphism(Z4, Z4, (1, 4, 3, 2))  # x -> x^-1

@@ -355,11 +355,13 @@ def relabeled_tokens(cells, p):
     return [str(len(cells))] + [str(v) for row in refcheck.relabel(cells, p) for v in row]
 
 
-def damage(tokens, rng):
-    """The tokens with one randomly chosen fault or unusual spelling."""
+def damage(tokens, rng, kind=None):
+    """The tokens with one fault or unusual spelling, of the given kind or a
+    random one."""
     n = int(tokens[0])
     body = tokens[1:]
-    kind = rng.randrange(8)
+    if kind is None:
+        kind = rng.randrange(8)
     i = rng.randrange(len(body))
     if kind == 1:  # leading zeros, the order token included
         for j in rng.sample(range(len(tokens)), min(3, len(tokens))):
@@ -425,6 +427,16 @@ def test_parse_table_matches_the_reference_decoder():
         text = layout(relabeled_tokens(Q64.cells, p), rng)
         texts.append(text)
         assert parse_table(text).name == f"relabeled identity {e}->1"
+    # orders 255 and 256, on either side of the byte encoding of the Latin
+    # check, written on one line, so split into tokens at once
+    for n in (255, 256):
+        tokens = relabeled_tokens(cyclic_group(n).cells, rng.sample(range(1, n + 1), n))
+        texts.append(" ".join(tokens))
+        for kind in (1, 4, 5):  # leading zeros; a duplicate in a row; one only in columns
+            texts.append(" ".join(damage(list(tokens), rng, kind)))
+        v = rng.choice(tokens[1:])
+        for out in ("0", str(n + 1)):  # every entry of one value out of range
+            texts.append(" ".join(tokens[:1] + [out if t == v else t for t in tokens[1:]]))
     kinds = set()
     for text in texts:
         name = rng.choice((None, "t"))

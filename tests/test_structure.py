@@ -431,24 +431,26 @@ def test_nucleus_closure_tests_only_outside_the_span():
 
 
 class _KernelSides:
-    """Names the table each ``structure._kernel`` was built from, by the
-    identity of its rows: "Q" for ``Q.cells``, "op" for Q's opposite.  A
-    commutative Q and its opposite have equal rows, so values cannot tell
-    them apart."""
+    """Names the table each list of kernel rows of ``structure._kernel_rows``
+    belongs to, by its identity: "Q" for the first list of a call on
+    ``Q.cells``, "op" for the second, each only when its values are those
+    of Q or of Q's opposite, and "?" otherwise.  A commutative Q and its
+    opposite have equal rows, so values alone cannot tell them apart."""
 
     def __init__(self, monkeypatch):
         self.Q: LoopTable | None = None
         self.built: dict[int, tuple[list, str]] = {}  # keeps the rows alive, so ids stay unique
-        kernel = structure._kernel
+        kernel_rows = structure._kernel_rows
 
         def tagging(cells):
-            rows, tabs = kernel(cells)
-            op = refcheck.opposite(self.Q.cells)
-            side = "Q" if cells is self.Q.cells else "op" if cells == op else "?"
-            self.built[id(rows)] = (rows, side)
-            return rows, tabs
+            sides = kernel_rows(cells)
+            Q = self.Q.cells
+            for rows, side, table in zip(sides, ("Q", "op"), (Q, refcheck.opposite(Q))):
+                same = cells is Q and [[v + 1 for v in row] for row in rows] == [list(r) for r in table]
+                self.built[id(rows)] = (rows, side if same else "?")
+            return sides
 
-        monkeypatch.setattr(structure, "_kernel", tagging)
+        monkeypatch.setattr(structure, "_kernel_rows", tagging)
 
     def __call__(self, rows) -> str:
         return self.built[id(rows)][1]
