@@ -109,6 +109,32 @@ MUTANTS = (
         "    right = middle if right_bol else _subloop_where(Q, _left_refuter(op_rows, op_tabs), com)\n",
         ("tests/test_structure.py::test_kernel_matches_oracle_on_all_small_loops",),
     ),
+    # the left Bol closure: a*b and b*a are not in S in general, so a
+    # partial Bol loop of PARTIAL_BOL_TEXTS is called left Bol
+    Mutant(
+        "bol-map-is-the-product",
+        "src/bolkit/structure.py",
+        "(ra[rb[a]], rb[ra[b]])",
+        "(ra[b], rb[a])",
+        ("tests/test_structure.py::test_kernel_matches_oracle_on_all_small_loops",),
+    ),
+    Mutant(
+        "coset-is-the-whole-row",
+        "src/bolkit/structure.py",
+        "members.update([ra[m] for m in base])",
+        "members.update(ra)",
+        ("tests/test_structure.py::test_kernel_matches_oracle_on_all_small_loops",),
+    ),
+    # a*(b*b) for a*(b*a): no tested loop outside left Bol has it as a
+    # false member, and in a left Bol loop it only slows the closure, which
+    # the count of membership tests on Z4 x the exceptional loop catches
+    Mutant(
+        "bol-map-squares-b",
+        "src/bolkit/structure.py",
+        "ra[rb[a]]",
+        "ra[rb[b]]",
+        ("tests/test_structure.py::test_bol_closure_seeded_with_lm_tests_few_elements",),
+    ),
     # the row-composition kernel: composition order on either encoding
     Mutant(
         "left-bol-translates-swapped",

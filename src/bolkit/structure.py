@@ -33,15 +33,17 @@ members found so far; a loop whose middle nucleus is all of Q is a group.
 A test tries first the x that refuted the last element ruled out, so an
 element outside the nucleus usually costs one row composition, not up to n.
 Left Bol is decided the same way (``_left_bol``): the elements x with
-L_x L_y L_x = L_{x*(y*x)} for every y contain N_lambda & N_mu and are
-closed under (x, w) -> x*(w*x) and under multiplication on either side by
-N_lambda & N_mu, so only elements outside the closure of N_lambda & N_mu
-and the elements found so far are tested, n row compositions each.  The Bol
-loops of the Section 4 construction have K in N_lambda & N_mu: on
-``order4n:n`` the closure needs 3 tests, and no measured Bol loop needs
-more than 9 (Z4 x the exceptional loop).  A loop that is not left Bol
-stops at its first failing element.  The left-power-alternative check
-walks one cycle per cyclic subloop, not one per element.
+L_x L_y L_x = L_{x*(y*x)} for every y form a union of right cosets of
+N_lambda & N_mu, closed under (x, w) -> x*(w*x), so the closure keeps one
+representative per coset and forms the Bol map only between
+representatives, and only elements outside it are tested, n row
+compositions each.  The Bol loops of the Section 4 construction have K in
+N_lambda & N_mu: on ``order4n:n`` the closure needs 3 tests, over the
+property catalog at most 9 (Z4 x the exceptional loop), and on Z16 or Z32
+x the exceptional loop, of order 256 and 512, 7 to 11 (six relabelings
+of the first, three of the second).  A loop that is not left Bol stops
+at its first failing element.  The left-power-alternative check walks
+one cycle per cyclic subloop, not one per element.
 
 ``_predicates`` is the one code path for the nuclei and the identity
 flags: ``nuclei`` and ``check_identity`` read its result, and every
@@ -63,25 +65,23 @@ the first two; products of translations act right to left):
   in all three, (x*y)*c = c*(x*y) = (c*x)*y = (x*c)*y = x*(c*y) =
   x*(y*c), so c is in N_rho too.
 
-The seed of the left Bol closure rests on one more fact, in any loop.
-Let S be the set of x with L_x L_y L_x = L_{x*(y*x)} for every y, and m
-in N_lambda & N_mu, so that L_{m*z} = L_m L_z and L_{z*m} = L_z L_m for
-every z.  Then for x in S and every y:
+The left Bol closure rests on two facts, in any loop.  Let S be the set
+of x with L_x L_y L_x = L_{x*(y*x)} for every y; it holds 1.  For x in S
+and m in N_lambda & N_mu, so that L_{m*z} = L_m L_z and L_{z*m} = L_z L_m
+for every z, x*m is in S (and with x = 1, m is):
 
-- m is in S: L_m L_y L_m = L_m L_{y*m} = L_{m*(y*m)};
-- x*m is in S: L_{x*m} L_y L_{x*m} = L_x L_{m*y} L_x L_m =
-  L_{x*((m*y)*x)} L_m = L_{(x*((m*y)*x))*m};
-- m*x is in S: L_{m*x} L_y L_{m*x} = L_m L_x L_{y*m} L_x =
-  L_m L_{x*((y*m)*x)} = L_{m*(x*((y*m)*x))}.
+  L_{x*m} L_y L_{x*m} = L_x L_{m*y} L_x L_m = L_{x*((m*y)*x)} L_m =
+  L_{(x*((m*y)*x))*m},
 
-Each right-hand side is a left translation L_w, which is fixed by its
-value w at 1; the left-hand side L_z L_y L_z sends 1 to z*(y*z), so
-L_z L_y L_z = L_{z*(y*z)}.  Neither nucleus alone will do.  For m in
-N_mu, L_m L_y L_m = L_m L_{y*m}, and as y*m runs over Q this is
-L_{m*(y*m)} for every y only if m is in N_lambda.  For m in N_lambda,
-L_{m*(y*m)} = L_m L_{y*m}, which is L_m L_y L_m for every y only if m is
-in N_mu.  So an element of N_lambda or N_mu is in S exactly when it is
-in N_lambda & N_mu.
+a left translation L_w, which is fixed by its value w at 1; the
+left-hand side L_z L_y L_z sends 1 to z*(y*z), so L_z L_y L_z =
+L_{z*(y*z)}.  And for x, w in S, x*(w*x) is in S (``oracle`` module
+docstring).  Neither nucleus alone will do as the seed.  For m in N_mu,
+L_m L_y L_m = L_m L_{y*m}, and as y*m runs over Q this is L_{m*(y*m)} for
+every y only if m is in N_lambda.  For m in N_lambda, L_{m*(y*m)} =
+L_m L_{y*m}, which is L_m L_y L_m for every y only if m is in N_mu.  So
+an element of N_lambda or N_mu is in S exactly when it is in
+N_lambda & N_mu.
 
 So the middle nucleus is scanned first; N_lambda & N_mu is found by
 closure with the left-nucleus test run only on elements of N_mu, and the
@@ -239,53 +239,35 @@ def _left_bol(rows: list[KRow], tabs: list[Sequence[int]], seed: ElementSet) -> 
 
     ``rows, tabs`` is the ``_kernel`` of a table.  ``seed`` is a subloop
     (1-based) inside N_lambda & N_mu of its loop.  The elements x that
-    pass for every y form a set S.  S contains the seed and is closed
-    under (x, w) -> x*(w*x) (``oracle`` module docstring) and under
-    x -> x*m and x -> m*x for m in the seed (module docstring).  So
-    elements are tested in index order, and one in the closure of the
-    members found so far passes without a test; a passing element joins
-    and the closure grows by its products with the members, as in
-    ``_close``; the first failing element ends the check.  Elements are
-    0-based here.
+    pass for every y form a set S, which holds the seed, x*m for x in S
+    and m in the seed (module docstring), and x*(w*x) for x, w in S
+    (``oracle`` module docstring).  So S is a union of right cosets of
+    the seed.  Elements are tested in index order, skipping members; a
+    passing element starts a frontier, and each element popped from it
+    that is not yet a member adds its right coset, becomes the coset's
+    representative, and pushes its Bol-map images a*(b*a) and b*(a*b)
+    with every representative b so far, the identity first.  The first
+    failing element ends the check.  Elements are 0-based here.
     """
-    n = len(rows)
     base = [m - 1 for m in seed]
     members = set(base)
-    known: list[int] = []  # members whose products with each other are formed
-    frontier = list(base)
-    x = 0
-    while len(members) < n:
-        if not frontier:
-            x += 1
-            while x in members:
-                x += 1
-            if not _left_bol_at(rows, tabs, x):
-                return False
-            members.add(x)
-            frontier.append(x)
+    reps = [0]  # one member per right coset of the seed in members, the identity first
+    for x in range(len(rows)):
+        if x in members:
             continue
-        a = frontier.pop()
-        known.append(a)
-        ra = rows[a]
-        for b in known:
-            rb = rows[b]
-            v = ra[rb[a]]  # a*(b*a)
-            if v not in members:
-                members.add(v)
-                frontier.append(v)
-            v = rb[ra[b]]  # b*(a*b)
-            if v not in members:
-                members.add(v)
-                frontier.append(v)
-        for m in base:
-            v = ra[m]  # a*m
-            if v not in members:
-                members.add(v)
-                frontier.append(v)
-            v = rows[m][a]  # m*a
-            if v not in members:
-                members.add(v)
-                frontier.append(v)
+        if not _left_bol_at(rows, tabs, x):
+            return False
+        frontier = [x]
+        while frontier:
+            a = frontier.pop()
+            if a in members:
+                continue
+            ra = rows[a]
+            members.update([ra[m] for m in base])  # a*m for m in the seed
+            reps.append(a)
+            for b in reps:
+                rb = rows[b]
+                frontier += (ra[rb[a]], rb[ra[b]])  # a*(b*a), b*(a*b)
     return True
 
 
@@ -455,9 +437,9 @@ def _predicates(Q: LoopTable) -> _Predicates:
       the closure on the opposite table seeded with the center, which is
       also the center of the opposite loop.  The seed matters: in
       Z2 x q9_0, x*(w*x) = w for 7/8 of the pairs, and the closure seeded
-      with {1} alone needs about 21 tests, against 7 with the center; on
-      ``order4n:n``, where LM is larger than the center, 3 tests against
-      7 to 9.  Over the 88 tables of the perfbench ``analyze`` workload
+      with {1} alone needs 21 to 26 tests over six relabelings, against 7
+      with the center; on ``order4n:n``, where LM is larger than the
+      center, 3 tests against 7 to 9.  Over the 88 tables of the perfbench ``analyze`` workload
       (seed 1) the reports make 33,675 row compositions, and 40,608 with both
       closures seeded with the center.  Seeding right Bol with
       N_rho & N_mu as well makes 36,063: that scan costs more than it

@@ -555,6 +555,7 @@ def test_right_nucleus_scan_tries_the_last_witness_first(monkeypatch, n):
             ("Z2xq9_0", lambda: direct_product(cyclic_group(2), q9_representatives()[0]), 7),
             ("Z4xexceptional", lambda: direct_product(cyclic_group(4), build_exceptional()), 9),
             ("order4n:16", lambda: build_named_example("order4n", n=16), 4),
+            ("Z16xexceptional", lambda: direct_product(cyclic_group(16), build_exceptional()), 9),
         )
     ],
 )
@@ -562,9 +563,10 @@ def test_bol_closure_seeded_with_lm_tests_few_elements(monkeypatch, name, make, 
     # these left Bol loops are not right Bol; seeded with LM = N_lambda &
     # N_mu, the closure reaches all of Q after at most ``most`` membership
     # tests, and the first test on the opposite fails.  Measured over six
-    # relabelings: 7, 7 to 9, and 3 tests; seeded with the center,
-    # order4n:16 needed 7 to 9.  Seeded with {1} alone, Z2xq9_0 needs about
-    # 21 tests: x*(w*x) = w for 7/8 of its pairs
+    # relabelings: 7, 7 to 9, 3, and 7 to 11 tests (Z16xexceptional, order
+    # 256 and so the wide rows, LM = Z16: 7, 9, 7 on the three run here);
+    # seeded with the center, order4n:16 needed 7 to 9.  Seeded with {1}
+    # alone, Z2xq9_0 needs 21 to 26 tests: x*(w*x) = w for 7/8 of its pairs
     side = _KernelSides(monkeypatch)
     tested = []
     at = structure._left_bol_at
@@ -588,26 +590,35 @@ def _seeds_bol_closure(rows, S: set[int], seed) -> bool:
     return all(m in S and rows[x - 1][m - 1] in S and rows[m - 1][x - 1] in S for m in seed for x in S)
 
 
+def _closed_under_the_bol_map(rows, S: set[int]) -> bool:
+    """Whether S holds x*(w*x) for every x and w in S."""
+    return all(rows[x - 1][rows[w - 1][x - 1] - 1] in S for x in S for w in S)
+
+
 def test_left_bol_elements_are_closed_under_the_left_middle_nucleus():
-    # the lemma behind the seed of the left Bol closure (structure module
-    # docstring), checked with refcheck alone on every loop of order <= 6
-    # and on the catalog loops of order <= 16 and their opposites: for m in
-    # N_lambda & N_mu and x in S, m, x*m and m*x are in S.  Neither nucleus
-    # alone is enough: each fails on 840 loops of order <= 6
+    # the facts behind the left Bol closure (structure module docstring),
+    # checked with refcheck alone on every loop of order <= 6 and on the
+    # catalog loops of order <= 16 and their opposites: for m in
+    # N_lambda & N_mu and x, w in S, m, x*m and m*x are in S, and so is
+    # x*(w*x); the closure uses x*m and x*(w*x).  The last says something
+    # only where S is neither {1} nor Q.
+    # Neither nucleus alone is enough: each fails on 840 loops of order <= 6
     catalog = [Q.cells for Q in _catalog() if Q.order <= 16]
     small = [Q.cells for n in range(1, 7) for Q in enumerate_all_loops(n)]
-    seeded = 0
+    seeded = partial = 0
     fails = {"middle": 0, "left": 0}
     for rows in (*small, *catalog, *map(refcheck.opposite, catalog)):
         nuc = refcheck.nuclei(rows)
         lm = [a for a in nuc.left if a in nuc.middle]
         S = refcheck.left_bol_elements(rows)
         assert _seeds_bol_closure(rows, S, lm), rows
+        assert _closed_under_the_bol_map(rows, S), rows
         seeded += len(lm) > 1
+        partial += 2 < len(S) < len(rows)
         if len(rows) <= 6:
             fails["middle"] += not _seeds_bol_closure(rows, S, nuc.middle)
             fails["left"] += not _seeds_bol_closure(rows, S, nuc.left)
-    assert seeded > 0
+    assert seeded > 0 and partial > 0
     assert fails == {"middle": 840, "left": 840}
 
 
