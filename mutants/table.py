@@ -450,6 +450,35 @@ MUTANTS = (
         HOM_CHECK.replace(" or local1[r] != local2[q]", ""),
         ("tests/test_iso.py::test_classify_witnesses_on_the_q9_family",),
     ),
+    # the q9 family is classified on its coboundary cosets; a wrong
+    # relabeling fails the claim's map check
+    Mutant(
+        "coboundary-h-drops-b23",
+        "src/bolkit/gf2.py",
+        "            b12 & a1 & a2 ^ b13 & a1 & a3 ^ b23 & a2 & a3\n",
+        "            b12 & a1 & a2 ^ b13 & a1 & a3\n",
+        (
+            "tests/test_gf2.py::test_q9_relabelings_are_isomorphisms_between_coset_mates",
+            "tests/test_acceptance.py::test_criterion_04_q9_family",
+        ),
+    ),
+    Mutant(
+        "coboundary-mask-drops-b9",
+        "src/bolkit/gf2.py",
+        "        mask = 128 * b12 ^ 37 * b13 ^ 19 * b23\n",
+        "        mask = 128 * b12 ^ 36 * b13 ^ 18 * b23\n",
+        (
+            "tests/test_gf2.py::test_q9_relabelings_are_the_eight_forms_in_order",
+            "tests/test_acceptance.py::test_criterion_04_q9_family",
+        ),
+    ),
+    Mutant(
+        "coset-member-is-max",
+        "src/bolkit/gf2.py",
+        "    minima = sorted({min(i ^ mask for mask, _ in relabelings) for i in range(512)})\n",
+        "    minima = sorted({max(i ^ mask for mask, _ in relabelings) for i in range(512)})\n",
+        ("tests/test_gf2.py::test_classify_q9_equals_classify_of_the_family",),
+    ),
     # the non-isomorphism claims read the classifications
     Mutant(
         "noniso-allows-pairs",

@@ -50,7 +50,7 @@ from .extensions import (
     elem_abelian_2,
     trivial_tau,
 )
-from .gf2 import build_exceptional, build_q9, enumerate_q9
+from .gf2 import build_exceptional, build_q9, classify_q9, enumerate_q9
 from .iso import classification_report, classify, find_isomorphism
 from .loop_core import MAX_ORDER, LoopTable, check_order, decimal_ints, parse_table, render
 from .oracle import summarize_order8, witnessed_search
@@ -192,7 +192,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_enumerate_q9(args: argparse.Namespace) -> int:
     loops = enumerate_q9()
     if args.classify:
-        classes = classify(loops)
+        classes = classify_q9(loops)
         sys.stdout.write(classification_report(loops, classes))
         print(f"{len(loops)} loops in {len(classes)} isomorphism classes")
     else:

@@ -24,6 +24,32 @@ only on u, a and the mask m_a of CMap row a, so its 512 tables share at
 most 2*8*8 = 128 row objects, each built once per ``enumerate_q9`` call.
 ``associated_cocycle`` and ``cocycle_loop`` stay the general route, and
 the tests compare every family table against it.
+
+The family is closed under the coboundaries of quadratic sections, which
+``classify_q9`` uses to classify it on 64 tables instead of 512.  Let B
+be an alternating form on (Z_2)^3 (B(a, a) = 0, so B is symmetric),
+given by its three bits B12, B13, B23, and let
+
+    h(a) = B12 a1 a2 + B13 a1 a3 + B23 a2 a3.
+
+Expanding h(a+b) gives h(a) + h(b) + h(a+b) = B(a, b): the coboundary of
+h is B.  So phi(u, a) = (u + h(a), a) is an isomorphism from the loop of
+f onto the loop of f + B, since
+
+    phi((u,a)(v,b)) = (u+v+f(a,b)+h(a+b), a+b) = phi(u,a) phi(v,b)
+
+when products on the right use f + B.  On labels, phi sends
+1 + u + 2*a to 1 + (u ^ h(a)) + 2*a, and it is its own inverse.  f + B is
+right-additive again, with c'(e, e_i) = c(e, e_i) + B(e, e_i), and it
+meets the family's constraints: B is symmetric, so columns 1 and 2 still
+agree with rows e1 and e2, and B(e1+e2, e3) = B(e1, e3) + B(e2, e3), so the
+forced slot c(e1+e2, e3) still differs from c(e1, e3) + c(e2, e3).  Adding
+B to q9_cmap(b1, ..., b9) flips b2 by B12, b4 and b7 by B13, b5 and b8 by
+B23, and b9 by B13 + B23.  With the index read as binary, b1 most
+significant, as ``enumerate_q9`` orders it, member i goes to member
+i ^ mask, where the mask of B is the XOR of 128 (B12), 37 (B13) and 19
+(B23).  The eight masks split the 512 indices into 64 cosets of eight
+isomorphic members each.
 """
 
 from __future__ import annotations
@@ -33,7 +59,8 @@ from dataclasses import dataclass
 
 from .errors import BadParams
 from .extensions import Cocycle, build_extension, cyclic_group, elem_abelian_2, trivial_tau
-from .loop_core import LoopTable
+from .iso import IsoClass, classify
+from .loop_core import LoopTable, Permutation, compose
 
 
 @dataclass(frozen=True)
@@ -141,6 +168,56 @@ def enumerate_q9() -> list[LoopTable]:
     """
     rows: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
     return [_q9_loop(bits, rows) for bits in itertools.product((0, 1), repeat=9)]
+
+
+def q9_relabelings() -> list[tuple[int, Permutation]]:
+    """(mask, phi) for the eight alternating forms B on (Z_2)^3.
+
+    phi is the isomorphism from member i of ``enumerate_q9`` onto member
+    i ^ mask (see the module docstring): label 1 + u + 2*a goes to
+    1 + (u ^ h(a)) + 2*a.  The zero form comes first, with the identity.
+    """
+    out = []
+    for b12, b13, b23 in itertools.product((0, 1), repeat=3):
+        # B12 flips b2; B13 flips b4, b7, b9; B23 flips b5, b8, b9
+        mask = 128 * b12 ^ 37 * b13 ^ 19 * b23
+        h = [
+            b12 & a1 & a2 ^ b13 & a1 & a3 ^ b23 & a2 & a3
+            for a3, a2, a1 in itertools.product((0, 1), repeat=3)  # a = a1 + 2*a2 + 4*a3
+        ]
+        out.append((mask, tuple(1 + (x ^ h[x >> 1]) for x in range(16))))
+    return out
+
+
+def classify_q9(loops: list[LoopTable]) -> list[IsoClass]:
+    """``classify(loops)`` for the 512 tables of ``enumerate_q9``, in its order.
+
+    ``classify`` runs only on the least member of each of the 64 cosets
+    i ^ mask, in index order.  Every class is a union of cosets, and its
+    first member is a coset minimum, so the classes, their order and their
+    representatives are those of ``classify(loops)``.  Each member's map
+    relabels it onto its coset minimum by phi, then sends that minimum onto
+    the representative by its ``classify`` map; ``is_isomorphism`` checks
+    such a map as it checks any other.  On the family these are also the
+    lexicographically least maps that ``classify(loops)`` keeps; a test
+    compares the two outputs field by field.
+    """
+    if len(loops) != 512:
+        raise BadParams("expected the 512 tables of enumerate_q9")
+    relabelings = q9_relabelings()
+    minima = sorted({min(i ^ mask for mask, _ in relabelings) for i in range(512)})
+    classes = []
+    for cls in classify([loops[m] for m in minima]):
+        maps = {}
+        for k, p in zip(cls.members, cls.maps, strict=True):
+            m = minima[k]
+            for mask, phi in relabelings:
+                maps[m ^ mask] = compose(phi, p)
+        members = sorted(maps)
+        classes.append(
+            IsoClass(minima[cls.representative], tuple(members), tuple(maps[i] for i in members))
+        )
+    return classes
 
 
 def build_exceptional() -> LoopTable:

@@ -35,9 +35,9 @@ representatives compute each representative's once.  Only this module
 writes the slot: ``_screen`` and ``classification_report`` fill it, and
 ``extensions.automorphism_group`` fills it through ``_record``.
 ``classify`` reads it but writes it only on its representatives, so a
-batch held by its caller, such as the 512 q9 tables that
-``verify`` classifies once and keeps with their witnesses, does not keep
-a record per table.  The memo depends only on
+batch held by its caller, such as the 275 order-8 tables that
+``oracle.summarize_order8`` classifies, does not keep a record per
+table.  The memo depends only on
 the cells; equality, hashing and ``repr`` ignore it, and content-equal
 tables built as separate objects each start empty.  A fill is
 idempotent (two threads that race store equal values), so concurrent

@@ -35,6 +35,7 @@ from .extensions import (
     right_nucleus_members,
 )
 from .gf2 import (
+    classify_q9,
     count_constrained_cmaps,
     enumerate_q9,
     free_parameter_count,
@@ -131,8 +132,11 @@ class VerificationSuite:
 
     @cached_property
     def q9_classes(self) -> list[IsoClass]:
-        """``classify(q9_all)``: the classes with their witness maps."""
-        return classify(self.q9_all)
+        """``classify_q9(q9_all)``: the classes and witness maps that
+        ``classify(q9_all)`` gives, found by classifying the 64 coset
+        minima only; every other member's map is a coboundary relabeling
+        onto its coset minimum followed by that minimum's map."""
+        return classify_q9(self.q9_all)
 
     @cached_property
     def property_catalog(self) -> list[LoopTable]:
@@ -233,6 +237,13 @@ class VerificationSuite:
         nucleus, so a member with a verified map passes exactly when its
         representative does: while every map holds, the count is the count
         a check of every table would give.
+
+        Most maps were not found by a search: ``classify_q9`` composes a
+        coboundary relabeling with a search map.  Each is still checked
+        against both tables, so a wrong relabeling counts as a violation.
+        A bad table that is the least member of its coset of eight is
+        classified in place of its coset mates, and their maps onto it
+        fail too: it counts eight violations, any other bad table one.
         """
         loops = self.q9_all
         bad = 0

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import refcheck
 from bolkit import errors
 from bolkit.catalog import FIXTURE_ORDER16, Q9_REPRESENTATIVE_TUPLES, load_fixture
 from bolkit.extensions import (
@@ -19,13 +20,15 @@ from bolkit.gf2 import (
     associated_cocycle,
     build_exceptional,
     build_q9,
+    classify_q9,
     cocycle_loop,
     count_constrained_cmaps,
     enumerate_q9,
     free_parameter_count,
     q9_cmap,
+    q9_relabelings,
 )
-from bolkit.iso import find_isomorphism
+from bolkit.iso import classify, find_isomorphism, is_isomorphism
 from bolkit.loop_core import mul
 from bolkit.structure import check_identity, commutant, generated_subloop, is_subloop, nuclei
 
@@ -178,6 +181,73 @@ def test_enumerate_q9_order_and_tags():
     # pairwise distinct tables: every bit reaches the table, b2 included,
     # which enters only through c(e2, e1), read by column 2 from row e2
     assert len(set(loops)) == 512
+
+
+# the bits each alternating form flips, b1 the most significant of nine
+FORM_FLIPS = {"B12": (2,), "B13": (4, 7, 9), "B23": (5, 8, 9)}
+
+
+def form_masks() -> list[tuple[tuple[int, int, int], int]]:
+    """((B12, B13, B23), index mask) for the eight forms, B12 slowest."""
+    out = []
+    for form in itertools.product((0, 1), repeat=3):
+        mask = 0
+        for on, flips in zip(form, FORM_FLIPS.values()):
+            for k in flips if on else ():
+                mask ^= 1 << (9 - k)
+        out.append((form, mask))
+    return out
+
+
+def test_q9_relabelings_are_the_eight_forms_in_order():
+    relabelings = q9_relabelings()
+    assert [mask for mask, _ in relabelings] == [mask for _, mask in form_masks()]
+    assert relabelings[0][1] == tuple(range(1, 17))
+    # 64 cosets of eight
+    cosets = {frozenset(i ^ mask for mask, _ in relabelings) for i in range(512)}
+    assert len(cosets) == 64 and {len(c) for c in cosets} == {8}
+
+
+def test_coboundary_adds_the_form_to_the_cmap():
+    for (b12, b13, b23), mask in form_masks():
+        B = ((0, b12, b13), (b12, 0, b23), (b13, b23, 0))
+
+        def form(e: int, i: int) -> int:  # B(e, e_i)
+            return sum((e >> j & 1) * B[j][i] for j in range(3)) % 2
+
+        for t in range(512):
+            bits = tuple(t >> (8 - k) & 1 for k in range(9))
+            moved = tuple((t ^ mask) >> (8 - k) & 1 for k in range(9))
+            expected = tuple(
+                tuple(c ^ form(e, i) for i, c in enumerate(row))
+                for e, row in enumerate(q9_cmap(bits).values)
+            )
+            assert q9_cmap(moved).values == expected, (t, mask)
+
+
+def test_q9_relabelings_are_isomorphisms_between_coset_mates():
+    loops = enumerate_q9()
+    relabelings = q9_relabelings()
+    for i, Q in enumerate(loops):
+        for mask, phi in relabelings:
+            assert is_isomorphism(Q, loops[i ^ mask], phi), (i, mask)
+    # a sample checked product by product, with refcheck alone
+    rng = random.Random(38)
+    for i in rng.sample(range(512), 24):
+        for mask, phi in relabelings:
+            assert refcheck.relabel(loops[i].cells, phi) == loops[i ^ mask].cells, (i, mask)
+
+
+def test_classify_q9_equals_classify_of_the_family():
+    classes = classify_q9(enumerate_q9())
+    expected = classify(enumerate_q9())
+    assert len(classes) == len(expected) == 19
+    for got, want in zip(classes, expected, strict=True):
+        assert got.representative == want.representative
+        assert got.members == want.members
+        assert got.maps == want.maps
+    with pytest.raises(errors.BadParams):
+        classify_q9(enumerate_q9()[:511])
 
 
 def test_right_nucleus_criterion_for_right_additive():

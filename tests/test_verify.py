@@ -28,7 +28,7 @@ from dataclasses import replace
 import pytest
 
 import refcheck
-from bolkit import catalog, structure, verify
+from bolkit import catalog, gf2, structure, verify
 from bolkit.errors import NotPeriodicThroughIdentity
 from bolkit.extensions import Cocycle, TauMap, build_extension, cyclic_group, group_conditions
 from bolkit.gf2 import enumerate_q9
@@ -216,14 +216,28 @@ def q9_all():
     return enumerate_q9()
 
 
-def test_q9_claim_counts_a_table_that_is_not_left_bol(q9_all):
-    # the opposite of a q9 loop is right Bol, not left Bol; it is alone in
-    # its class, so it is checked as a representative
-    bad = LoopTable(16, _opposite(q9_all[5].cells))
+def q9_claim_with_a_table_that_is_not_left_bol(q9_all, index):
+    """The claim's result with table ``index`` replaced by its opposite,
+    which is right Bol, not left Bol."""
+    bad = LoopTable(16, _opposite(q9_all[index].cells))
     assert not _predicates(bad).flags["left_bol"]
     fresh = VerificationSuite()
-    fresh.q9_all = q9_all[:5] + [bad] + q9_all[6:]
-    assert fresh.claim_sec6_q9_family() == (False, Q9_FAILS)
+    fresh.q9_all = q9_all[:index] + [bad] + q9_all[index + 1 :]
+    return fresh.claim_sec6_q9_family()
+
+
+def test_q9_claim_counts_a_table_that_is_not_left_bol(q9_all):
+    # 5 is the least member of its coset {5, 22, 32, 51, 133, 150, 160, 179}:
+    # it is classified in their place, and their maps onto it fail too
+    assert q9_claim_with_a_table_that_is_not_left_bol(q9_all, 5) == (
+        False,
+        "512 loops, 8 violations of Bol/|C|=6/non-subloop/C<=RNuc",
+    )
+
+
+def test_q9_claim_counts_a_bad_coset_mate_once(q9_all):
+    # 32 is not a coset minimum: only its own map, onto table 5, fails
+    assert q9_claim_with_a_table_that_is_not_left_bol(q9_all, 32) == (False, Q9_FAILS)
 
 
 def test_q9_claim_checks_every_witness_map(q9_all, monkeypatch):
@@ -244,24 +258,29 @@ def test_q9_claim_checks_every_witness_map(q9_all, monkeypatch):
 
 def test_q9_claims_classify_once_and_check_representatives_only(q9_all, monkeypatch):
     calls = {"_predicates": 0, "classify": 0}
+    sizes = []
 
-    def counted(name):
-        original = getattr(verify, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
+            if name == "classify":
+                sizes.append(len(args[0]))
             return original(*args)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(verify, name, counted(name))
+    monkeypatch.setattr(verify, "_predicates", counted(verify, "_predicates"))
+    # classify_q9 calls classify on the 64 coset minima
+    monkeypatch.setattr(gf2, "classify", counted(gf2, "classify"))
     fresh = VerificationSuite()
     fresh.q9_all = q9_all
     assert fresh.claim_sec6_q9_family()[0]
     assert calls["_predicates"] <= 19
     assert fresh.claim_sec6_19_noniso()[0]
     assert calls["classify"] == 1
+    assert sizes == [64]
 
 
 def merged(a: IsoClass, b: IsoClass) -> IsoClass:
