@@ -26,6 +26,7 @@ GROUP_C_EQ = "                if kc[ta[fb[c] - 1] - 1][fa[bc] - 1] != kfab[f_ab[
 RNUC_LHS = "                lhs = kc[kc[fa[b] - 1][ts[ab][w] - 1] - 1][fv[ab][c] - 1]\n"
 RNUC_RHS = "                rhs = kc[kc[ta[ts[b][w] - 1] - 1][ta[fv[b][c] - 1] - 1] - 1][fa[bc] - 1]\n"
 COMMUTANT_B = "                ts[b][u] == kc[ku[fa[b] - 1] - 1][inv[fv[b][a - 1] - 1] - 1] for b in range(ne)\n"
+PRODUCTS = "tests/test_extensions.py::test_build_extension_matches_the_products"
 WITNESSES = "tests/test_oracle.py::test_witnesses_relabel_onto_the_search_output"
 # the p*z block of extend_partial_hom, up to its record check
 HOM_CHECK = (
@@ -388,6 +389,35 @@ MUTANTS = (
         COMMUTANT_B,
         COMMUTANT_B.replace("ku[fa[b] - 1]", "ku[fv[b][a - 1] - 1]"),
         (CONDITIONS,),
+    ),
+    # the block-at-a-time extension builder, and the name table of render
+    Mutant(
+        "extension-shift-drops-f",
+        "src/bolkit/extensions.py",
+        "columns[fab - 1](vals",
+        "columns[0](vals",
+        (PRODUCTS,),
+    ),
+    Mutant(
+        "extension-tau-is-identity",
+        "src/bolkit/extensions.py",
+        "        at_tau = [t - 1 for t in ta]\n",
+        "        at_tau = list(range(nk))\n",
+        (PRODUCTS,),
+    ),
+    Mutant(
+        "extension-block-offset-from-b",
+        "src/bolkit/extensions.py",
+        "for fab, ab in zip(fa, ea)]",
+        "for fab, ab in zip(fa, E.elements())]",
+        (PRODUCTS,),
+    ),
+    Mutant(
+        "render-names-shifted-by-one",
+        "src/bolkit/loop_core.py",
+        "    names = tuple(map(str, range(n + 1)))\n",
+        "    names = tuple(map(str, range(1, n + 2)))\n",
+        ("tests/test_loop_core.py::test_render_writes_each_row_as_its_joined_values",),
     ),
     # the left-Bol search's relabeling, and the order-8 claim's checks of it
     Mutant(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import itemgetter
 
 from .errors import BadParams, NotAssociative, TooLarge
 from .iso import _isomorphisms, _record, is_isomorphism
@@ -62,8 +63,9 @@ def elem_abelian_2(m: int) -> GroupTable:
         raise BadParams("dimension must be nonnegative")
     n = 1 << m
     check_order(n)
-    cells = [[((a ^ b) + 1) for b in range(n)] for a in range(n)]
-    return GroupTable(n, tuple(tuple(r) for r in cells), f"Z2^{m}")
+    vals = tuple(range(1, n + 1))  # one int object per element
+    cells = tuple(tuple(map(vals.__getitem__, map(a.__xor__, range(n)))) for a in range(n))
+    return GroupTable(n, cells, f"Z2^{m}")
 
 
 def automorphism_group(K: LoopTable) -> list[Permutation]:
@@ -159,26 +161,30 @@ def _groups(tau: TauMap, f: Cocycle) -> tuple[GroupTable, LoopTable]:
 
 
 def build_extension(tau: TauMap, f: Cocycle, name: str | None = None) -> LoopTable:
-    """The table of Q(K, E, tau, f) under the fixed pair encoding."""
+    """The table of Q(K, E, tau, f) under the fixed pair encoding.
+
+    Built a block at a time, every entry read from one value table
+    ``vals``, so the table holds one int object per element.  For a in E,
+    the shift of block b lists idx(x * f(a,b), ab) at x = 1..|K| (entry 0
+    unused): one read of ``vals`` from idx(0, ab) on through the column of
+    f(a,b) in K.  Row idx(u, a) reads each shift at x = u * tau_a(v) for v
+    in K and chains the reads: |E|(|E| + |K|) C-level calls in all.
+    """
     K, E = _groups(tau, f)
     nk, ne = K.order, E.order
     n = nk * ne
     check_order(n)
-    kc = K.cells
-    cells = [[0] * n for _ in range(n)]
-    for a in range(1, ne + 1):
-        ta = tau.at(a)
-        fa = f.values[a - 1]
-        for b in range(1, ne + 1):
-            c = E.cells[a - 1][b - 1]
-            fab = fa[b - 1]
-            base_a, base_b, base_c = nk * (a - 1), nk * (b - 1), nk * (c - 1)
-            for u in range(1, nk + 1):
-                ru = kc[u - 1]
-                row = cells[base_a + u - 1]
-                for v in range(1, nk + 1):
-                    w = kc[ru[ta[v - 1] - 1] - 1][fab - 1]
-                    row[base_b + v - 1] = base_c + w
+    vals = tuple(range(n + 1))
+    columns = [itemgetter(0, *col) for col in zip(*K.cells)]
+    # of one index, itemgetter returns the bare value, not a tuple
+    gather = itemgetter if nk > 1 else lambda i: lambda s: (s[i],)
+    cells = []
+    for ta, fa, ea in zip(tau.assignment, f.values, E.cells):
+        shifts = [columns[fab - 1](vals[nk * (ab - 1) : nk * ab + 1]) for fab, ab in zip(fa, ea)]
+        at_tau = [t - 1 for t in ta]
+        for ku in K.cells:
+            read = gather(*map(ku.__getitem__, at_tau))  # u * tau_a(v) for v in K
+            cells.append(tuple(chain.from_iterable(map(read, shifts))))
     if name is None:
         name = f"ext({K.name or nk},{E.name or ne})"
     return LoopTable.from_cells(cells, name=name)

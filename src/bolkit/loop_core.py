@@ -250,9 +250,17 @@ def _find_identity(rows: tuple[tuple[int, ...], ...]) -> int | None:
 
 
 def render(Q: LoopTable) -> str:
-    """Emit the .tbl text: the order, then one line per row."""
-    lines = [str(Q.order)]
-    lines.extend(" ".join(str(v) for v in row) for row in Q.cells)
+    """Emit the .tbl text: the order, then one line per row.
+
+    Each row is read through one name table, ``names[v]`` being ``str(v)``,
+    by one ``itemgetter`` call: the mirror of the decode in ``parse_table``.
+    """
+    n = Q.order
+    if n == 1:  # of one key, itemgetter returns the bare name, not a tuple
+        return "1\n1\n"
+    names = tuple(map(str, range(n + 1)))
+    lines = [names[n]]
+    lines.extend(" ".join(itemgetter(*row)(names)) for row in Q.cells)
     return "\n".join(lines) + "\n"
 
 

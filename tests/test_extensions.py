@@ -300,6 +300,52 @@ def test_condition_equations_agree_with_built_tables_on_random_inputs():
     assert skew_bol > 0
 
 
+def _products(tau, f):
+    """The cells of Q(K, E, tau, f) product by product: row idx(u, a),
+    column idx(v, b) holds idx(u * tau_a(v) * f(a, b), ab)."""
+    kc, ec, ts, fv = tau.K.cells, tau.E.cells, tau.assignment, f.values
+    nk, ne = tau.K.order, tau.E.order
+    return tuple(
+        tuple(
+            kc[kc[u][ts[a][v] - 1] - 1][fv[a][b] - 1] + nk * (ec[a][b] - 1)
+            for b in range(ne)
+            for v in range(nk)
+        )
+        for a in range(ne)
+        for u in range(nk)
+    )
+
+
+def test_build_extension_matches_the_products():
+    for entry in extension_catalog():
+        Q = entry.build()
+        assert (Q.cells, Q.name) == (_products(entry.tau, entry.f), entry.name)
+    for n in range(3, 71):  # orders 12 to 280, across the byte limit at 255
+        Q = build_named_example("order4n", n=n)
+        assert (Q.cells, Q.name) == (_products(*named_extension("order4n", n=n)), f"order4n_n{n}")
+    # seeded (tau, f): every K with every E, E of order 1 and a loop that
+    # is not a group among them; K of order 1 reads a single index per block
+    rng = random.Random(3_900_039)
+    Ks = [cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(4), elem_abelian_2(2), cyclic_group(5)]
+    Es = [cyclic_group(1), cyclic_group(2), cyclic_group(3), elem_abelian_2(2), _first_non_bol_loop_of_order_5()]
+    names = {1: "Z1", 2: "Z2", 3: "Z3", 4: "Z2^2", 5: "5"}
+    auts = [automorphism_group(K) for K in Ks]
+    for t in range(50):
+        K, E = Ks[t % 6], Es[t // 6 % 5]
+        ne, nk = E.order, K.order
+        tau = TauMap(E, K, (identity_perm(nk), *(rng.choice(auts[t % 6]) for _ in range(ne - 1))))
+        inner = [(1, *(rng.randrange(1, nk + 1) for _ in range(ne - 1))) for _ in range(ne - 1)]
+        f = Cocycle(E, K, ((1,) * ne, *inner))
+        Q = build_extension(tau, f)
+        assert (Q.cells, Q.name) == (_products(tau, f), f"ext({K.name},{names[ne]})")
+
+
+def test_built_tables_of_order_512_hold_one_int_object_per_element():
+    for Q in (build_named_example("order4n", n=128), elem_abelian_2(9)):
+        assert Q.order == 512
+        assert len({id(v) for row in Q.cells for v in row}) <= Q.order + 1
+
+
 def test_right_nucleus_members_order12():
     tau, f = named_extension("order12")
     members = right_nucleus_members(tau, f)

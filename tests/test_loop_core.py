@@ -96,9 +96,27 @@ def test_parse_skips_comments():
 
 
 def test_render_round_trip(T8):
-    assert parse_table(render(T8)) == T8
+    from bolkit.extensions import build_named_example
+
+    for Q in (T8, LoopTable.from_cells([[1]]), build_named_example("order4n", n=256)):
+        assert parse_table(render(Q)) == Q
     z2 = parse_table("2\n1 2\n2 1")
     assert render(z2) == "2\n1 2\n2 1\n"
+
+
+def test_render_writes_each_row_as_its_joined_values():
+    from bolkit.extensions import build_named_example, cyclic_group, elem_abelian_2
+
+    for Q in (
+        LoopTable.from_cells([[1]]),
+        cyclic_group(2),
+        build_named_example("order16cyclic"),
+        LoopTable(255, refcheck.shuffled(cyclic_group(255).cells, random.Random(255))),
+        elem_abelian_2(8),
+        build_named_example("order4n", n=256),  # order 1024
+    ):
+        lines = render(Q).split("\n")
+        assert lines == [str(Q.order), *(" ".join(str(v) for v in row) for row in Q.cells), ""]
 
 
 def test_mul_examples(T8):
