@@ -28,6 +28,9 @@ RNUC_RHS = "                rhs = kc[kc[ta[ts[b][w] - 1] - 1][ta[fv[b][c] - 1] -
 COMMUTANT_B = "                ts[b][u] == kc[ku[fa[b] - 1] - 1][inv[fv[b][a - 1] - 1] - 1] for b in range(ne)\n"
 PRODUCTS = "tests/test_extensions.py::test_build_extension_matches_the_products"
 WITNESSES = "tests/test_oracle.py::test_witnesses_relabel_onto_the_search_output"
+FORKED = "tests/test_verify.py::test_forked_and_in_process_runs_agree"
+DEAD_CHILD = "tests/test_verify.py::test_a_dead_child_fails_its_claims"
+PINNED = "tests/test_verify.py::test_the_two_processes_keep_to_different_cpus"
 # the p*z block of extend_partial_hom, up to its record check
 HOM_CHECK = (
     "            r, q = row1[z - 1], row2[fz - 1]\n"
@@ -530,6 +533,58 @@ MUTANTS = (
         "        order16 = sum(loops[cls.representative].order == 16 for cls in classes)\n",
         "        order16 = len(classes)\n",
         ("tests/test_verify.py::test_21_claims_fail_when_the_exceptional_loop_joins_a_q9_class",),
+    ),
+    # the forked claim runner: the child's results must come back, in
+    # suite order, a dead child must fail its claims with its status, and
+    # the two processes keep to different CPUs until the child is done
+    Mutant(
+        "forked-child-sends-nothing",
+        "src/bolkit/verify.py",
+        "                pickle.dump(_run_claims(child), pipe)\n",
+        "                pickle.dump([], pipe)\n",
+        (FORKED,),
+    ),
+    Mutant(
+        "forked-child-results-not-merged",
+        "src/bolkit/verify.py",
+        "        return results + pickle.loads(sent)\n",
+        "        return results\n",
+        (FORKED,),
+    ),
+    Mutant(
+        "forked-results-in-arrival-order",
+        "src/bolkit/verify.py",
+        "        return sorted(results, key=lambda r: position[r.claim_id])\n",
+        "        return results\n",
+        (FORKED,),
+    ),
+    Mutant(
+        "dead-child-claims-pass",
+        "src/bolkit/verify.py",
+        "    return results + [ClaimResult(claim_id, citation, False, details) for claim_id, citation, _ in child]\n",
+        "    return results + [ClaimResult(claim_id, citation, True, details) for claim_id, citation, _ in child]\n",
+        (DEAD_CHILD,),
+    ),
+    Mutant(
+        "dead-child-status-ignored",
+        "src/bolkit/verify.py",
+        "    code = os.waitstatus_to_exitcode(status)\n",
+        "    code = 0\n",
+        (DEAD_CHILD,),
+    ),
+    Mutant(
+        "forked-child-shares-the-parent-cpu",
+        "src/bolkit/verify.py",
+        "            _pin(cpus[1:2])\n",
+        "            _pin(cpus[:1])\n",
+        (PINNED,),
+    ),
+    Mutant(
+        "forked-parent-cpus-not-restored",
+        "src/bolkit/verify.py",
+        "        _pin(cpus)\n",
+        "        pass\n",
+        (PINNED,),
     ),
     # the oracles are gated too: the kernel tests compare against them.
     # A left Bol check that skips the triples with x = y is no gate: in a

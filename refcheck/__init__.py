@@ -55,6 +55,81 @@ def opposite(rows: Rows) -> Table:
     return tuple(tuple(rows[b][a] for b in range(n)) for a in range(n))
 
 
+# the .tbl format ----------------------------------------------------------------
+
+
+class TableError(Exception):
+    """A text that is not a loop table.  ``kind`` says why: "malformed",
+    "too-large", "not-latin" or "no-identity"."""
+
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+
+
+def _ints(tokens: Sequence[str]) -> list[int]:
+    joined = "".join(tokens)
+    if not (joined.isascii() and joined.isdigit()):
+        raise ValueError(joined)
+    return [int(t) for t in tokens]
+
+
+def parse_table(text: str, name: str | None, max_order: int) -> tuple[int, Table, str | None]:
+    """The order, rows and name of the ``.tbl`` text, decoded the plain way.
+
+    A line loop skips '#' lines; every token must be ASCII digits before
+    ``int`` reads it; the Latin checks are frozensets on the rows then the
+    columns, and the range of the entries is checked only after a Latin
+    failure.  A two-sided identity e other than 1 is renamed 1, the
+    elements below it moved up by one, and the name notes the renaming.
+    Raises ``TableError``.
+    """
+    tokens = []
+    for line in text.splitlines():
+        if not line.lstrip().startswith("#"):
+            tokens.extend(line.split())
+    if not tokens:
+        raise TableError("malformed", "no tokens")
+    try:
+        [n] = _ints(tokens[:1])
+    except ValueError:
+        raise TableError("malformed", f"order token {tokens[0]!r} is not a decimal integer") from None
+    if n < 1:
+        raise TableError("malformed", f"order {n} must be positive")
+    if n > max_order:
+        raise TableError("too-large", f"order {n} exceeds supported maximum {max_order}")
+    body = tokens[1:]
+    if len(body) != n * n:
+        raise TableError("malformed", f"expected {n * n} entries, got {len(body)}")
+    try:
+        entries = _ints(body)
+    except ValueError:
+        raise TableError("malformed", "table entries must be decimal integers") from None
+    rows = [entries[i : i + n] for i in range(0, n * n, n)]
+    full = frozenset(range(1, n + 1))
+    latin = None
+    if any(frozenset(row) != full for row in rows):
+        latin = "a row repeats a value"
+    elif any(frozenset(col) != full for col in zip(*rows)):
+        latin = "a column repeats a value"
+    if latin:
+        for v in entries:
+            if not 1 <= v <= n:
+                raise TableError("malformed", f"entry {v} out of range 1..{n}")
+        raise TableError("not-latin", latin)
+    identities = [
+        e for e in range(1, n + 1) if all(rows[e - 1][x - 1] == x == rows[x - 1][e - 1] for x in range(1, n + 1))
+    ]
+    if not identities:
+        raise TableError("no-identity", "no two-sided identity element")
+    e = identities[0]
+    if e != 1:
+        rows = relabel(rows, [1 if x == e else x + 1 if x < e else x for x in range(1, n + 1)])
+        note = f"relabeled identity {e}->1"
+        name = f"{name} ({note})" if name else note
+    return n, tuple(map(tuple, rows)), name
+
+
 # identities, nuclei, commutant ---------------------------------------------
 
 

@@ -3,11 +3,24 @@
 Each claim re-checks one concrete assertion about the constructed loops,
 by brute force or by independent oracle, and reports pass/fail with a
 one-line summary.  Claim ids are stable identifiers.
+
+``VerificationSuite.run`` uses two processes where it can.  The claims of
+``CHILD_CLAIMS``, ``sec4-condition-oracle`` and ``sec5-order8-oracle``,
+run in one forked child while the parent runs the other eleven.  They
+take about half of the suite's time, the order-8 search and the Section 4
+battery build everything they read themselves, and no other claim reads
+what they build, so neither process computes anything twice.  Each
+claim's ``elapsed`` is timed in the process that ran it.  While both
+run, each keeps to a CPU of its own, so that they do not take turns on
+one.  With one CPU, without ``os.fork``, or with none of those claims in
+the suite, every claim runs in the calling process, in turn.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -69,6 +82,10 @@ from .structure import (
 
 RANDOM_SEED = 20160813  # fixed seed for the randomized battery
 
+# The claims ``run`` gives to a forked child: together about half of the
+# suite's time, and neither reads a cached building block another claim reads.
+CHILD_CLAIMS = frozenset({"sec4-condition-oracle", "sec5-order8-oracle"})
+
 
 def _powers(row: Row) -> list[int]:
     """a^0..a^8, walking L_a from 1, for the element a whose row is ``row``."""
@@ -111,6 +128,93 @@ class ClaimResult:
     passed: bool
     details: str
     elapsed: float = 0.0
+
+
+ClaimDefinition = tuple[str, str, Callable[[], tuple[bool, str]]]
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pin(cpus: list[int]) -> None:
+    """Keep this process on ``cpus`` where the platform lets it choose; a
+    refused request leaves it where it may run."""
+    if hasattr(os, "sched_setaffinity"):
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
+
+
+def _run_claims(definitions: list[ClaimDefinition]) -> list[ClaimResult]:
+    """Run the claims in turn, timing each; a claim that raises fails."""
+    results = []
+    for claim_id, citation, fn in definitions:
+        t0 = time.monotonic()
+        try:
+            passed, details = fn()
+        except Exception as exc:  # a crashed claim is a failed claim
+            passed, details = False, f"error: {exc!r}"
+        elapsed = time.monotonic() - t0
+        results.append(ClaimResult(claim_id, citation, passed, details, elapsed))
+    return results
+
+
+def _run_forked(child: list[ClaimDefinition], rest: list[ClaimDefinition]) -> list[ClaimResult]:
+    """The results of ``rest``, run here, then those of ``child``, run at
+    the same time in a forked child that sends them back as one pickle.
+
+    While both run, this process keeps to the first CPU it may use and the
+    child to the second: on Linux, a child forked by a process that has
+    only just started, as ``bolkit verify-paper`` has, can stay on its
+    parent's CPU, and the two then take turns.  This process may use all of
+    its CPUs again before the child is reaped, which happens before this
+    returns or raises.  If the child ends without sending its results,
+    each of its claims fails with details that give its exit status or
+    the signal that killed it.
+    """
+    # imported here, before the fork: only this path needs pickle, and at
+    # module level it would add its import time to every ``import bolkit.verify``
+    import pickle
+
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the child: no cleanup of the parent's state runs here, and only
+        # a complete pickle ends in status 0
+        status = 1
+        try:
+            os.close(read_fd)
+            _pin(cpus[1:2])
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_run_claims(child), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        _pin(cpus[:1])
+        # closed before the wait, so a child still writing gets EPIPE
+        with open(read_fd, "rb") as pipe:
+            results = _run_claims(rest)
+            sent = pipe.read()
+    finally:
+        _pin(cpus)
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0 and sent:
+        return results + pickle.loads(sent)
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    details = f"error: the claim process {how} before it sent its results"
+    return results + [ClaimResult(claim_id, citation, False, details) for claim_id, citation, _ in child]
 
 
 class VerificationSuite:
@@ -459,7 +563,7 @@ class VerificationSuite:
 
     # runner ----------------------------------------------------------------
 
-    def claim_definitions(self) -> list[tuple[str, str, Callable[[], tuple[bool, str]]]]:
+    def claim_definitions(self) -> list[ClaimDefinition]:
         return [
             (
                 "sec3-example-fixture",
@@ -529,16 +633,29 @@ class VerificationSuite:
         ]
 
     def run(self) -> list[ClaimResult]:
-        results = []
-        for claim_id, citation, fn in self.claim_definitions():
-            t0 = time.monotonic()
-            try:
-                passed, details = fn()
-            except Exception as exc:  # a crashed claim is a failed claim
-                passed, details = False, f"error: {exc!r}"
-            elapsed = time.monotonic() - t0
-            results.append(ClaimResult(claim_id, citation, passed, details, elapsed))
-        return results
+        """Run every claim of ``claim_definitions()`` and return the results in that order.
+
+        When the claims include some of ``CHILD_CLAIMS``, ``os.fork`` exists
+        and this process may run on at least two CPUs, those claims run in
+        one forked child while this process runs the rest, each process
+        kept to a CPU of its own; otherwise every claim runs here, in turn.
+        Each result's ``elapsed`` is timed in the process that ran the
+        claim.  The child sends its results through a pipe as one pickle
+        and leaves by ``os._exit``; it is reaped before this method returns
+        or raises.  If it dies before sending them, each of its claims is a
+        failed result whose details give its exit status or signal, and
+        none is run again here.  What the child computed stays in the
+        child: cached building blocks such as ``order8_search`` and
+        ``order8_report`` are not set on this object.
+        """
+        definitions = self.claim_definitions()
+        child = [d for d in definitions if d[0] in CHILD_CLAIMS]
+        if not child or not hasattr(os, "fork") or _cpu_count() < 2:
+            return _run_claims(definitions)
+        rest = [d for d in definitions if d[0] not in CHILD_CLAIMS]
+        results = _run_forked(child, rest)
+        position = {claim_id: i for i, (claim_id, _, _) in enumerate(definitions)}
+        return sorted(results, key=lambda r: position[r.claim_id])
 
 
 def report_lines(results: list[ClaimResult]) -> list[str]:

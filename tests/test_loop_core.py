@@ -291,63 +291,22 @@ def test_parse_relabels_identity_at_last_position():
 # parse_table against a plain reference decoder ------------------------------
 
 
+# refcheck's decoder raises its own TableError; its kinds are bolkit's types
+PARSE_ERRORS = {
+    "malformed": errors.Malformed,
+    "too-large": errors.TooLarge,
+    "not-latin": errors.NotLatin,
+    "no-identity": errors.NoIdentity,
+}
+
+
 def reference_parse(text, name=None):
-    """The ``.tbl`` rules decoded the plain way, as a reference for
-    ``parse_table``: a line loop that skips '#' lines, the ASCII-digit check
-    then ``int`` on each token, frozenset Latin checks on rows then columns,
-    the range check only after a Latin failure, and the renumbering formula
-    applied by ``refcheck.relabel``."""
-    tokens = []
-    for line in text.splitlines():
-        if not line.lstrip().startswith("#"):
-            tokens.extend(line.split())
-    if not tokens:
-        raise errors.Malformed("no tokens")
-
-    def ints(ts):
-        joined = "".join(ts)
-        if not (joined.isascii() and joined.isdigit()):
-            raise ValueError(joined)
-        return [int(t) for t in ts]
-
+    """``refcheck.parse_table``, the reference for ``parse_table``, raising
+    the bolkit error type of each refusal with the same message."""
     try:
-        [n] = ints(tokens[:1])
-    except ValueError:
-        raise errors.Malformed(f"order token {tokens[0]!r} is not a decimal integer") from None
-    if n < 1:
-        raise errors.Malformed(f"order {n} must be positive")
-    if n > MAX_ORDER:
-        raise errors.TooLarge(f"order {n} exceeds supported maximum {MAX_ORDER}")
-    body = tokens[1:]
-    if len(body) != n * n:
-        raise errors.Malformed(f"expected {n * n} entries, got {len(body)}")
-    try:
-        entries = ints(body)
-    except ValueError:
-        raise errors.Malformed("table entries must be decimal integers") from None
-    rows = [entries[i : i + n] for i in range(0, n * n, n)]
-    full = frozenset(range(1, n + 1))
-    latin = None
-    if any(frozenset(row) != full for row in rows):
-        latin = "a row repeats a value"
-    elif any(frozenset(col) != full for col in zip(*rows)):
-        latin = "a column repeats a value"
-    if latin:
-        for v in entries:
-            if not 1 <= v <= n:
-                raise errors.Malformed(f"entry {v} out of range 1..{n}")
-        raise errors.NotLatin(latin)
-    identities = [
-        e for e in range(1, n + 1) if all(rows[e - 1][x - 1] == x == rows[x - 1][e - 1] for x in range(1, n + 1))
-    ]
-    if not identities:
-        raise errors.NoIdentity("no two-sided identity element")
-    e = identities[0]
-    if e != 1:
-        rows = refcheck.relabel(rows, [1 if x == e else x + 1 if x < e else x for x in range(1, n + 1)])
-        note = f"relabeled identity {e}->1"
-        name = f"{name} ({note})" if name else note
-    return n, tuple(map(tuple, rows)), name
+        return refcheck.parse_table(text, name, MAX_ORDER)
+    except refcheck.TableError as exc:
+        raise PARSE_ERRORS[exc.kind](str(exc)) from None
 
 
 def parse_outcome(parse, text, name):

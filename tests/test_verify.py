@@ -16,14 +16,22 @@ answer: a and b commute, so (x^3 b)a = x^3(ab) for the pair (a, b) is
 (x^3 a)b = x^3(ab) for the pair (b, a), and every pair is checked.
 
 The q9 claims run the predicates on the 19 class representatives only
-and check each member's witness map; the tests at the end break a table
-or a map and require the claim to fail.  The non-isomorphism claims read
-``q9_classes`` and ``twenty_one_classes``; the last tests merge classes
-there and require those claims to fail.
+and check each member's witness map; the tests after the battery break a
+table or a map and require the claim to fail.  The non-isomorphism claims
+read ``q9_classes`` and ``twenty_one_classes``; the next tests merge
+classes there and require those claims to fail.
+
+The last tests run the whole suite through ``run``, which gives the
+claims of ``verify.CHILD_CLAIMS`` to a forked child: the forked and the
+in-process runs must agree, a child claim that raises or a child that
+dies must fail only the child's claims, and no child may outlive ``run``.
 """
 
+import os
 import random
+import signal
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +319,153 @@ def test_21_claims_fail_when_the_exceptional_loop_joins_a_q9_class(suite):
         False,
         "order-16 classes=19, with order-12 loop total=20",
     )
+
+
+# the forked runner ----------------------------------------------------------
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_report.txt"
+# the claims of a ProbeSuite that run in the parent: cheap ones, one of
+# them after the child's claims in suite order
+PARENT_CLAIMS = ("sec3-example-fixture", "sec5-order12-example", "sec6-free-params")
+
+
+def outcomes(results):
+    return [(r.claim_id, r.passed, r.details) for r in results]
+
+
+def refuse_to_fork():
+    raise AssertionError("os.fork called")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class ProbeSuite(VerificationSuite):
+    """The claims of ``ids``, in suite order.  A claim runs the function
+    given for its id; without one, a child claim passes at once and any
+    other runs as in the suite."""
+
+    def __init__(self, ids=PARENT_CLAIMS + tuple(verify.CHILD_CLAIMS), **fns):
+        self.ids, self.fns = ids, fns
+
+    def claim_definitions(self):
+        def stand_in():
+            return True, "stand-in"
+
+        return [
+            (cid, citation, self.fns.get(cid, stand_in if cid in verify.CHILD_CLAIMS else fn))
+            for cid, citation, fn in super().claim_definitions()
+            if cid in self.ids
+        ]
+
+
+def in_child_only(action):
+    """A claim that runs action in a forked child, and fails if run here."""
+    parent = os.getpid()
+
+    def claim():
+        if os.getpid() == parent:
+            raise AssertionError("ran in the parent")
+        return action()
+
+    return claim
+
+
+def test_forked_and_in_process_runs_agree(monkeypatch):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    forked = VerificationSuite().run()
+    assert forks == [1]
+    assert_no_child_left()
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    in_process = VerificationSuite().run()
+    assert outcomes(forked) == outcomes(in_process)
+    reference = REFERENCE.read_text(encoding="utf-8").splitlines()
+    assert verify.report_lines(forked) == verify.report_lines(in_process) == reference
+    # the child timed its own claims
+    assert all(r.elapsed > 0 for r in forked if r.claim_id in verify.CHILD_CLAIMS)
+
+
+def test_a_child_claim_that_raises_fails_alone(monkeypatch):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+
+    def broken():
+        raise ValueError("no table")
+
+    results = ProbeSuite(**{"sec5-order8-oracle": in_child_only(broken)}).run()
+    assert_no_child_left()
+    assert [r.claim_id for r in results] == [
+        "sec3-example-fixture",
+        "sec5-order12-example",
+        "sec4-condition-oracle",
+        "sec5-order8-oracle",
+        "sec6-free-params",
+    ]
+    failed = [(r.claim_id, r.details) for r in results if not r.passed]
+    assert failed == [("sec5-order8-oracle", "error: ValueError('no table')")]
+
+
+@pytest.mark.parametrize(
+    "die, how",
+    [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {int(signal.SIGKILL)}"),
+    ],
+    ids=["exit-3", "sigkill"],
+)
+def test_a_dead_child_fails_its_claims(monkeypatch, die, how):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    results = ProbeSuite(**{"sec4-condition-oracle": in_child_only(die)}).run()
+    assert_no_child_left()
+    details = f"error: the claim process {how} before it sent its results"
+    # the dying claim is not run again here: in_child_only would fail it otherwise
+    assert outcomes(r for r in results if r.claim_id in verify.CHILD_CLAIMS) == [
+        ("sec4-condition-oracle", False, details),
+        ("sec5-order8-oracle", False, details),
+    ]
+    assert all(r.passed for r in results if r.claim_id not in verify.CHILD_CLAIMS)
+
+
+def test_a_parent_claim_that_stops_the_run_reaps_the_child(monkeypatch):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+
+    class Stop(BaseException):
+        pass
+
+    def stop():
+        raise Stop
+
+    with pytest.raises(Stop):
+        ProbeSuite(**{"sec6-free-params": stop}).run()
+    assert_no_child_left()
+
+
+def test_a_suite_without_child_claims_never_forks(monkeypatch):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    results = ProbeSuite(PARENT_CLAIMS).run()
+    assert [(r.claim_id, r.passed) for r in results] == [(cid, True) for cid in PARENT_CLAIMS]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs this process may run on",
+)
+def test_the_two_processes_keep_to_different_cpus():
+    def cpus():
+        return True, str(sorted(os.sched_getaffinity(0)))
+
+    allowed = os.sched_getaffinity(0)
+    first, second = sorted(allowed)[:2]
+    results = ProbeSuite(**{"sec5-order8-oracle": in_child_only(cpus), "sec6-free-params": cpus}).run()
+    assert_no_child_left()
+    details = {r.claim_id: r.details for r in results}
+    assert details["sec5-order8-oracle"] == str([second])
+    assert details["sec6-free-params"] == str([first])
+    # the caller may use all of its CPUs again
+    assert os.sched_getaffinity(0) == allowed
